@@ -21,7 +21,8 @@ import os
 from fractions import Fraction
 
 from .algebra import Algebra
-from .cohomology import (Cocycle, coboundary_space, flatten, in_Ts)
+from .cohomology import (Cocycle, DependentClasses, coboundary_space, flatten,
+                         in_Ts)
 from .exprs import Expr, ExprError, SqrtNotInField
 from .extensions import central_extension
 from .fields import DivisionByZero, Field, QQ, PrimeField
@@ -212,7 +213,7 @@ class CatalogEntry:
                 try:
                     if not in_Ts(A, [theta]):
                         continue
-                except Exception:
+                except DependentClasses:
                     continue
             return cand
         return None

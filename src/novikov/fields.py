@@ -461,18 +461,28 @@ class PrimeField(Field):
         return a.data == 0
 
     def try_sqrt(self, a):
-        # p <= 2^31 never gets here for enumeration workloads; a direct
-        # scan is fine for the small p in actual use (p in {2,3,5,7}),
-        # and Tonelli-Shanks-free Euler check guards the scan for bigger p.
-        x = a.data
-        if x == 0:
-            return self.zero()
-        if self.p > 2 and pow(x, (self.p - 1) // 2, self.p) != 1:
+        # Euler's criterion, then Tonelli-Shanks (Cohen, A Course in
+        # Computational Algebraic Number Theory, Alg. 1.5.1).
+        p, x = self.p, a.data
+        if p == 2 or x == 0:
+            return FieldElement(self, x)
+        if pow(x, (p - 1) // 2, p) != 1:
             return None
-        for r in range(self.p):
-            if r * r % self.p == x:
-                return FieldElement(self, r)
-        return None
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q, s = q // 2, s + 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        c, t, r = pow(z, q, p), pow(x, q, p), pow(x, (q + 1) // 2, p)
+        m = s
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2, i = t2 * t2 % p, i + 1
+            b = pow(c, 1 << (m - i - 1), p)
+            c, t, r, m = b * b % p, t * b * b % p, r * b % p, i
+        return FieldElement(self, min(r, p - r))
 
     def format(self, a):
         return f"{a.data} mod {self.p}"

@@ -105,8 +105,8 @@ class Matrix:
         body = "; ".join(" ".join(repr(x) for x in row) for row in self.entries)
         return f"Matrix[{body}]"
 
-    def rref(self):
-        """(reduced row echelon form, rank)."""
+    def _eliminate(self):
+        """(reduced rows as lists, rank, pivot column of each row)."""
         m = [list(row) for row in self.entries]
         rank = 0
         pivots = []
@@ -125,22 +125,22 @@ class Matrix:
             rank += 1
             if rank == self.rows:
                 break
+        return m, rank, pivots
+
+    def rref(self):
+        """(reduced row echelon form, rank)."""
+        m, rank, _ = self._eliminate()
         return Matrix(self.field, m) if m else self, rank
 
     def rank(self):
-        return self.rref()[1]
+        return self._eliminate()[1]
 
     def pivot_columns(self):
-        red, rank = self.rref()
-        pivots = []
-        for r in range(rank):
-            pivots.append(next(j for j in range(red.cols) if red[r, j]))
-        return pivots
+        return self._eliminate()[2]
 
     def kernel(self) -> "Subspace":
         """Right null space {v : M v = 0}."""
-        red, rank = self.rref()
-        pivots = self.pivot_columns()
+        red, _, pivots = self._eliminate()
         free = [j for j in range(self.cols) if j not in pivots]
         z, o = self.field.zero(), self.field.one()
         basis = []
@@ -148,7 +148,7 @@ class Matrix:
             v = [z] * self.cols
             v[f] = o
             for r, p in enumerate(pivots):
-                v[p] = -red[r, f]
+                v[p] = -red[r][f]
             basis.append(v)
         return Subspace(self.field, self.cols, basis)
 
@@ -162,14 +162,13 @@ class Matrix:
         aug = Matrix(self.field, [
             list(self.entries[i]) + [rhs[i]] for i in range(self.rows)
         ])
-        red, rank = aug.rref()
+        red, _, pivots = aug._eliminate()
         z = self.field.zero()
         x = [z] * self.cols
-        for r in range(rank):
-            piv = next(j for j in range(aug.cols) if red[r, j])
+        for r, piv in enumerate(pivots):
             if piv == self.cols:
                 return None  # 0 = 1 row
-            x[piv] = red[r, self.cols]
+            x[piv] = red[r][self.cols]
         return tuple(x)
 
     def inverse(self):
@@ -180,10 +179,10 @@ class Matrix:
             list(self.entries[i]) + list(Matrix.identity(self.field, n).entries[i])
             for i in range(n)
         ])
-        red, rank = aug.rref()
-        if rank < n or red.pivot_columns()[:n] != list(range(n)):
+        red, _, pivots = aug._eliminate()
+        if pivots[:n] != list(range(n)):
             raise SingularMatrix("singular")
-        return Matrix(self.field, [red.entries[i][n:] for i in range(n)])
+        return Matrix(self.field, [red[i][n:] for i in range(n)])
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows

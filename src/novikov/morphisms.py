@@ -224,9 +224,9 @@ def _candidate_vectors_fp(ops: _FpOps):
     return [v for v in ops.fast.all_vectors() if ops.not_in_square(v)]
 
 
-def _candidate_vectors_q(ops: _QOps, height: int):
-    """Height-bounded rational vectors, sparsest-first then by height:
-    supports of size 1..3, entries p/q with |p|, q <= height."""
+def _height_values(height: int):
+    """The nonzero rationals p/q with |p|, q <= height, ordered by
+    |p| + q, then by absolute value, positive before negative."""
     vals = []
     seen = set()
     for num in range(1, height + 1):
@@ -237,20 +237,77 @@ def _candidate_vectors_q(ops: _QOps, height: int):
                     seen.add(s)
                     vals.append(s)
     vals.sort(key=lambda v: (abs(v.numerator) + v.denominator, abs(v)))
+    return vals
+
+
+def _candidate_vectors_q(ops: _QOps, height: int):
+    """Height-bounded vectors outside B^2, sparsest-first then by height.
+
+    The pool is every vector whose support S has size 1, 2 or 3 and
+    whose entries on S are values p/q with |p|, q <= height: supports
+    in `combinations` order, then coefficient tuples in `product` order
+    over the values of `_height_values`, minus the vectors in B^2.  Over
+    a 4- or 5-dimensional base that is at most 14*4 + 196*6 + 2744*4 =
+    12,208 or 14*5 + 196*10 + 2744*10 = 29,470 vectors at height 3.
+
+    B^2 is the common kernel of the functionals that vanish on it, so a
+    tuple c on S lies in B^2 exactly when it lies in the kernel K_S of
+    those functionals restricted to S.  If K_S = 0 every tuple on S is
+    kept.  Otherwise an element of K_S is fixed by its values at the
+    pivots of K_S's echelon basis, so the excluded tuples are found by
+    enumerating height values at those pivots only, and every other
+    tuple is kept without a membership test.
+    """
     f = ops.field
     z = f.zero()
     dim = ops.B.dim
+    vals = [f(c) for c in _height_values(height)]
+    index = {c: i for i, c in enumerate(vals)}
+    sq = ops.sq
+    functionals = Matrix(f, sq.basis).kernel().basis if sq.basis \
+        else Matrix.identity(f, dim).entries
     out = []
     for support_size in (1, 2, 3):
         for supp in combinations(range(dim), support_size):
-            for coeffs in iproduct(vals, repeat=support_size):
+            excluded = _tuples_in_kernel(f, functionals, supp, vals, index)
+            for coeffs in iproduct(range(len(vals)), repeat=support_size):
+                if coeffs in excluded:
+                    continue
                 v = [z] * dim
                 for pos, c in zip(supp, coeffs):
-                    v[pos] = f(c)
-                v = tuple(v)
-                if ops.not_in_square(v):
-                    out.append(v)
+                    v[pos] = vals[c]
+                out.append(tuple(v))
     return out
+
+
+def _tuples_in_kernel(f, functionals, supp, vals, index):
+    """Index tuples (into vals) of the height-value tuples on `supp` that
+    every functional sends to zero: the pool vectors on `supp` in B^2.
+    A point of the kernel takes its values at the pivots of the echelon
+    basis freely; every other entry is the sum of the basis rows
+    weighted by those values, and only these entries are computed."""
+    size = len(supp)
+    kernel = Matrix(f, [[w[j] for j in supp] for w in functionals]).kernel() \
+        if functionals else Subspace.full(f, size)
+    rows = kernel.basis
+    pivots = [next(j for j in range(size) if row[j]) for row in rows]
+    rest = [j for j in range(size) if j not in pivots]
+    z = f.zero()
+    excluded = set()
+    for at_pivots in iproduct(range(len(vals)), repeat=len(rows)):
+        c = [None] * size
+        for p, a in zip(pivots, at_pivots):
+            c[p] = a
+        for j in rest:
+            x = z
+            for a, row in zip(at_pivots, rows):
+                x = x + vals[a] * row[j]
+            if x not in index:
+                break
+            c[j] = index[x]
+        else:
+            excluded.add(tuple(c))
+    return excluded
 
 
 def _search(A: Algebra, B: Algebra, budget, height, find_all):
@@ -309,7 +366,10 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
                         return True
         return False
 
-    extend(0)
+    try:
+        extend(0)
+    finally:
+        extend = None  # the closure refers to itself: break the cycle
     return results
 
 

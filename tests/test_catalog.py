@@ -7,7 +7,7 @@ import pytest
 from novikov.catalog import (CatalogError, InadmissibleSample, PREDICATES,
                              census, class_coordinates, load_catalog,
                              membership_checks, verify_entry)
-from novikov.cohomology import Cocycle
+from novikov.cohomology import Cocycle, DependentClasses
 from novikov.fields import QQ, PrimeField
 from novikov.linalg import Matrix
 
@@ -79,6 +79,24 @@ def test_find_sample_prime_field_fallback(cat):
     assert s is not None
     A, theta = entry.specialize(F5, s)
     assert theta.checked
+
+
+def test_find_sample_skips_only_dependent_classes(cat, monkeypatch):
+    import novikov.catalog as catalog_mod
+    entry = cat.entry("N_011")
+
+    def dependent(A, thetas):
+        raise DependentClasses("classes linearly dependent in H^2")
+
+    monkeypatch.setattr(catalog_mod, "in_Ts", dependent)
+    assert entry.find_sample(F5, require_ts=True) is None
+
+    def broken(A, thetas):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(catalog_mod, "in_Ts", broken)
+    with pytest.raises(RuntimeError):
+        entry.find_sample(F5, require_ts=True)
 
 
 def test_membership_checks_keys(cat):

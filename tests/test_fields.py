@@ -1,5 +1,6 @@
 """Field arithmetic: axioms, canonical forms, parsing, square roots."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,29 @@ def test_sqrt_specials():
     # F_7: squares are {0,1,2,4}; smaller-root convention
     assert F7.try_sqrt(F7(2)) == F7(3)
     assert F7.try_sqrt(F7(3)) is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 17])
+def test_prime_sqrt_matches_scan(p):
+    F = PrimeField(p)
+    for x in range(p):
+        roots = [r for r in range(p) if r * r % p == x]
+        got = F.try_sqrt(F(x))
+        if roots:
+            assert got == F(min(roots)), (p, x)
+        else:
+            assert got is None, (p, x)
+
+
+def test_prime_sqrt_large_modulus():
+    # 998244353 - 1 = 119 * 2^23: the longest Tonelli-Shanks loop
+    F = PrimeField(998244353)
+    r = 123456789
+    start = time.perf_counter()
+    got = F.try_sqrt(F(r * r))
+    assert time.perf_counter() - start < 0.5
+    assert got == F(min(r, F.p - r))
+    assert F.try_sqrt(F(3)) is None     # 3 generates the unit group
 
 
 def test_prime_field_canonical_residues():

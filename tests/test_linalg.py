@@ -1,5 +1,8 @@
 """Exact linear algebra: RREF, kernels, solving, subspace lattice."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -125,3 +128,58 @@ def test_subspace_canonical_equality():
     b = Subspace(QQ, 2, [[3, 5], [7, 1]])
     assert a == b  # both are the full plane, same RREF basis
     assert hash(a) == hash(b)
+
+
+def _reference_kernel(m):
+    """Kernel from the public RREF, pivots read off its rows."""
+    red, rank = m.rref()
+    pivots = [next(j for j in range(m.cols) if red[r, j])
+              for r in range(rank)]
+    z, o = m.field.zero(), m.field.one()
+    basis = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        v = [z] * m.cols
+        v[f] = o
+        for r, p in enumerate(pivots):
+            v[p] = -red[r, f]
+        basis.append(v)
+    return Subspace(m.field, m.cols, basis)
+
+
+def _reference_inverse(m):
+    """Inverse read off the public RREF of [M | I], or None if singular."""
+    n = m.rows
+    eye = Matrix.identity(m.field, n)
+    red, rank = Matrix(m.field, [list(m.row(i)) + list(eye.row(i))
+                                 for i in range(n)]).rref()
+    if any(not red[i, i] for i in range(n)):
+        return None
+    return Matrix(m.field, [red.row(i)[n:] for i in range(n)])
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=repr)
+def test_kernel_and_inverse_match_rref_reference(field):
+    rng = random.Random(7)
+    singular = inverted = 0
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = Matrix(field, [[field(rng.choice([0, 0, 1, -1, 2, Fraction(1, 3)]))
+                            for _ in range(cols)] for _ in range(rows)])
+        k = m.kernel()
+        assert k == _reference_kernel(m)
+        assert all(not any(m.apply(v)) for v in k.basis)
+        assert m.pivot_columns() == [next(j for j in range(cols) if row[j])
+                                     for row in m.rref()[0].entries
+                                     if any(row)]
+        if rows != cols:
+            continue
+        want = _reference_inverse(m)
+        if want is None:
+            singular += 1
+            with pytest.raises(SingularMatrix):
+                m.inverse()
+        else:
+            inverted += 1
+            assert m.inverse() == want
+            assert m * want == Matrix.identity(field, rows)
+    assert singular and inverted

@@ -1,19 +1,24 @@
 """Homomorphisms, automorphisms, the H^2 action, isomorphism search."""
 
+import gc
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from novikov.algebra import Algebra
 from novikov.catalog import _evaluate
 from novikov.cohomology import Cocycle
-from novikov.fields import QQ, PrimeField
+from novikov.fields import (QQ, GaussianRationalField, PrimeField,
+                            QuadraticField)
 from novikov.linalg import Matrix
-from novikov.morphisms import (BudgetExceeded, NotAutomorphism,
-                               act_on_cocycle, derivation_algebra,
-                               enumerate_aut_fp, is_homomorphism,
-                               is_isomorphism, iso_search)
+from novikov.morphisms import (BudgetExceeded, NotAutomorphism, _QOps,
+                               _candidate_vectors_q, act_on_cocycle,
+                               derivation_algebra, enumerate_aut_fp,
+                               is_homomorphism, is_isomorphism, iso_search)
+
+from conftest import first_admissible_env
 
 F2, F5 = PrimeField(2), PrimeField(5)
 
@@ -112,6 +117,81 @@ def test_iso_search_over_q():
     Y = Algebra(QQ, 2, {(0, 0, 1): QQ(4)})     # rescale e1 by 1/2
     w = iso_search(X, Y, height=3)
     assert w is not None and is_isomorphism(X, Y, w)
+
+
+def test_iso_search_leaves_no_garbage():
+    X = Algebra(QQ, 2, {(0, 0, 1): QQ(1)})
+    Y = Algebra(QQ, 2, {(0, 0, 1): QQ(4)})
+    gc.disable()
+    try:
+        gc.collect()
+        assert iso_search(X, Y, height=3) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _reference_pool(ops, height):
+    """The pool built vector by vector with a membership test in B^2."""
+    vals = []
+    seen = set()
+    for num in range(1, height + 1):
+        for den in range(1, height + 1):
+            fr = Fraction(num, den)
+            for s in (fr, -fr):
+                if s not in seen:
+                    seen.add(s)
+                    vals.append(s)
+    vals.sort(key=lambda v: (abs(v.numerator) + v.denominator, abs(v)))
+    f, z, dim = ops.field, ops.field.zero(), ops.B.dim
+    out = []
+    for size in (1, 2, 3):
+        for supp in combinations(range(dim), size):
+            for coeffs in product(vals, repeat=size):
+                v = [z] * dim
+                for pos, c in zip(supp, coeffs):
+                    v[pos] = f(c)
+                v = tuple(v)
+                if ops.not_in_square(v):
+                    out.append(v)
+    return out
+
+
+QI, QS2 = GaussianRationalField(), QuadraticField(2)
+
+
+@pytest.mark.parametrize("algebra", [
+    Algebra(QQ, 3, {}),                                       # B^2 = 0
+    Algebra(QQ, 3, {(i, i, i): QQ(1) for i in range(3)}),     # B^2 = all
+    Algebra(QI, 4, {(0, 0, 2): QI(1), (0, 0, 3): QI.i(),
+                    (1, 1, 0): QI.i(), (1, 1, 1): QI.i()}),
+    Algebra(QS2, 4, {(0, 0, 1): QS2.sqrt_gen(),
+                     (0, 0, 2): QS2(2) * QS2.sqrt_gen(),
+                     (1, 1, 3): QS2(1) + QS2.sqrt_gen()}),
+], ids=["zero-square", "full-square", "Q(i)", "Q(sqrt2)"])
+def test_candidate_pool_matches_reference(algebra):
+    ops = _QOps(algebra)
+    pool = _candidate_vectors_q(ops, 3)
+    assert pool == _reference_pool(ops, 3)
+    if not ops.sq.basis:
+        assert len(pool) == 14 * 3 + 14 ** 2 * 3 + 14 ** 3
+    if ops.sq.dim == algebra.dim:
+        assert pool == []
+
+
+def test_candidate_pool_matches_reference_on_catalog(cat):
+    base = cat.bases["N4_07"]
+    ops = _QOps(base.algebra(QQ, first_admissible_env(base)))
+    assert _candidate_vectors_q(ops, 3) == _reference_pool(ops, 3)
+    left = cat.meta["noted_isomorphisms"][1]["left"]
+    assert left[0] == "N_016"
+    entry = cat.entry(left[0])
+    ext = entry.extension(QQ, tuple(left[1][p] for p in entry.params),
+                          strict=False)
+    ops = _QOps(ext)
+    pool = _candidate_vectors_q(ops, 3)
+    assert len(pool) == 26096
+    assert pool == _reference_pool(ops, 3)
 
 
 def test_budget_exceeded():
