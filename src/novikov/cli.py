@@ -170,10 +170,44 @@ def cmd_separate(args):
     return 0
 
 
+def _entry_labels(cat, text, option):
+    """The comma-separated entry labels of `option`, each one known."""
+    labels = text.split(",")
+    for label in labels:
+        try:
+            cat.entry(label)
+        except (KeyError, ValueError):
+            raise InputError(f"{option}: unknown entry label {label!r}")
+    return labels
+
+
+def _base_env(rec, field, text):
+    """The `--base-params` assignments of a base record, checked against
+    its parameter names and constraints."""
+    env = {}
+    for item in (text.split(",") if text else []):
+        name, _, value = item.partition("=")
+        if name not in rec.params:
+            raise InputError(f"--base-params: {rec.key} has no parameter "
+                             f"{name!r} (parameters: {rec.params})")
+        try:
+            env[name] = field(int(value))
+        except ValueError:
+            raise InputError(f"--base-params: {item!r} is not name=int")
+    missing = [name for name in rec.params if name not in env]
+    if missing:
+        raise InputError(f"--base-params: {rec.key} needs {missing}")
+    if not rec.check_params(field, env):
+        raise InputError(f"--base-params: {text} violates the constraints "
+                         f"of {rec.key} {rec.param_exclusions}")
+    return env
+
+
 def cmd_verify_catalog(args):
     cat = load_catalog()
     field = field_from_tag(args.field)
-    labels = args.labels.split(",") if args.labels else list(cat.entries)
+    labels = _entry_labels(cat, args.labels, "--labels") if args.labels \
+        else list(cat.entries)
     entries = [cat.entry(l) for l in labels]
 
     def run(entry):
@@ -229,19 +263,18 @@ def cmd_orbits_fp(args):
     if args.base not in cat.bases:
         raise InputError(f"unknown base key {args.base!r}")
     rec = cat.bases[args.base]
-    env = {}
-    if args.base_params:
-        for item in args.base_params.split(","):
-            k, v = item.split("=")
-            env[k] = field(int(v))
+    env = _base_env(rec, field, args.base_params)
+    labels = _entry_labels(cat, args.crosscheck_labels,
+                           "--crosscheck-labels") \
+        if args.crosscheck_labels else None
     A = rec.algebra(field, env)
     rep = run_procedure_fp_report(A, args.s, budget=args.budget)
     report = {k: rep[k] for k in ("p", "s", "h2_dim", "aut_order", "points",
-                                  "orbits", "admissible_orbits", "merged")}
+                                  "distinct_actions", "orbits",
+                                  "admissible_orbits", "merged")}
     report["classes"] = [B.to_json() for B in rep["classes"]]
     ok = True
-    if args.crosscheck_labels:
-        labels = args.crosscheck_labels.split(",")
+    if labels:
         pool, skips = specialized_entries_fp(cat, field, labels)
         cc = crosscheck(rep["classes"], pool, budget=args.budget)
         report["crosscheck"] = {

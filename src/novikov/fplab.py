@@ -3,10 +3,15 @@
 Runs the full extension procedure over a prime field, where everything
 is finite and exhaustively checkable: enumerate H^2, enumerate the
 Grassmannian of s-dimensional subspaces of H^2 in canonical reduced
-row-echelon form, act with the (fully enumerated) automorphism group on
-H^2 coordinates, collect orbits with a union-find, keep the admissible
-ones, build one extension per orbit and deduplicate by exhaustive
-isomorphism search.
+row-echelon form, act with the distinct H^2 matrices of the (fully
+enumerated) automorphism group, keep the admissible orbits, build one
+extension per orbit and deduplicate by exhaustive isomorphism search.
+
+Each orbit is generated once, from its first point in Grassmannian
+order, by mapping that point under every distinct action; its
+representative is the last image to appear for the first time (the
+point itself if it is fixed).  Orbits are listed sorted by
+representative.
 
 Orbit counts over F_p are p-specific and are never claimed to equal
 characteristic-zero counts; the value of a run is the bidirectional
@@ -22,7 +27,7 @@ from itertools import product as iproduct
 from ._fp import fp_rref
 from .algebra import Algebra
 from .catalog import Catalog, CatalogEntry, _exclusion_holds
-from .cohomology import Cocycle, coboundary_space, flatten, h2_basis, in_Ts
+from .cohomology import Cocycle, coboundary_space, h2_basis, in_Ts
 from .exprs import Expr, ExprError, SqrtNotInField
 from .extensions import central_extension
 from .fields import DivisionByZero, PrimeField
@@ -63,46 +68,70 @@ def _canonical(rows, p):
     return tuple(tuple(r) for r in rref)
 
 
-class _UnionFind:
-    def __init__(self, keys):
-        self.parent = {k: k for k in keys}
-
-    def find(self, k):
-        while self.parent[k] != k:
-            self.parent[k] = self.parent[self.parent[k]]
-            k = self.parent[k]
-        return k
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def roots(self):
-        return sorted({self.find(k) for k in self.parent})
-
-
 def induced_h2_matrices(A: Algebra, reps, auts):
     """For each automorphism, the d x d integer matrix of its action on
-    H^2 coordinates in the basis `reps` (single-component cocycles)."""
-    f = A.field
-    cob = list(coboundary_space(A).basis)
-    mats = [r.components[0] for r in reps]
-    cols = [list(flatten(m)) for m in mats] + [list(v) for v in cob]
-    stack = Matrix(f, cols).transpose()
+    H^2 coordinates in the basis `reps` (single-component cocycles).
+
+    One elimination of [S | I], where the columns of S are the flattened
+    representatives followed by a basis of B^2, gives a left inverse of
+    S in its first rows and the equations of Z^2 = span(S) in the rows
+    past rank S.  Each image phi^T theta phi is then read off on ints
+    mod p."""
+    p = A.field.p
+    n = A.dim
     d = len(reps)
+    mats = [[[c.data for c in row] for row in r.components[0].entries]
+            for r in reps]
+    cols = [[m[i][j] for i in range(n) for j in range(n)] for m in mats]
+    cols += [[c.data for c in v] for v in coboundary_space(A).basis]
+    width = len(cols)
+    rref, _, pivots = fp_rref(
+        [[col[r] for col in cols] + [int(r == c) for c in range(n * n)]
+         for r in range(n * n)], p)
+    if pivots[:width] != list(range(width)):
+        raise ValueError("representatives are not independent modulo B^2")
+    coords = [row[width:] for row in rref[:d]]
+    equations = [row[width:] for row in rref[width:]]
     out = []
     for phi in auts:
-        pt = phi.transpose()
+        ph = [[c.data for c in row] for row in phi.entries]
         columns = []
         for m in mats:
-            sol = stack.solve(list(flatten(pt * m * phi)))
-            if sol is None:
+            mph = [[sum(m[i][k] * ph[k][b] for k in range(n))
+                    for b in range(n)] for i in range(n)]
+            image = [sum(ph[i][a] * mph[i][b] for i in range(n))
+                     for a in range(n) for b in range(n)]
+            if any(sum(e * x for e, x in zip(eq, image)) % p
+                   for eq in equations):
                 raise RuntimeError("automorphism left the cocycle space")
-            columns.append([c.data for c in sol[:d]])
+            columns.append([sum(t * x for t, x in zip(row, image)) % p
+                            for row in coords])
         # columns[i] = coordinates of the image of basis class i
         out.append([[columns[j][i] for j in range(d)] for i in range(d)])
     return out
+
+
+def _orbit_representatives(points, actions, p):
+    """One representative per orbit of `actions` (matrices forming a
+    group) on the canonical `points`, sorted.  Each orbit is generated
+    from its first point in the order of `points`; its representative is
+    the last image of that point to appear for the first time, or the
+    point itself when it is fixed."""
+    seen = set()
+    roots = []
+    for pt in points:
+        if pt in seen:
+            continue
+        seen.add(pt)
+        root = pt
+        for M in actions:
+            image = _canonical([[sum(a * b for a, b in zip(row, r)) % p
+                                 for row in M] for r in pt], p)
+            if image not in seen:
+                seen.add(image)
+                root = image
+        roots.append(root)
+    return sorted(roots)
 
 
 def run_procedure_fp(A: Algebra, s: int, budget: int = 50_000_000):
@@ -126,15 +155,12 @@ def run_procedure_fp_report(A: Algebra, s: int, budget: int = 50_000_000):
     reps, d = h2_basis(A)
     mats = [r.components[0] for r in reps]
     auts = enumerate_aut_fp(A, budget=budget)
-    actions = induced_h2_matrices(A, reps, auts)
+    # distinct actions, each at its first occurrence
+    actions = list(dict.fromkeys(
+        tuple(map(tuple, M)) for M in induced_h2_matrices(A, reps, auts)))
 
     points = [_canonical(pt, p) for pt in grassmannian_points(d, s, p)]
-    uf = _UnionFind(points)
-    for pt in points:
-        for M in actions:
-            image = [tuple(sum(M[i][j] * row[j] for j in range(d)) % p
-                           for i in range(d)) for row in pt]
-            uf.union(pt, _canonical(image, p))
+    roots = _orbit_representatives(points, actions, p)
 
     def cocycle_at(pt):
         comps = []
@@ -147,7 +173,7 @@ def run_procedure_fp_report(A: Algebra, s: int, budget: int = 50_000_000):
         return Cocycle(A, comps, check=False)
 
     admissible = []
-    for root in uf.roots():
+    for root in roots:
         theta = cocycle_at(root)
         if in_Ts(A, [theta]):
             admissible.append((root, theta))
@@ -177,7 +203,8 @@ def run_procedure_fp_report(A: Algebra, s: int, budget: int = 50_000_000):
         "h2_dim": d,
         "aut_order": len(auts),
         "points": len(points),
-        "orbits": len(uf.roots()),
+        "distinct_actions": len(actions),
+        "orbits": len(roots),
         "admissible_orbits": len(admissible),
         "merged": merged,
         "class_points": [root for root, _ in classes],

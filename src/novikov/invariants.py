@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 from .algebra import Algebra
-from .cohomology import cocycle_space, h2_dimension
+from .cohomology import coboundary_space, cocycle_space
 from .fields import PrimeField
 from .morphisms import BudgetExceeded, derivation_algebra, iso_search
 
@@ -40,6 +40,7 @@ class Fingerprint:
 
 
 def fingerprint(A: Algebra) -> Fingerprint:
+    z2 = cocycle_space(A).dim
     return Fingerprint(
         dim=A.dim,
         filtration=tuple(s.dim for s in A.power_filtration()),
@@ -50,8 +51,8 @@ def fingerprint(A: Algebra) -> Fingerprint:
         commutator=A.commutator_space().dim,
         min_generators=A.min_generators(),
         der=derivation_algebra(A)[1],
-        z2=cocycle_space(A).dim,
-        h2=h2_dimension(A),
+        z2=z2,
+        h2=z2 - coboundary_space(A).dim,
         commutative=A.is_commutative(),
         associative=A.is_associative(),
     )

@@ -122,6 +122,44 @@ def test_orbits_fp_needs_prime_field(capsys):
     assert main(["orbits-fp", "--base", "N3s_02"]) == 2
 
 
+def test_orbits_fp_reports_distinct_actions(capsys):
+    assert main(["--field", "fp:3", "orbits-fp", "--base", "N3s_04l",
+                 "--base-params", "lambda=1"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["aut_order"], rep["distinct_actions"]) == (54, 3)
+
+
+def _one_line_error(capsys, *words):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert all(w in err for w in words)
+
+
+@pytest.mark.parametrize("labels", ["N_999", "N_001,"])
+def test_orbits_fp_rejects_unknown_crosscheck_label(capsys, labels):
+    assert main(["--field", "fp:3", "orbits-fp", "--base", "N3s_02",
+                 "--crosscheck-labels", labels]) == 2
+    _one_line_error(capsys, "--crosscheck-labels")
+
+
+def test_orbits_fp_rejects_unknown_base_param(capsys):
+    assert main(["--field", "fp:3", "orbits-fp", "--base", "N3s_04l",
+                 "--base-params", "lambda=1,bogus=2"]) == 2
+    _one_line_error(capsys, "bogus")
+
+
+def test_orbits_fp_rejects_excluded_base_param(capsys):
+    # N3s_04l records lambda != 0
+    assert main(["--field", "fp:3", "orbits-fp", "--base", "N3s_04l",
+                 "--base-params", "lambda=0"]) == 2
+    _one_line_error(capsys, "lambda=0")
+
+
+def test_verify_catalog_rejects_unknown_label(capsys):
+    assert main(["verify-catalog", "--labels", "N_001,N_999"]) == 2
+    _one_line_error(capsys, "N_999")
+
+
 def test_fmt_idempotent(tmp_path, capsys):
     p = tmp_path / "doc.json"
     p.write_text('{"b":1,\n "a": [1,2]}')

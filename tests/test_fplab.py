@@ -2,13 +2,16 @@
 
 import pytest
 
+from novikov import fplab
 from novikov.algebra import Algebra
+from novikov.cohomology import coboundary_space, flatten, h2_basis
 from novikov.fields import PrimeField, QQ
 from novikov.fplab import (crosscheck, grassmannian_points,
                            qualifies_as_extension, run_procedure_fp,
                            run_procedure_fp_report, specialized_entries_fp,
                            specialized_tables_fp)
-from novikov.morphisms import iso_search
+from novikov.linalg import Matrix
+from novikov.morphisms import enumerate_aut_fp, iso_search
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
@@ -111,3 +114,152 @@ def test_crosscheck_exhaustive_matching():
     rep = crosscheck([A], [("zero", C)])
     assert rep["unmatched_classes"] == [0]
     assert rep["unmatched_pool"] == ["zero"]
+
+
+# ----------------------------------------------------------------------
+# the orbit stage against the construction it replaced: one
+# Matrix.solve per (automorphism, class) for the H^2 action, and a
+# union of every point with its image under every automorphism
+
+class _ReferenceUnionFind:
+    def __init__(self, keys):
+        self.parent = {k: k for k in keys}
+
+    def find(self, k):
+        while self.parent[k] != k:
+            self.parent[k] = self.parent[self.parent[k]]
+            k = self.parent[k]
+        return k
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def roots(self):
+        return sorted({self.find(k) for k in self.parent})
+
+
+def _reference_induced_h2_matrices(A, reps, auts):
+    f = A.field
+    cob = list(coboundary_space(A).basis)
+    mats = [r.components[0] for r in reps]
+    cols = [list(flatten(m)) for m in mats] + [list(v) for v in cob]
+    stack = Matrix(f, cols).transpose()
+    d = len(reps)
+    out = []
+    for phi in auts:
+        pt = phi.transpose()
+        columns = []
+        for m in mats:
+            sol = stack.solve(list(flatten(pt * m * phi)))
+            if sol is None:
+                raise RuntimeError("automorphism left the cocycle space")
+            columns.append([c.data for c in sol[:d]])
+        out.append([[columns[j][i] for j in range(d)] for i in range(d)])
+    return out
+
+
+def _reference_orbit_roots(points, actions, p):
+    d = len(points[0][0]) if points else 0
+    uf = _ReferenceUnionFind(points)
+    for pt in points:
+        for M in actions:
+            image = [tuple(sum(M[i][j] * row[j] for j in range(d)) % p
+                           for i in range(d)) for row in pt]
+            uf.union(pt, fplab._canonical(image, p))
+    return uf.roots()
+
+
+def _catalog_base(key, p):
+    def make(cat):
+        return cat.bases[key].algebra(PrimeField(p), {})
+    return make
+
+
+def _monomial(key, p, perm, scales):
+    def make(cat):
+        A = cat.bases[key].algebra(PrimeField(p), {})
+        n = A.dim
+        return A.change_basis(Matrix(A.field, [
+            [scales[i] if perm[i] == j else 0 for j in range(n)]
+            for i in range(n)]))
+    return make
+
+
+def _zero(n, p):
+    return lambda cat: Algebra(PrimeField(p), n, {})
+
+
+ORBIT_CASES = {
+    "N3s_01/F3": (_catalog_base("N3s_01", 3), 1),
+    "N3s_04z/F3": (_catalog_base("N3s_04z", 3), 1),
+    "M4_01/F2": (_catalog_base("M4_01", 2), 1),
+    "N3s_01/F3-monomial": (_monomial("N3s_01", 3, (2, 0, 1), (2, 1, 2)), 1),
+    "N3s_04z/F3-s2": (_catalog_base("N3s_04z", 3), 2),
+    "zero2/F2": (_zero(2, 2), 1),
+    "zero2/F3": (_zero(2, 3), 1),
+    "zero2/F5": (_zero(2, 5), 1),
+    "zero2/F3-s2": (_zero(2, 3), 2),
+}
+
+
+def _comparable(rep):
+    out = dict(rep)
+    out["classes"] = [B.to_json() for B in rep["classes"]]
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_orbit_stage_matches_reference(cat, case):
+    make, s = ORBIT_CASES[case]
+    A = make(cat)
+    p = A.field.p
+    reps, d = h2_basis(A)
+    auts = enumerate_aut_fp(A)
+    actions = _reference_induced_h2_matrices(A, reps, auts)
+    assert fplab.induced_h2_matrices(A, reps, auts) == actions
+
+    distinct = list(dict.fromkeys(tuple(map(tuple, M)) for M in actions))
+    points = [fplab._canonical(pt, p)
+              for pt in grassmannian_points(d, s, p)]
+    assert (fplab._orbit_representatives(points, distinct, p)
+            == _reference_orbit_roots(points, actions, p))
+
+
+# the whole report, with the reference orbit stage swapped in (s = 2 on
+# N3s_04z spends minutes deduplicating, after the orbit stage compared
+# above)
+@pytest.mark.parametrize("case", sorted(
+    c for c in ORBIT_CASES if c != "N3s_04z/F3-s2"))
+def test_report_matches_reference(cat, case, monkeypatch):
+    make, s = ORBIT_CASES[case]
+    A = make(cat)
+    rep = run_procedure_fp_report(A, s)
+    monkeypatch.setattr(fplab, "induced_h2_matrices",
+                        _reference_induced_h2_matrices)
+    monkeypatch.setattr(fplab, "_orbit_representatives",
+                        _reference_orbit_roots)
+    assert _comparable(rep) == _comparable(run_procedure_fp_report(A, s))
+
+
+def test_distinct_actions_counts(cat):
+    # |Aut| 192 acts on H^2 of M4_01 over F_2 through 96 matrices,
+    # |Aut| 108 on H^2 of N3s_01 over F_3 through 36
+    for key, p, aut, distinct in (("M4_01", 2, 192, 96),
+                                  ("N3s_01", 3, 108, 36)):
+        rep = run_procedure_fp_report(
+            cat.bases[key].algebra(PrimeField(p), {}), 1)
+        assert (rep["aut_order"], rep["distinct_actions"]) == (aut, distinct)
+
+
+def test_induced_h2_matrices_rejects_non_automorphism():
+    # e1 e1 = e2 over F_3; phi below (invertible, not an automorphism)
+    # maps the class of e1* (x) e2* outside Z^2
+    A = Algebra(F3, 2, {(0, 0, 1): F3(1)})
+    reps, _ = h2_basis(A)
+    phi = Matrix(F3, [[0, 1], [1, 1]])
+    for induced in (fplab.induced_h2_matrices,
+                    _reference_induced_h2_matrices):
+        with pytest.raises(RuntimeError, match="left the cocycle space"):
+            induced(A, reps, [Matrix.identity(F3, 2), phi])
