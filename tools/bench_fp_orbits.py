@@ -10,7 +10,7 @@ times in raw seconds, the report's counts and a digest of its classes
 and class points, plus the git commit of the checkout the package was
 imported from and the Python version.  Point PYTHONPATH at another
 checkout's `src` to measure that version; equal digests mean equal
-reports.  `--runs` and `--only` shorten a run.
+reports.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from novikov.fields import PrimeField
 from novikov.fplab import run_procedure_fp_report
 
 RUNS = (("M4_01", 2, 1), ("N3s_01", 3, 1), ("N3s_01", 3, 2))
+REPEATS = 5
 COUNTS = ("h2_dim", "aut_order", "points", "distinct_actions", "orbits",
           "admissible_orbits", "merged")
 OUT = os.path.join(os.path.dirname(os.path.dirname(
@@ -45,36 +46,25 @@ def git_commit(path):
                   else "")
 
 
-def run_id(key, p, s):
-    return f"{key}/F{p}/s={s}"
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True,
                     help="name of the measured version, e.g. before/after")
-    ap.add_argument("--runs", type=int, default=5,
-                    help="timed repetitions per run (default 5)")
-    ap.add_argument("--only", default=None,
-                    help="comma-separated run ids, e.g. M4_01/F2/s=1")
     args = ap.parse_args()
 
     cat = load_catalog()
     results = {}
     for key, p, s in RUNS:
-        rid = run_id(key, p, s)
-        if args.only and rid not in args.only.split(","):
-            continue
         A = cat.bases[key].algebra(PrimeField(p), {})
         times = []
-        for _ in range(args.runs):
+        for _ in range(REPEATS):
             start = time.perf_counter()
             rep = run_procedure_fp_report(A, s)
             times.append(time.perf_counter() - start)
         median = statistics.median(times)
-        q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 \
-            else (median, median, median)
+        q1, _, q3 = statistics.quantiles(times, n=4)
         classes = (rep["class_points"], [B.to_json() for B in rep["classes"]])
+        rid = f"{key}/F{p}/s={s}"
         results[rid] = {
             "runs_s": [round(t, 3) for t in times],
             "median_s": round(median, 3),
