@@ -3,7 +3,8 @@
 An Algebra is a bilinear product on field^n given by a tensor c[i][j][k]
 with e_i e_j = sum_k c[i][j][k] e_k (0-based internally; the JSON format
 and printed tables are 1-based).  Identity checks run on basis triples
-only, which suffices by multilinearity.
+only, which suffices by multilinearity, and read the triple products off
+the nonzero structure constants.
 """
 
 from __future__ import annotations
@@ -19,6 +20,17 @@ class NotAnIdeal(Exception):
 
 
 class Algebra:
+    """A bilinear product on field^dim given by its structure constants.
+
+    The table is immutable, so derived data is computed once and kept in
+    `_cache`: the sparse table (`nonzero_products`), the triple products
+    behind the identity checks, `square`, `power_filtration`,
+    `annihilator`, and Z^2 (`cohomology.cocycle_space`).  `__eq__` and
+    `__hash__` ignore `_cache`, and `change_basis`/`quotient` build new
+    algebras with empty caches, so cached values never leak between
+    algebras.
+    """
+
     __slots__ = ("field", "dim", "table", "_cache")
 
     def __init__(self, field: Field, dim: int, table):
@@ -36,6 +48,7 @@ class Algebra:
                 tuple(tuple(field(c) for c in row) for row in plane)
                 for plane in table
             )
+        self._cache = {}
 
     # ------------------------------------------------------------------
     # multiplication
@@ -45,18 +58,18 @@ class Algebra:
 
     def multiply(self, x, y):
         """Bilinear extension: x, y coefficient vectors of length dim."""
+        nz = self.nonzero_products()
         z = self.field.zero()
         out = [z] * self.dim
         for i, xi in enumerate(x):
             if not xi:
                 continue
             for j, yj in enumerate(y):
-                if not yj:
+                if not yj or not nz[i][j]:
                     continue
                 coef = xi * yj
-                for k, c in enumerate(self.table[i][j]):
-                    if c:
-                        out[k] = out[k] + coef * c
+                for k, c in nz[i][j]:
+                    out[k] = out[k] + coef * c
         return tuple(out)
 
     def basis_vector(self, i: int):
@@ -64,35 +77,73 @@ class Algebra:
         return tuple(o if k == i else z for k in range(self.dim))
 
     # ------------------------------------------------------------------
+    # memoized derived data
+
+    def _memo(self, key, compute):
+        """The value cached under `key`, computed on first use."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = compute()
+            return value
+
+    def nonzero_products(self):
+        """nz[i][j] = ((k, c_ij^k), ...) over the nonzero constants of
+        e_i e_j, in increasing k."""
+        return self._memo("nz", lambda: tuple(
+            tuple(tuple((k, c) for k, c in enumerate(row) if c)
+                  for row in plane)
+            for plane in self.table))
+
+    def _left_products(self):
+        """L[i][j][k] = (e_i e_j) e_k = sum_l c_ij^l e_l e_k."""
+        def compute():
+            n, nz, z = self.dim, self.nonzero_products(), self.field.zero()
+
+            def product(i, j, k):
+                v = [z] * n
+                for l, c in nz[i][j]:
+                    for m, d in nz[l][k]:
+                        v[m] = v[m] + c * d
+                return tuple(v)
+            return _triples(n, product)
+        return self._memo("left", compute)
+
+    def _associators(self):
+        """D[i][j][k] = (e_i e_j) e_k - e_i (e_j e_k), where
+        e_i (e_j e_k) = sum_l c_jk^l e_i e_l."""
+        def compute():
+            n, nz, L = self.dim, self.nonzero_products(), self._left_products()
+
+            def associator(i, j, k):
+                v = list(L[i][j][k])
+                for l, c in nz[j][k]:
+                    for m, d in nz[i][l]:
+                        v[m] = v[m] - c * d
+                return tuple(v)
+            return _triples(n, associator)
+        return self._memo("associators", compute)
+
+    # ------------------------------------------------------------------
     # identities
 
     def is_right_commutative(self):
         """(xy)z = (xz)y on all basis triples; witness (i,j,k) on failure."""
+        L = self._left_products()
         for i in range(self.dim):
-            ei = self.basis_vector(i)
             for j in range(self.dim):
                 for k in range(j + 1, self.dim):
-                    lhs = self.multiply(self.multiply(ei, self.basis_vector(j)),
-                                        self.basis_vector(k))
-                    rhs = self.multiply(self.multiply(ei, self.basis_vector(k)),
-                                        self.basis_vector(j))
-                    if lhs != rhs:
+                    if L[i][j][k] != L[i][k][j]:
                         return False, (i, j, k)
         return True, None
 
     def is_left_symmetric(self):
         """(xy)z - x(yz) = (yx)z - y(xz) on basis triples."""
+        D = self._associators()
         for i in range(self.dim):
-            ei = self.basis_vector(i)
             for j in range(i + 1, self.dim):
-                ej = self.basis_vector(j)
                 for k in range(self.dim):
-                    ek = self.basis_vector(k)
-                    lhs = _vsub(self.multiply(self.multiply(ei, ej), ek),
-                                self.multiply(ei, self.multiply(ej, ek)))
-                    rhs = _vsub(self.multiply(self.multiply(ej, ei), ek),
-                                self.multiply(ej, self.multiply(ei, ek)))
-                    if lhs != rhs:
+                    if D[i][j][k] != D[j][i][k]:
                         return False, (i, j, k)
         return True, None
 
@@ -111,16 +162,8 @@ class Algebra:
         return True
 
     def is_associative(self):
-        for i in range(self.dim):
-            ei = self.basis_vector(i)
-            for j in range(self.dim):
-                ej = self.basis_vector(j)
-                for k in range(self.dim):
-                    ek = self.basis_vector(k)
-                    if self.multiply(self.multiply(ei, ej), ek) != \
-                       self.multiply(ei, self.multiply(ej, ek)):
-                        return False
-        return True
+        D = self._associators()
+        return not any(any(v) for plane in D for row in plane for v in row)
 
     # ------------------------------------------------------------------
     # subspace machinery
@@ -130,23 +173,28 @@ class Algebra:
         return Subspace(self.field, self.dim, vecs)
 
     def square(self) -> Subspace:
-        full = Subspace.full(self.field, self.dim)
-        return self.product_space(full, full)
+        """A^2, spanned by the basis products."""
+        return self._memo("square", lambda: Subspace(
+            self.field, self.dim, [p for plane in self.table for p in plane]))
 
     def power_filtration(self):
-        """[A^1, A^2, ...] down to 0 or stabilization.
+        """[A^1, A^2, ...] down to 0 or stabilization (a fresh list).
 
         Non-associative convention: A^{m} = sum_{i+j=m} A^i A^j.
         """
-        powers = [Subspace.full(self.field, self.dim)]
-        while True:
+        return list(self._memo("powers", self._powers))
+
+    def _powers(self):
+        powers = [Subspace.full(self.field, self.dim), self.square()]
+        while powers[-1].dim and powers[-1] != powers[-2]:
             m = len(powers) + 1
-            nxt = Subspace(self.field, self.dim)
-            for i in range(1, m):
-                nxt = nxt + self.product_space(powers[i - 1], powers[m - i - 1])
-            powers.append(nxt)
-            if nxt.dim == 0 or nxt == powers[-2]:
-                return powers
+            prods = (self.multiply(u, v) for i in range(1, m)
+                     for u in powers[i - 1].basis
+                     for v in powers[m - i - 1].basis)
+            # most products vanish; zero rows change no span
+            powers.append(Subspace(self.field, self.dim,
+                                   [p for p in prods if any(p)]))
+        return tuple(powers)
 
     def nilpotency_index(self):
         """First k with A^k = 0, or None if the filtration stabilizes nonzero."""
@@ -154,34 +202,38 @@ class Algebra:
         return len(powers) if powers[-1].dim == 0 else None
 
     def is_two_step(self):
-        """All triple products vanish under both bracketings (xyz = 0)."""
-        sq = self.square()
-        full = Subspace.full(self.field, self.dim)
-        return (self.product_space(sq, full).dim == 0
-                and self.product_space(full, sq).dim == 0)
+        """All triple products vanish under both bracketings (xyz = 0),
+        i.e. A^2 = 0 or A^3 = A A^2 + A^2 A = 0."""
+        powers = self.power_filtration()
+        return powers[1].dim == 0 or (len(powers) > 2 and powers[2].dim == 0)
 
-    def _mult_operator_rows(self, left: bool):
-        # rows of the stacked operator x -> (x e_j)_j (left=True) or (e_j x)_j
-        rows = []
-        for j in range(self.dim):
-            for k in range(self.dim):
-                if left:
-                    rows.append([self.table[i][j][k] for i in range(self.dim)])
-                else:
-                    rows.append([self.table[j][i][k] for i in range(self.dim)])
-        return rows
+    def _operator_kernel(self, left: bool, right: bool) -> Subspace:
+        """{x : x A = 0 (left) and A x = 0 (right)}: the kernel of the
+        nonzero rows of the stacked multiplication operators."""
+        z = self.field.zero()
+        rows = {}
+        for a, plane in enumerate(self.nonzero_products()):
+            for b, terms in enumerate(plane):
+                for k, c in terms:
+                    if left:   # e_k-coefficient of x e_b: sum_a x_a c_ab^k
+                        rows.setdefault((0, b, k), [z] * self.dim)[a] = c
+                    if right:  # e_k-coefficient of e_a x: sum_b x_b c_ab^k
+                        rows.setdefault((1, a, k), [z] * self.dim)[b] = c
+        if not rows:
+            return Subspace.full(self.field, self.dim)
+        return Matrix(self.field, list(rows.values())).kernel()
 
     def left_annihilator(self) -> Subspace:
         """{x : x A = 0}."""
-        return Matrix(self.field, self._mult_operator_rows(True)).kernel()
+        return self._operator_kernel(left=True, right=False)
 
     def right_annihilator(self) -> Subspace:
         """{x : A x = 0}."""
-        return Matrix(self.field, self._mult_operator_rows(False)).kernel()
+        return self._operator_kernel(left=False, right=True)
 
     def annihilator(self) -> Subspace:
-        rows = self._mult_operator_rows(True) + self._mult_operator_rows(False)
-        return Matrix(self.field, rows).kernel()
+        return self._memo("annihilator", lambda: self._operator_kernel(
+            left=True, right=True))
 
     def is_split(self):
         """True iff Ann(A) is not contained in A^2 (an annihilator
@@ -258,11 +310,16 @@ class Algebra:
     @staticmethod
     def from_json(doc, field: Field | None = None) -> "Algebra":
         f = field if field is not None else field_from_tag(doc["field"])
+        n = check_size(doc, "dim")
         table = {}
         for t in doc["table"]:
-            table[(t["i"] - 1, t["j"] - 1, t["k"] - 1)] = f.parse(str(t["c"])) \
+            key = tuple(check_index(t, name, n) for name in "ijk")
+            if key in table:
+                raise ValueError("duplicate entry (i, j, k) = "
+                                 f"({t['i']}, {t['j']}, {t['k']})")
+            table[key] = f.parse(str(t["c"])) \
                 if isinstance(t["c"], str) else f(t["c"])
-        return Algebra(f, doc["dim"], table)
+        return Algebra(f, n, table)
 
     def dumps(self):
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
@@ -283,6 +340,34 @@ class Algebra:
                     s = "+".join(f"{repr(c)}*e{k + 1}" for c, k in terms)
                     prods.append(f"e{i + 1}e{j + 1}={s}")
         return f"Algebra(dim {self.dim}: " + ", ".join(prods) + ")"
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_size(doc, name):
+    """doc[name], which must be a non-negative integer; ValueError
+    otherwise."""
+    value = doc[name]
+    if not _is_int(value) or value < 0:
+        raise ValueError(f"{name} = {value!r} is not a non-negative integer")
+    return value
+
+
+def check_index(entry, name, bound):
+    """entry[name] as a 0-based index, for a JSON entry whose 1-based
+    index must be an integer in 1..bound; ValueError otherwise."""
+    value = entry[name]
+    if not _is_int(value) or not 1 <= value <= bound:
+        raise ValueError(f"{name} = {value!r} is not an integer in 1..{bound}")
+    return value - 1
+
+
+def _triples(n, f):
+    """[[[f(i, j, k) for k] for j] for i] over range(n)."""
+    return [[[f(i, j, k) for k in range(n)] for j in range(n)]
+            for i in range(n)]
 
 
 def _vsub(a, b):

@@ -354,15 +354,3 @@ def class_coordinates(A: Algebra, theta: Cocycle, nabla_mats):
         out.append(tuple(sol[:len(nabla_mats)]))
     return out
 
-
-def generate(catalog: Catalog, field: Field = QQ, labels=None):
-    """Materialize extensions: {label: [(sample, Algebra), ...]}."""
-    out = {}
-    for label, entry in catalog.entries.items():
-        if labels is not None and label not in labels:
-            continue
-        built = []
-        for sample in entry.default_samples(field):
-            built.append((sample, entry.extension(field, sample)))
-        out[label] = built
-    return out

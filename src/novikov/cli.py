@@ -112,6 +112,8 @@ def cmd_extend(args):
         theta = Cocycle.from_json(doc, base=A)
     except NotACocycle as e:
         raise InputError(f"{args.cocycle}: {e}")
+    except (KeyError, ValueError, ExprError) as e:
+        raise InputError(f"{args.cocycle}: bad cocycle document ({e})")
     B = central_extension(A, theta)
     report = B.to_json()
     if args.out:

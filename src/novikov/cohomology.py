@@ -12,7 +12,7 @@ The two cocycle equations (for theta in Z^2):
 
 from __future__ import annotations
 
-from .algebra import Algebra
+from .algebra import Algebra, check_index, check_size
 from .fields import FieldMismatch
 from .linalg import Matrix, Subspace
 
@@ -48,9 +48,8 @@ class Cocycle:
         self.s = len(comps)
         self.checked = check
         if check:
-            zspace = cocycle_space(base)
             for t, m in enumerate(self.components):
-                if not zspace.member(flatten(m)):
+                if not satisfies_cocycle_equations(base, m):
                     raise NotACocycle(f"component {t + 1} violates the "
                                       "cocycle equations")
 
@@ -94,10 +93,19 @@ class Cocycle:
             base = Algebra.from_json(doc["base"])
         f = base.field
         n = base.dim
+        s = check_size(doc, "s")
         z = f.zero()
-        comps = [[[z] * n for _ in range(n)] for _ in range(doc["s"])]
+        comps = [[[z] * n for _ in range(n)] for _ in range(s)]
+        seen = set()
         for e in doc["entries"]:
-            comps[e["t"] - 1][e["i"] - 1][e["j"] - 1] = f.parse(str(e["c"]))
+            key = (check_index(e, "t", s), check_index(e, "i", n),
+                   check_index(e, "j", n))
+            if key in seen:
+                raise ValueError("duplicate entry (t, i, j) = "
+                                 f"({e['t']}, {e['i']}, {e['j']})")
+            seen.add(key)
+            t, i, j = key
+            comps[t][i][j] = f.parse(str(e["c"]))
         return Cocycle(base, comps, check=check)
 
     def __eq__(self, other):
@@ -118,8 +126,46 @@ def unflatten(base: Algebra, vec) -> Matrix:
                                for i in range(n)])
 
 
+def satisfies_cocycle_equations(A: Algebra, m: Matrix) -> bool:
+    """Both cocycle equations for the form m on every basis triple, read
+    off the sparse table; the same verdict as membership in Z^2, which
+    is the kernel of exactly these equations."""
+    n, nz, z = A.dim, A.nonzero_products(), A.field.zero()
+    rows, cols = m.entries, m.transpose().entries
+
+    def pair(terms, vec):
+        # sum over (l, c) in terms of c * vec[l]
+        acc = z
+        for l, c in terms:
+            if vec[l]:
+                acc = acc + c * vec[l]
+        return acc
+
+    # first[i][j][k] = theta(e_i e_j, e_k)
+    first = [[[pair(nz[i][j], cols[k]) for k in range(n)] for j in range(n)]
+             for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(j + 1, n):
+                if first[i][j][k] != first[i][k][j]:
+                    return False
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                # theta(e_i, e_j e_k) and theta(e_j, e_i e_k)
+                if first[i][j][k] - pair(nz[j][k], rows[i]) != \
+                   first[j][i][k] - pair(nz[i][k], rows[j]):
+                    return False
+    return True
+
+
 def cocycle_space(A: Algebra) -> Subspace:
-    """Z^2(A, F) as a subspace of the n^2-dimensional form space."""
+    """Z^2(A, F) as a subspace of the n^2-dimensional form space,
+    computed once per algebra."""
+    return A._memo("cocycle_space", lambda: _cocycle_space(A))
+
+
+def _cocycle_space(A: Algebra) -> Subspace:
     n = A.dim
     f = A.field
     z = f.zero()

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from novikov.algebra import Algebra, NotAnIdeal
-from novikov.fields import QQ, PrimeField
+from novikov.fields import (QQ, GaussianRationalField, PrimeField,
+                            QuadraticField)
 from novikov.linalg import Matrix, SingularMatrix, Subspace
 
 F5 = PrimeField(5)
@@ -108,3 +109,240 @@ def test_json_roundtrip():
 def test_commutator_space():
     assert A3.commutator_space().dim == 0
     assert NOT_NOVIKOV.commutator_space().dim == 1
+
+
+# ----------------------------------------------------------------------
+# The identity checks contract the structure tensor, and the derived
+# subspaces are memoized.  The references below are the basis-vector
+# checkers, the product_space filtration and the dense-operator
+# annihilators they replaced.
+
+QI, QS2 = GaussianRationalField(), QuadraticField(2)
+
+
+def _reference_multiply(A, x, y):
+    z = A.field.zero()
+    out = [z] * A.dim
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            coef = xi * yj
+            for k, c in enumerate(A.table[i][j]):
+                if c:
+                    out[k] = out[k] + coef * c
+    return tuple(out)
+
+
+def _vsub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _reference_right_commutative(A):
+    mul, e = (lambda x, y: _reference_multiply(A, x, y)), A.basis_vector
+    for i in range(A.dim):
+        for j in range(A.dim):
+            for k in range(j + 1, A.dim):
+                if mul(mul(e(i), e(j)), e(k)) != mul(mul(e(i), e(k)), e(j)):
+                    return False, (i, j, k)
+    return True, None
+
+
+def _reference_left_symmetric(A):
+    mul, e = (lambda x, y: _reference_multiply(A, x, y)), A.basis_vector
+    for i in range(A.dim):
+        for j in range(i + 1, A.dim):
+            for k in range(A.dim):
+                lhs = _vsub(mul(mul(e(i), e(j)), e(k)),
+                            mul(e(i), mul(e(j), e(k))))
+                rhs = _vsub(mul(mul(e(j), e(i)), e(k)),
+                            mul(e(j), mul(e(i), e(k))))
+                if lhs != rhs:
+                    return False, (i, j, k)
+    return True, None
+
+
+def _reference_associative(A):
+    mul, e = (lambda x, y: _reference_multiply(A, x, y)), A.basis_vector
+    return all(mul(mul(e(i), e(j)), e(k)) == mul(e(i), mul(e(j), e(k)))
+               for i in range(A.dim) for j in range(A.dim)
+               for k in range(A.dim))
+
+
+def _reference_product_space(A, S, T):
+    return Subspace(A.field, A.dim, [_reference_multiply(A, u, v)
+                                     for u in S.basis for v in T.basis])
+
+
+def _reference_filtration(A):
+    powers = [Subspace.full(A.field, A.dim)]
+    while True:
+        m = len(powers) + 1
+        nxt = Subspace(A.field, A.dim)
+        for i in range(1, m):
+            nxt = nxt + _reference_product_space(A, powers[i - 1],
+                                                 powers[m - i - 1])
+        powers.append(nxt)
+        if nxt.dim == 0 or nxt == powers[-2]:
+            return powers
+
+
+def _reference_two_step(A):
+    full = Subspace.full(A.field, A.dim)
+    sq = _reference_product_space(A, full, full)
+    return (_reference_product_space(A, sq, full).dim == 0
+            and _reference_product_space(A, full, sq).dim == 0)
+
+
+def _reference_annihilators(A):
+    """(left, right, two-sided) from the dense stacked operators."""
+    n = A.dim
+    left = [[A.table[i][j][k] for i in range(n)]
+            for j in range(n) for k in range(n)]
+    right = [[A.table[j][i][k] for i in range(n)]
+             for j in range(n) for k in range(n)]
+    return (Matrix(A.field, left).kernel(), Matrix(A.field, right).kernel(),
+            Matrix(A.field, left + right).kernel())
+
+
+def _scalar(f, rng, lo=-2, hi=2):
+    c = f(rng.randint(lo, hi))
+    if f is QI:
+        c = c + f(rng.randint(lo, hi)) * f.i()
+    elif f is QS2:
+        c = c + f(rng.randint(lo, hi)) * f.sqrt_gen()
+    return c
+
+
+def _random_change(A, rng):
+    while True:
+        P = Matrix(A.field, [[_scalar(A.field, rng, -1, 1)
+                              for _ in range(A.dim)] for _ in range(A.dim)])
+        if P.is_invertible():
+            return A.change_basis(P)
+
+
+def _perturbed(A, rng):
+    """A with one structure constant moved (usually not Novikov)."""
+    n = A.dim
+    table = {(i, j, k): A.table[i][j][k] for i in range(n)
+             for j in range(n) for k in range(n)}
+    key = (rng.randrange(n), rng.randrange(n), rng.randrange(n))
+    table[key] = table[key] + A.field(1)
+    return Algebra(A.field, n, table)
+
+
+def _random_sparse(f, rng):
+    n = rng.randint(1, 5)
+    return Algebra(f, n, {(rng.randrange(n), rng.randrange(n),
+                           rng.randrange(n)): _scalar(f, rng)
+                          for _ in range(rng.randint(0, 2 * n))})
+
+
+def _identity_cases(cat, f, seed):
+    rng = random.Random(seed)
+    cases = []
+    for key in ("M4_01", "M4_07", "N3s_01", "N4_12"):
+        A = cat.bases[key].algebra(f, {})
+        B = _random_change(A, rng)
+        cases += [A, B, _perturbed(A, rng), _perturbed(B, rng)]
+    cases += [_random_sparse(f, rng) for _ in range(40)]
+    return cases
+
+
+@pytest.mark.parametrize("field", [QQ, QI, QS2, F5],
+                         ids=["Q", "Q(i)", "Q(sqrt2)", "F_5"])
+def test_identity_checks_match_reference(cat, field):
+    cases = _identity_cases(cat, field, seed=str(field))
+    verdicts = set()
+    for A in cases:
+        rc, ls = A.is_right_commutative(), A.is_left_symmetric()
+        assert rc == _reference_right_commutative(A), A
+        assert ls == _reference_left_symmetric(A), A
+        assert A.is_associative() == _reference_associative(A), A
+        assert A.is_novikov() == (rc[0] and ls[0])
+        verdicts.add((rc[0], ls[0]))
+    # both verdicts, and witnesses of both failures, are exercised
+    assert {(True, True), (False, False)} <= verdicts
+    assert any(v == (True, False) for v in verdicts) or \
+        any(v == (False, True) for v in verdicts)
+
+
+def test_multiply_matches_reference():
+    rng = random.Random(3)
+    for f in (QQ, QI, QS2, F5):
+        for _ in range(30):
+            A = _random_sparse(f, rng)
+            x = [_scalar(f, rng) for _ in range(A.dim)]
+            y = [_scalar(f, rng) for _ in range(A.dim)]
+            assert A.multiply(x, y) == _reference_multiply(A, x, y)
+
+
+def _assert_derived_match_reference(A):
+    powers = A.power_filtration()
+    assert powers == _reference_filtration(A)
+    assert A.square() == powers[1]
+    assert A.is_two_step() == _reference_two_step(A)
+    assert A.nilpotency_index() == (
+        len(powers) if powers[-1].dim == 0 else None)
+    left, right, ann = _reference_annihilators(A)
+    assert A.annihilator() == ann
+    assert A.left_annihilator() == left
+    assert A.right_annihilator() == right
+
+
+def test_derived_subspaces_match_reference_on_catalog(cat):
+    from conftest import first_admissible_env
+    from novikov.cohomology import Cocycle, cocycle_space
+    from novikov.extensions import central_extension
+    rng = random.Random(5)
+    for key, rec in sorted(cat.bases.items()):
+        A = rec.algebra(QQ, first_admissible_env(rec))
+        _assert_derived_match_reference(A)
+        z2 = cocycle_space(A).basis
+        n = A.dim
+        coeffs = [QQ(rng.randint(-2, 2)) for _ in z2]
+        flat = [sum((c * v[t] for c, v in zip(coeffs, z2)), QQ(0))
+                for t in range(n * n)]
+        novikov_ext = central_extension(A, Cocycle(
+            A, [[flat[i * n: i * n + n] for i in range(n)]]))
+        other_ext = central_extension(A, Cocycle(
+            A, [[[QQ(rng.randint(-1, 1)) for _ in range(n)]
+                 for _ in range(n)]], check=False))
+        for B in (novikov_ext, other_ext):
+            _assert_derived_match_reference(B)
+
+
+def test_derived_subspaces_match_reference_on_random_tables():
+    rng = random.Random(11)
+    for f in (QQ, QI, F5):
+        for _ in range(40):
+            _assert_derived_match_reference(_random_sparse(f, rng))
+    idem = Algebra(QQ, 2, {(0, 0, 0): QQ(1), (0, 1, 1): QQ(1)})
+    _assert_derived_match_reference(idem)        # stabilizes at A^2 = A
+    _assert_derived_match_reference(Algebra(QQ, 0, {}))
+
+
+def test_cache_does_not_leak():
+    A = Algebra(QQ, 3, {(0, 0, 1): QQ(1), (0, 1, 2): QQ(1)})
+    assert [s.dim for s in A.power_filtration()] == [3, 2, 1, 0]
+    assert A.annihilator().dim == 1 and A.is_novikov()
+    # a fresh list each time: mutating one changes no later answer
+    A.power_filtration().append(None)
+    assert len(A.power_filtration()) == 4
+    # equality and hashing ignore the cache
+    fresh = Algebra(QQ, 3, {(0, 0, 1): QQ(1), (0, 1, 2): QQ(1)})
+    assert fresh == A and hash(fresh) == hash(A)
+    # results of change_basis and quotient compute their own data
+    P = Matrix(QQ, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    B = A.change_basis(P)
+    assert B.table != A.table
+    _assert_derived_match_reference(B)
+    assert B.square() != A.square()
+    assert B.is_novikov()
+    assert B.is_left_symmetric() == _reference_left_symmetric(B)
+    Q = A.quotient(A.annihilator())
+    _assert_derived_match_reference(Q)
+    assert [s.dim for s in Q.power_filtration()] == [2, 1, 0]

@@ -175,3 +175,45 @@ def test_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
     assert main(["check", str(bad)]) == 2
+
+
+def _table(*triples):
+    return [{"i": i, "j": j, "k": k, "c": "1"} for i, j, k in triples]
+
+
+@pytest.mark.parametrize("doc, words", [
+    # index 0 used to wrap to the last basis vector and exit 0
+    ({"dim": 2, "field": "q", "table": _table((0, 1, 2))}, "i = 0"),
+    # k = 3 in dim 2 used to raise an IndexError traceback
+    ({"dim": 2, "field": "q", "table": _table((1, 1, 3))}, "k = 3"),
+    # a repeated triple used to overwrite the earlier one
+    ({"dim": 2, "field": "q", "table": _table((1, 1, 2), (1, 1, 2))},
+     "duplicate"),
+    ({"dim": 2, "field": "q", "table": _table((1, "1", 2))}, "j = '1'"),
+    ({"dim": -1, "field": "q", "table": []}, "dim = -1"),
+    ({"dim": 2.5, "field": "q", "table": []}, "dim = 2.5"),
+], ids=["zero-index", "index-past-dim", "duplicate-triple",
+        "string-index", "negative-dim", "fractional-dim"])
+def test_check_rejects_malformed_algebra(tmp_path, capsys, doc, words):
+    p = tmp_path / "alg.json"
+    p.write_text(json.dumps(doc))
+    assert main(["check", str(p)]) == 2
+    _one_line_error(capsys, "alg.json", words)
+
+
+@pytest.mark.parametrize("entries, words", [
+    ([{"t": 1, "i": 4, "j": 1, "c": "1"}], "i = 4"),
+    ([{"t": 2, "i": 1, "j": 1, "c": "1"}], "t = 2"),
+    ([{"t": 1, "i": 1, "j": 1, "c": "1"}, {"t": 1, "i": 1, "j": 1, "c": "0"}],
+     "duplicate"),
+    ([{"t": 1, "i": 1, "c": "1"}], "'j'"),
+], ids=["index-past-dim", "component-past-s", "duplicate-triple",
+        "missing-index"])
+def test_extend_rejects_malformed_cocycle(alg_file, tmp_path, capsys,
+                                          entries, words):
+    coc = tmp_path / "coc.json"
+    coc.write_text(json.dumps({"base": A.to_json(), "s": 1,
+                               "entries": entries}))
+    assert main(["extend", "--algebra", alg_file, "--cocycle",
+                 str(coc)]) == 2
+    _one_line_error(capsys, "coc.json", words)

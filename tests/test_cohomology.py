@@ -6,12 +6,13 @@ import pytest
 
 from novikov.algebra import Algebra
 from novikov.cohomology import (Cocycle, DependentClasses, NotACocycle,
+                                _cocycle_space,
                                 NotCommutative, classes_independent,
                                 coboundary_of, coboundary_space,
                                 cocycle_space, flatten, h2_basis,
                                 h2_dimension, h2_symmetric_dimension,
                                 in_Ts, unflatten)
-from novikov.fields import QQ, PrimeField
+from novikov.fields import QQ, GaussianRationalField, PrimeField
 from novikov.linalg import Matrix
 
 F5 = PrimeField(5)
@@ -110,3 +111,81 @@ def test_abelian_algebra_cocycles():
     assert cocycle_space(zero).dim == 4      # every form is a cocycle
     assert coboundary_space(zero).dim == 0
     assert h2_dimension(zero) == 4
+
+
+# ----------------------------------------------------------------------
+# Cocycle(check=True) evaluates the cocycle equations on basis triples;
+# the reference is membership in the eliminated Z^2 it replaced.
+
+QI = GaussianRationalField()
+
+
+def _reference_is_cocycle(A, m):
+    return _cocycle_space(A).member(flatten(m))
+
+
+def _random_form(A, rng, in_z2):
+    n, f = A.dim, A.field
+    if in_z2:
+        z2 = cocycle_space(A).basis
+        coeffs = [f(rng.randint(-3, 3)) for _ in z2]
+        flat = [sum((c * v[t] for c, v in zip(coeffs, z2)), f.zero())
+                for t in range(n * n)]
+    else:
+        flat = [f(rng.randint(-2, 2)) for _ in range(n * n)]
+    return unflatten(A, flat)
+
+
+@pytest.mark.parametrize("field", [QQ, QI, F5], ids=["Q", "Q(i)", "F_5"])
+def test_cocycle_check_matches_reference(cat, field):
+    rng = random.Random(str(field))
+    verdicts = set()
+    for key in ("M4_01", "M4_05", "M4_12", "N3s_01", "N4_07", "N4_16"):
+        A = cat.bases[key].algebra(field, {})
+        for t in range(20):
+            m = _random_form(A, rng, in_z2=t % 2 == 0)
+            want = _reference_is_cocycle(A, m)
+            verdicts.add(want)
+            try:
+                Cocycle(A, [m], check=True)
+                got = True
+            except NotACocycle as e:
+                assert str(e) == ("component 1 violates the cocycle "
+                                  "equations")
+                got = False
+            assert got == want, (key, t)
+    assert verdicts == {True, False}
+
+
+def test_cocycle_check_names_first_bad_component():
+    good, bad = _delta(0, 0), _delta(1, 1)
+    Cocycle(A, [good, good], check=True)
+    for comps, t in (([bad, good], 1), ([good, bad], 2)):
+        with pytest.raises(NotACocycle, match=f"component {t} "):
+            Cocycle(A, comps, check=True)
+
+
+def test_cocycle_space_computed_once_per_algebra():
+    B = Algebra(QQ, 3, {(0, 0, 1): QQ(1), (0, 1, 2): QQ(1)})
+    z2 = cocycle_space(B)
+    assert cocycle_space(B) is z2
+    assert z2 == _cocycle_space(Algebra(QQ, 3, B.table))
+    # a basis change is another algebra with its own Z^2
+    C = B.change_basis(Matrix(QQ, [[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
+    assert cocycle_space(C) == _cocycle_space(C)
+    assert cocycle_space(C) != z2
+
+
+@pytest.mark.parametrize("entries, s, words", [
+    ([{"t": 2, "i": 1, "j": 1, "c": "1"}], 1, "t = 2"),
+    ([{"t": 1, "i": 0, "j": 1, "c": "1"}], 1, "i = 0"),
+    ([{"t": 1, "i": 1, "j": 4, "c": "1"}], 1, "j = 4"),
+    ([{"t": 1, "i": 1.0, "j": 1, "c": "1"}], 1, "i = 1.0"),
+    ([{"t": 1, "i": 1, "j": 1, "c": "1"},
+      {"t": 1, "i": 1, "j": 1, "c": "2"}], 1, "duplicate"),
+    ([], -1, "s = -1"),
+])
+def test_cocycle_json_rejects_malformed(entries, s, words):
+    doc = {"base": A.to_json(), "s": s, "entries": entries}
+    with pytest.raises(ValueError, match=words):
+        Cocycle.from_json(doc)
