@@ -49,7 +49,7 @@ class Cocycle:
         self.checked = check
         if check:
             for t, m in enumerate(self.components):
-                if not satisfies_cocycle_equations(base, m):
+                if not _satisfies_cocycle_equations(base, m):
                     raise NotACocycle(f"component {t + 1} violates the "
                                       "cocycle equations")
 
@@ -126,7 +126,7 @@ def unflatten(base: Algebra, vec) -> Matrix:
                                for i in range(n)])
 
 
-def satisfies_cocycle_equations(A: Algebra, m: Matrix) -> bool:
+def _satisfies_cocycle_equations(A: Algebra, m: Matrix) -> bool:
     """Both cocycle equations for the form m on every basis triple, read
     off the sparse table; the same verdict as membership in Z^2, which
     is the kernel of exactly these equations."""

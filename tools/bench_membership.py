@@ -32,30 +32,21 @@ import random
 import statistics
 import time
 from fractions import Fraction
-from itertools import product
 
 import novikov
-from novikov.catalog import SAMPLE_POOL, load_catalog, verify_entry
+from novikov.catalog import load_catalog, verify_entry
 from novikov.cohomology import Cocycle, cocycle_space
 from novikov.extensions import (extension_annihilator_law,
                                 extension_is_novikov_iff)
 from novikov.fields import QQ
 from novikov.linalg import Matrix
 
-from bench_fp_orbits import git_commit
+from bench_iso_pool import first_admissible_env, git_commit
 
 REPEATS = 5
 TRIALS = 40
 OUT = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "BENCH_membership.json")
-
-
-def first_admissible_env(rec):
-    for combo in product(SAMPLE_POOL, repeat=len(rec.params)):
-        env = {p: QQ(Fraction(v)) for p, v in zip(rec.params, combo)}
-        if rec.check_params(QQ, env):
-            return env
-    raise SystemExit(f"no admissible parameters for {rec.key}")
 
 
 def verify_catalog(cat):
