@@ -2,9 +2,9 @@
 
 An Algebra is a bilinear product on field^n given by a tensor c[i][j][k]
 with e_i e_j = sum_k c[i][j][k] e_k (0-based internally; the JSON format
-and printed tables are 1-based).  Identity checks run on basis triples
-only, which suffices by multilinearity, and read the triple products off
-the nonzero structure constants.
+and printed tables are 1-based).  Every product is one loop over the
+nonzero structure constants on raw scalars (`multiply_raw`).  Identity
+checks run on basis triples only, which suffices by multilinearity.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ class Algebra:
     """A bilinear product on field^dim given by its structure constants.
 
     The table is immutable, so derived data is computed once and kept in
-    `_cache`: the sparse table (`nonzero_products`), the triple products
-    behind the identity checks, `square`, `power_filtration`,
+    `_cache`: the sparse table (`nonzero_products`, and its raw-scalar
+    copy behind `multiply_raw`), the triple products behind the identity
+    checks, `square`, `power_filtration`,
     `annihilator`, and Z^2 (`cohomology.cocycle_space`).  `__eq__` and
     `__hash__` ignore `_cache`, and `change_basis`/`quotient` build new
     algebras with empty caches, so cached values never leak between
@@ -57,20 +58,29 @@ class Algebra:
         return self.table[i][j]
 
     def multiply(self, x, y):
-        """Bilinear extension: x, y coefficient vectors of length dim."""
-        nz = self.nonzero_products()
-        z = self.field.zero()
-        out = [z] * self.dim
+        """Bilinear extension: x, y vectors of field elements of length
+        dim."""
+        raw = self.field.raw
+        return tuple(map(self.field.wrap, self.multiply_raw(
+            [raw(a) for a in x], [raw(b) for b in y])))
+
+    def multiply_raw(self, x, y):
+        """`multiply` on raw coefficient vectors (`Field.raw`), read off
+        the nonzero structure constants and reduced mod p once."""
+        nz, zero = self._memo("raw", self._raw_products)
+        out = [zero] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            for j, yj in enumerate(y):
-                if not yj or not nz[i][j]:
-                    continue
-                coef = xi * yj
-                for k, c in nz[i][j]:
-                    out[k] = out[k] + coef * c
-        return tuple(out)
+            row = nz[i]
+            for j, yj in ys:
+                if row[j]:
+                    coef = xi * yj
+                    for k, c in row[j]:
+                        out[k] = out[k] + coef * c
+        p = self.field.modulus
+        return tuple(out) if p is None else tuple(v % p for v in out)
 
     def basis_vector(self, i: int):
         z, o = self.field.zero(), self.field.one()
@@ -95,34 +105,46 @@ class Algebra:
                   for row in plane)
             for plane in self.table))
 
-    def _left_products(self):
-        """L[i][j][k] = (e_i e_j) e_k = sum_l c_ij^l e_l e_k."""
-        def compute():
-            n, nz, z = self.dim, self.nonzero_products(), self.field.zero()
+    def _raw_products(self):
+        """(`nonzero_products` on raw scalars, the raw zero)."""
+        raw = self.field.raw
+        return tuple(tuple(tuple((k, raw(c)) for k, c in terms)
+                           for terms in plane)
+                     for plane in self.nonzero_products()), \
+            raw(self.field.zero())
 
-            def product(i, j, k):
-                v = [z] * n
-                for l, c in nz[i][j]:
-                    for m, d in nz[l][k]:
-                        v[m] = v[m] + c * d
-                return tuple(v)
-            return _triples(n, product)
+    def _left_products(self):
+        """L[i][j][k] = (e_i e_j) e_k, on raw scalars."""
+        def compute():
+            table, e = self._raw_table(), self._raw_basis()
+            return _triples(self.dim, lambda i, j, k: self.multiply_raw(
+                table[i][j], e[k]))
         return self._memo("left", compute)
 
     def _associators(self):
-        """D[i][j][k] = (e_i e_j) e_k - e_i (e_j e_k), where
-        e_i (e_j e_k) = sum_l c_jk^l e_i e_l."""
+        """D[i][j][k] = (e_i e_j) e_k - e_i (e_j e_k), on raw scalars."""
         def compute():
-            n, nz, L = self.dim, self.nonzero_products(), self._left_products()
+            table, e = self._raw_table(), self._raw_basis()
+            L, p = self._left_products(), self.field.modulus
 
             def associator(i, j, k):
-                v = list(L[i][j][k])
-                for l, c in nz[j][k]:
-                    for m, d in nz[i][l]:
-                        v[m] = v[m] - c * d
-                return tuple(v)
-            return _triples(n, associator)
+                d = list(L[i][j][k])
+                for m, b in enumerate(self.multiply_raw(e[i], table[j][k])):
+                    if b:
+                        d[m] = d[m] - b
+                return tuple(d) if p is None else tuple(v % p for v in d)
+            return _triples(self.dim, associator)
         return self._memo("associators", compute)
+
+    def _raw_table(self):
+        raw = self.field.raw
+        return [[[raw(c) for c in row] for row in plane]
+                for plane in self.table]
+
+    def _raw_basis(self):
+        raw = self.field.raw
+        return [[raw(c) for c in self.basis_vector(i)]
+                for i in range(self.dim)]
 
     # ------------------------------------------------------------------
     # identities

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .algebra import Algebra
 from .catalog import (PREDICATES, census, load_catalog, verify_entry)
@@ -220,11 +218,7 @@ def cmd_verify_catalog(args):
                                   "checks": {"error": str(e)},
                                   "passed": False}]
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, entries))
-    else:
-        results = [run(e) for e in entries]
+    results = [run(e) for e in entries]
     failures = []
     for label, reports in results:
         for r in reports:
@@ -310,10 +304,6 @@ def build_parser():
                    help="search step budget")
     p.add_argument("--height", type=int, default=3,
                    help="rational height bound for heuristic searches")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers where supported")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized suites")
     p.add_argument("--report", default=None,
                    help="also write the JSON report to this path")
     sub = p.add_subparsers(dest="command", required=True)
@@ -372,7 +362,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    random.seed(args.seed)
     try:
         return args.func(args)
     except InputError as e:

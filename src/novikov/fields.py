@@ -6,6 +6,14 @@ every operation (fractions in lowest terms with positive denominator,
 F_p residues in [0, p)).  Elements of different field instances never
 mix; mixing raises FieldMismatch.
 
+Hot loops (elimination, the structure-constant product, the
+isomorphism search) run on each field's raw view instead:
+`Field.raw(x)` is a value with native `+ - *` (the Fraction over Q,
+the int residue over F_p, the FieldElement itself over Q(i) and
+Q(sqrt d)), `Field.wrap(r)` turns a raw value back into a
+FieldElement, and `Field.modulus` is p over F_p (raw results are
+reduced mod p and inverted with `pow(x, -1, p)`) and None elsewhere.
+
 Text encodings (used in all JSON formats):
     Q          "a/b"            (or "a" when b == 1)
     Q(i)       "a/b+c/d*i"
@@ -143,6 +151,18 @@ class FieldElement:
 class Field:
     """Abstract base: a field instance producing FieldElement values."""
 
+    #: p for F_p, where raw values are residues mod p; None elsewhere
+    modulus = None
+
+    def raw(self, x: FieldElement):
+        """The raw value of x: a scalar with native + - * (and / unless
+        `modulus` is set)."""
+        return x
+
+    def wrap(self, r) -> FieldElement:
+        """The FieldElement whose raw value is r (inverse of `raw`)."""
+        return r
+
     def zero(self) -> FieldElement:
         return self.from_rational(Fraction(0))
 
@@ -207,6 +227,12 @@ _FRAC_RE = r"[+-]?\d+(?:/\d+)?"
 
 class RationalField(Field):
     """The rational numbers Q."""
+
+    def raw(self, x):
+        return x.data
+
+    def wrap(self, r):
+        return FieldElement(self, r)
 
     def from_rational(self, q):
         return FieldElement(self, Fraction(q))
@@ -435,7 +461,13 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if not _is_prime(p) or p > 2 ** 31:
             raise ValueError(f"p must be a prime <= 2^31, got {p}")
-        self.p = p
+        self.p = self.modulus = p
+
+    def raw(self, x):
+        return x.data
+
+    def wrap(self, r):
+        return FieldElement(self, r % self.p)
 
     def from_rational(self, q):
         den = q.denominator % self.p

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from ._fp import fp_rref
 from .algebra import Algebra
 from .catalog import Catalog, CatalogEntry, _exclusion_holds
 from .cohomology import Cocycle, coboundary_space, h2_basis, in_Ts
@@ -32,7 +31,7 @@ from .exprs import Expr, ExprError, SqrtNotInField
 from .extensions import central_extension
 from .fields import DivisionByZero, PrimeField
 from .invariants import fingerprint
-from .linalg import Matrix
+from .linalg import Matrix, eliminate
 from .morphisms import enumerate_aut_fp, iso_search
 
 
@@ -62,10 +61,10 @@ def grassmannian_points(dim: int, s: int, p: int):
 
 
 def _canonical(rows, p):
-    rref, rank, _ = fp_rref([list(r) for r in rows], p)
+    rref, rank, _ = eliminate(rows, p)
     if rank != len(rows):
         raise ValueError("rows not independent")
-    return tuple(tuple(r) for r in rref)
+    return tuple(tuple(r) for r in rref[:rank])
 
 
 def induced_h2_matrices(A: Algebra, reps, auts):
@@ -77,15 +76,15 @@ def induced_h2_matrices(A: Algebra, reps, auts):
     S in its first rows and the equations of Z^2 = span(S) in the rows
     past rank S.  Each image phi^T theta phi is then read off on ints
     mod p."""
-    p = A.field.p
+    raw, p = A.field.raw, A.field.modulus
     n = A.dim
     d = len(reps)
-    mats = [[[c.data for c in row] for row in r.components[0].entries]
+    mats = [[[raw(c) for c in row] for row in r.components[0].entries]
             for r in reps]
     cols = [[m[i][j] for i in range(n) for j in range(n)] for m in mats]
-    cols += [[c.data for c in v] for v in coboundary_space(A).basis]
+    cols += [[raw(c) for c in v] for v in coboundary_space(A).basis]
     width = len(cols)
-    rref, _, pivots = fp_rref(
+    rref, _, pivots = eliminate(
         [[col[r] for col in cols] + [int(r == c) for c in range(n * n)]
          for r in range(n * n)], p)
     if pivots[:width] != list(range(width)):
@@ -94,7 +93,7 @@ def induced_h2_matrices(A: Algebra, reps, auts):
     equations = [row[width:] for row in rref[width:]]
     out = []
     for phi in auts:
-        ph = [[c.data for c in row] for row in phi.entries]
+        ph = [[raw(c) for c in row] for row in phi.entries]
         columns = []
         for m in mats:
             mph = [[sum(m[i][k] * ph[k][b] for k in range(n))

@@ -4,11 +4,68 @@ Matrices are immutable row-major tuples of FieldElement.  Subspaces are
 stored by their unique RREF basis, so equal subspaces compare equal
 structurally.  Plain Gaussian elimination with the first nonzero pivot
 in column order; exact fields make this correct and deterministic.
+
+The row reduction itself is `eliminate` and `reduce`, which work on
+raw scalars (`Field.raw`; residues mod p when p is given) for every
+field; `Matrix` and `Subspace` convert at their boundary.
 """
 
 from __future__ import annotations
 
 from .fields import Field, FieldElement
+
+
+def eliminate(rows, p=None):
+    """Gauss-Jordan elimination of raw rows, mod p when p is given (the
+    entries must then be residues in [0, p)).
+
+    Returns (rows, rank, pivot columns): the first `rank` rows are the
+    reduced row echelon basis, the rest are zero."""
+    m = [list(row) for row in rows]
+    height = len(m)
+    width = len(m[0]) if m else 0
+    rank = 0
+    pivots = []
+    for col in range(width):
+        if rank == height:
+            break
+        piv = next((r for r in range(rank, height) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        row = m[rank]
+        inv = 1 / row[col] if p is None else pow(row[col], -1, p)
+        # entries left of col are zero in every row from rank on
+        support = [j for j in range(col, width) if row[j]]
+        for j in support:
+            row[j] = row[j] * inv if p is None else row[j] * inv % p
+        for r in range(height):
+            target = m[r]
+            f = target[col]
+            if r == rank or not f:
+                continue
+            for j in support:
+                x = target[j] - f * row[j]
+                target[j] = x if p is None else x % p
+        pivots.append(col)
+        rank += 1
+    return m, rank, pivots
+
+
+def reduce(vec, rows, p=None):
+    """The residual of the raw vector vec against rows in reduced row
+    echelon form (as returned by `eliminate`): zero exactly when vec
+    lies in their span."""
+    v = list(vec)
+    for row in rows:
+        col = next(j for j, x in enumerate(row) if x)
+        f = v[col]
+        if f:
+            for j in range(col, len(v)):
+                if row[j]:
+                    x = v[j] - f * row[j]
+                    v[j] = x if p is None else x % p
+    return v
 
 
 class DimensionMismatch(Exception):
@@ -106,31 +163,19 @@ class Matrix:
         return f"Matrix[{body}]"
 
     def _eliminate(self):
-        """(reduced rows as lists, rank, pivot column of each row)."""
-        m = [list(row) for row in self.entries]
-        rank = 0
-        pivots = []
-        for col in range(self.cols):
-            pivot = next((r for r in range(rank, self.rows) if m[r][col]), None)
-            if pivot is None:
-                continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            inv = self.field.one() / m[rank][col]
-            m[rank] = [x * inv for x in m[rank]]
-            for r in range(self.rows):
-                if r != rank and m[r][col]:
-                    f = m[r][col]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-            pivots.append(col)
-            rank += 1
-            if rank == self.rows:
-                break
-        return m, rank, pivots
+        """`eliminate` on the raw entries: (raw rows, rank, pivots)."""
+        raw = self.field.raw
+        return eliminate([[raw(x) for x in row] for row in self.entries],
+                         self.field.modulus)
+
+    def _wrapped(self, rows):
+        wrap = self.field.wrap
+        return [[wrap(x) for x in row] for row in rows]
 
     def rref(self):
         """(reduced row echelon form, rank)."""
         m, rank, _ = self._eliminate()
-        return Matrix(self.field, m) if m else self, rank
+        return Matrix(self.field, self._wrapped(m)) if m else self, rank
 
     def rank(self):
         return self._eliminate()[1]
@@ -142,13 +187,14 @@ class Matrix:
         """Right null space {v : M v = 0}."""
         red, _, pivots = self._eliminate()
         free = [j for j in range(self.cols) if j not in pivots]
+        wrap = self.field.wrap
         z, o = self.field.zero(), self.field.one()
         basis = []
         for f in free:
             v = [z] * self.cols
             v[f] = o
             for r, p in enumerate(pivots):
-                v[p] = -red[r][f]
+                v[p] = wrap(-red[r][f])
             basis.append(v)
         return Subspace(self.field, self.cols, basis)
 
@@ -168,7 +214,7 @@ class Matrix:
         for r, piv in enumerate(pivots):
             if piv == self.cols:
                 return None  # 0 = 1 row
-            x[piv] = red[r][self.cols]
+            x[piv] = self.field.wrap(red[r][self.cols])
         return tuple(x)
 
     def inverse(self):
@@ -182,7 +228,7 @@ class Matrix:
         red, _, pivots = aug._eliminate()
         if pivots[:n] != list(range(n)):
             raise SingularMatrix("singular")
-        return Matrix(self.field, [red[i][n:] for i in range(n)])
+        return Matrix(self.field, self._wrapped(row[n:] for row in red[:n]))
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
@@ -207,8 +253,8 @@ class Subspace:
             m = Matrix(field, vectors)
             if m.cols != ambient:
                 raise DimensionMismatch(f"ambient {ambient} vs {m.cols}")
-            red, rank = m.rref()
-            self.basis = red.entries[:rank]
+            red, rank, _ = m._eliminate()
+            self.basis = tuple(map(tuple, m._wrapped(red[:rank])))
         else:
             self.basis = ()
 
@@ -223,13 +269,10 @@ class Subspace:
     def member(self, vec) -> bool:
         if len(vec) != self.ambient:
             raise DimensionMismatch("vector length")
-        vec = [self.field(x) for x in vec]
-        for row in self.basis:
-            piv = next(j for j in range(self.ambient) if row[j])
-            if vec[piv]:
-                f = vec[piv]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return not any(vec)
+        f = self.field
+        raw = f.raw
+        rows = [[raw(x) for x in row] for row in self.basis]
+        return not any(reduce([raw(f(x)) for x in vec], rows, f.modulus))
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.member(v) for v in other.basis)

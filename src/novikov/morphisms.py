@@ -7,10 +7,12 @@ by checking every product relation as soon as all words it mentions
 have images.
 
 Over F_p the generator-image candidate set is exhaustive, so a failed
-search is a proof of non-isomorphism (the hot loop runs on plain int
-tuples).  Over Q the candidates are height-bounded vectors enumerated
-sparsest-first; a failed search is only a negative heuristic and is
-reported as such.
+search is a proof of non-isomorphism.  Over Q the candidates are
+height-bounded vectors enumerated sparsest-first; a failed search is
+only a negative heuristic and is reported as such.  Over every field
+the search keeps images as tuples of raw scalars (`Field.raw`) and
+multiplies them with `Algebra.multiply_raw`; only witnesses are
+converted back to field elements.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
-from ._fp import FpAlgebra, fp_member, fp_rref
 from .algebra import Algebra
 from .cohomology import Cocycle
 from .fields import PrimeField
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, eliminate, reduce
 
 
 class NotAutomorphism(Exception):
@@ -156,72 +157,13 @@ class WordBasis:
                 self.relations[lv].append((a, b, tuple(coords)))
 
 
-class _QOps:
-    """Generic-field vector operations for the search."""
-
-    def __init__(self, B: Algebra):
-        self.B = B
-        self.field = B.field
-        self.sq = B.square()
-
-    def multiply(self, x, y):
-        return self.B.multiply(x, y)
-
-    def not_in_square(self, v):
-        return not self.sq.member(v)
-
-    def independent(self, rows):
-        return Matrix(self.field, rows).rank() == len(rows)
-
-    def combine(self, coords, vectors):
-        out = [self.field.zero()] * self.B.dim
-        for c, v in zip(coords, vectors):
-            if c:
-                out = [u + c * w for u, w in zip(out, v)]
-        return tuple(out)
-
-    def convert_coords(self, coords):
-        return coords
-
-    def to_field_vec(self, v):
-        return v
-
-
-class _FpOps:
-    """Int-tuple operations mod p for the exhaustive search."""
-
-    def __init__(self, B: Algebra):
-        self.fast = FpAlgebra(B)
-        self.p = self.fast.p
-        self.B = B
-
-    def multiply(self, x, y):
-        return self.fast.multiply(x, y)
-
-    def not_in_square(self, v):
-        return not fp_member(v, self.fast.square_rref, self.p)
-
-    def independent(self, rows):
-        return fp_rref(rows, self.p)[1] == len(rows)
-
-    def combine(self, coords, vectors):
-        p = self.p
-        out = [0] * self.fast.dim
-        for c, v in zip(coords, vectors):
-            if c:
-                out = [(u + c * w) % p for u, w in zip(out, v)]
-        return tuple(out)
-
-    def convert_coords(self, coords):
-        return tuple(c.data for c in coords)
-
-    def to_field_vec(self, v):
-        f = self.B.field
-        return tuple(f(x) for x in v)
-
-
-def _candidate_vectors_fp(ops: _FpOps):
-    return [v for v in ops.fast.all_vectors() if ops.not_in_square(v)]
+def _candidate_vectors_fp(B: Algebra):
+    """Every raw vector of F_p^dim outside B^2, in `product` order."""
+    f = B.field
+    p = f.modulus
+    square = [[f.raw(x) for x in row] for row in B.square().basis]
+    return [v for v in iproduct(range(p), repeat=B.dim)
+            if any(reduce(v, square, p))]
 
 
 def _height_values(height: int):
@@ -240,8 +182,9 @@ def _height_values(height: int):
     return vals
 
 
-def _candidate_vectors_q(ops: _QOps, height: int):
-    """Height-bounded vectors outside B^2, sparsest-first then by height.
+def _candidate_vectors_q(B: Algebra, height: int):
+    """Height-bounded raw vectors outside B^2, sparsest-first then by
+    height.
 
     The pool is every vector whose support S has size 1, 2 or 3 and
     whose entries on S are values p/q with |p|, q <= height: supports
@@ -258,12 +201,13 @@ def _candidate_vectors_q(ops: _QOps, height: int):
     enumerating height values at those pivots only, and every other
     tuple is kept without a membership test.
     """
-    f = ops.field
-    z = f.zero()
-    dim = ops.B.dim
-    vals = [f(c) for c in _height_values(height)]
+    f = B.field
+    raw = f.raw
+    z = raw(f.zero())
+    dim = B.dim
+    vals = [raw(f(c)) for c in _height_values(height)]
     index = {c: i for i, c in enumerate(vals)}
-    sq = ops.sq
+    sq = B.square()
     functionals = Matrix(f, sq.basis).kernel().basis if sq.basis \
         else Matrix.identity(f, dim).entries
     out = []
@@ -289,10 +233,10 @@ def _tuples_in_kernel(f, functionals, supp, vals, index):
     size = len(supp)
     kernel = Matrix(f, [[w[j] for j in supp] for w in functionals]).kernel() \
         if functionals else Subspace.full(f, size)
-    rows = kernel.basis
+    rows = [[f.raw(x) for x in row] for row in kernel.basis]
     pivots = [next(j for j in range(size) if row[j]) for row in rows]
     rest = [j for j in range(size) if j not in pivots]
-    z = f.zero()
+    z = f.raw(f.zero())
     excluded = set()
     for at_pivots in iproduct(range(len(vals)), repeat=len(rows)):
         c = [None] * size
@@ -317,16 +261,28 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
     one)."""
     wb = WordBasis(A)
     g = wb.n_generators
-    exhaustive = isinstance(A.field, PrimeField)
-    ops = _FpOps(B) if exhaustive else _QOps(B)
-    pool = _candidate_vectors_fp(ops) if exhaustive \
-        else _candidate_vectors_q(ops, height)
-    relations = [[(a, b, ops.convert_coords(coords))
+    f = A.field
+    raw, p = f.raw, f.modulus
+    exhaustive = p is not None
+    pool = _candidate_vectors_fp(B) if exhaustive \
+        else _candidate_vectors_q(B, height)
+    # each relation's right side as (word, raw coordinate) terms
+    relations = [[(a, b, [(t, raw(c)) for t, c in enumerate(coords) if c])
                   for a, b, coords in lvl] for lvl in wb.relations]
+    multiply = B.multiply_raw
+    zero = raw(f.zero())
     counter = [0]
     results = []
     n = A.dim
     images = [None] * n
+
+    def combine(terms):
+        out = [zero] * n
+        for t, c in terms:
+            for k, w in enumerate(images[t]):
+                if w:
+                    out[k] = out[k] + c * w
+        return tuple(out) if p is None else tuple(x % p for x in out)
 
     def extend(level):
         for cand in pool:
@@ -337,25 +293,22 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
             for t in wb.new_words[level]:
                 w = wb.words[t]
                 images[t] = cand if w[0] == "gen" else \
-                    ops.multiply(images[w[1]], images[w[2]])
-            for a, b, coords in relations[level]:
-                lhs = ops.multiply(images[a], images[b])
-                rhs = ops.combine(coords, images)
-                if tuple(lhs) != tuple(rhs):
+                    multiply(images[w[1]], images[w[2]])
+            for a, b, terms in relations[level]:
+                if multiply(images[a], images[b]) != combine(terms):
                     ok = False
                     break
             if ok:
                 avail = [images[t] for t in range(n)
                          if wb.word_level[t] <= level]
-                ok = ops.independent(avail)
+                ok = eliminate(avail, p)[1] == len(avail)
             if ok:
                 if level + 1 == g:
                     # the scheduled relations cover every word-basis pair
                     # and independence was checked, so phi is already an
                     # isomorphism; re-verify only on the heuristic path
-                    img = Matrix(A.field,
-                                 [ops.to_field_vec(images[t])
-                                  for t in range(n)]).transpose()
+                    img = Matrix(f, [[f.wrap(x) for x in images[t]]
+                                     for t in range(n)]).transpose()
                     phi = img * wb.inverse
                     if exhaustive or is_isomorphism(A, B, phi):
                         results.append(phi)

@@ -9,7 +9,7 @@ from novikov.fields import (QQ, GaussianRationalField, PrimeField,
                             QuadraticField)
 from novikov.linalg import Matrix, SingularMatrix, Subspace
 
-F5 = PrimeField(5)
+F2, F5 = PrimeField(2), PrimeField(5)
 
 # e1e1 = e2, everything else zero: commutative, associative? (e1e1)e1 =
 # e2e1 = 0 = e1(e1e1); Novikov; nilpotent of index 3.
@@ -270,14 +270,57 @@ def test_identity_checks_match_reference(cat, field):
         any(v == (False, True) for v in verdicts)
 
 
+def _reference_sparse_multiply(A, x, y):
+    """The product over `nonzero_products` in FieldElement arithmetic."""
+    nz = A.nonzero_products()
+    out = [A.field.zero()] * A.dim
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj or not nz[i][j]:
+                continue
+            coef = xi * yj
+            for k, c in nz[i][j]:
+                out[k] = out[k] + coef * c
+    return tuple(out)
+
+
+def _reference_fp_multiply(A, x, y):
+    """The product on int tuples mod p over the dense table, as the
+    separate F_p search algebra computed it."""
+    p, n = A.field.p, A.dim
+    table = [[[c.data for c in row] for row in plane] for plane in A.table]
+    out = [0] * n
+    for i in range(n):
+        if not x[i]:
+            continue
+        for j in range(n):
+            if not y[j]:
+                continue
+            c = x[i] * y[j]
+            row = table[i][j]
+            for k in range(n):
+                if row[k]:
+                    out[k] = (out[k] + c * row[k]) % p
+    return tuple(out)
+
+
 def test_multiply_matches_reference():
     rng = random.Random(3)
-    for f in (QQ, QI, QS2, F5):
+    for f in (QQ, QI, QS2, F2, F5):
         for _ in range(30):
             A = _random_sparse(f, rng)
             x = [_scalar(f, rng) for _ in range(A.dim)]
             y = [_scalar(f, rng) for _ in range(A.dim)]
-            assert A.multiply(x, y) == _reference_multiply(A, x, y)
+            want = _reference_multiply(A, x, y)
+            assert A.multiply(x, y) == want
+            assert _reference_sparse_multiply(A, x, y) == want
+            got = A.multiply_raw([f.raw(a) for a in x], [f.raw(b) for b in y])
+            assert got == tuple(map(f.raw, want))
+            if f.modulus is not None:
+                assert got == _reference_fp_multiply(
+                    A, [f.raw(a) for a in x], [f.raw(b) for b in y])
 
 
 def _assert_derived_match_reference(A):

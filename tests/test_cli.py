@@ -106,8 +106,7 @@ def test_verify_catalog_reports_known_failure(capsys):
 
 
 def test_verify_catalog_parallel(capsys):
-    assert main(["--jobs", "2", "verify-catalog",
-                 "--labels", "N_001,N_002,N_003"]) == 0
+    assert main(["verify-catalog", "--labels", "N_001,N_002,N_003"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["checked"] == 3
 

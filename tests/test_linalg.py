@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from novikov.fields import QQ, PrimeField
+from novikov.fields import (QQ, GaussianRationalField, PrimeField,
+                            QuadraticField)
 from novikov.linalg import (DimensionMismatch, Matrix, SingularMatrix,
-                            Subspace)
+                            Subspace, eliminate, reduce)
 
-F5 = PrimeField(5)
+F2, F5 = PrimeField(2), PrimeField(5)
+QI, QS2 = GaussianRationalField(), QuadraticField(2)
 
 
 def mat5(draw_rows):
@@ -183,3 +185,125 @@ def test_kernel_and_inverse_match_rref_reference(field):
             assert m.inverse() == want
             assert m * want == Matrix.identity(field, rows)
     assert singular and inverted
+
+
+def _reference_eliminate(field, rows):
+    """Gauss-Jordan elimination in FieldElement arithmetic, as
+    `Matrix._eliminate` did before it ran on raw scalars."""
+    m = [list(row) for row in rows]
+    height, width = len(m), len(m[0]) if m else 0
+    rank = 0
+    pivots = []
+    for col in range(width):
+        pivot = next((r for r in range(rank, height) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = field.one() / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(height):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == height:
+            break
+    return m, rank, pivots
+
+
+def _reference_member(field, vec, basis):
+    """Membership in the span of an RREF basis, reduced entry by entry in
+    FieldElement arithmetic (the earlier `Subspace.member`)."""
+    for row in basis:
+        piv = next(j for j in range(len(row)) if row[j])
+        if vec[piv]:
+            f = vec[piv]
+            vec = [a - f * b for a, b in zip(vec, row)]
+    return not any(vec)
+
+
+def _reference_fp_rref(rows, p):
+    """(rref rows as int tuples, rank, pivot columns) for rows mod p, the
+    int elimination the F_p search and orbit code used to keep apart."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], 0, []
+    cols = len(m[0])
+    rank = 0
+    pivots = []
+    for col in range(cols):
+        piv = next((r for r in range(rank, len(m)) if m[r][col] % p), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = [(x * inv) % p for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(m):
+            break
+    return [tuple(r) for r in m[:rank]], rank, pivots
+
+
+def _reference_fp_reduce(vec, basis_rows, p):
+    v = list(vec)
+    for row in basis_rows:
+        piv = next(j for j, x in enumerate(row) if x)
+        if v[piv]:
+            f = v[piv]
+            v = [(a - f * b) % p for a, b in zip(v, row)]
+    return tuple(v)
+
+
+def _random_rows(rng, field, height, width):
+    """Small sparse entries; every third matrix repeats a combination of
+    its rows, so rank deficiency is common."""
+    gens = [field(1), field(-1), field(2), field(Fraction(1, 3))] \
+        if field.modulus is None or field.modulus > 3 \
+        else [field(1), field(field.modulus - 1)]
+    if isinstance(field, GaussianRationalField):
+        gens.append(field.i())
+    if isinstance(field, QuadraticField):
+        gens.append(field.sqrt_gen())
+    z = field.zero()
+    rows = [[rng.choice(gens) if rng.random() < 0.5 else z
+             for _ in range(width)] for _ in range(height)]
+    if height > 1 and rng.random() < 1 / 3:
+        c = rng.choice(gens)
+        rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, QI, QS2, F2, F5], ids=repr)
+def test_eliminate_and_reduce_match_reference(field):
+    rng = random.Random(repr(field))
+    raw, wrap, p = field.raw, field.wrap, field.modulus
+    for _ in range(80):
+        rows = _random_rows(rng, field, rng.randint(1, 6), rng.randint(1, 7))
+        raw_rows = [[raw(x) for x in row] for row in rows]
+        got, rank, pivots = eliminate(raw_rows, p)
+        want = _reference_eliminate(field, rows)
+        assert ([[wrap(x) for x in row] for row in got], rank, pivots) \
+            == want
+        if p is not None:
+            assert ([tuple(r) for r in got[:rank]], rank, pivots) \
+                == _reference_fp_rref(raw_rows, p)
+        assert Matrix(field, rows)._eliminate() == (got, rank, pivots)
+        basis = want[0][:rank]
+        for _ in range(4):
+            vec = _random_rows(rng, field, 1, len(rows[0]))[0]
+            if rank and rng.random() < 0.5:   # a vector of the span
+                c = rng.choice([field(1), field(2)])
+                vec = [c * a + b for a, b in zip(basis[0], basis[-1])]
+            residual = reduce([raw(x) for x in vec], got[:rank], p)
+            member = _reference_member(field, vec, basis)
+            assert not any(residual) == member
+            assert Subspace(field, len(vec), rows).member(vec) == member
+            if p is not None:
+                assert tuple(residual) == _reference_fp_reduce(
+                    [raw(x) for x in vec], got[:rank], p)

@@ -13,12 +13,14 @@ from novikov.cohomology import Cocycle
 from novikov.fields import (QQ, GaussianRationalField, PrimeField,
                             QuadraticField)
 from novikov.linalg import Matrix
-from novikov.morphisms import (BudgetExceeded, NotAutomorphism, _QOps,
+from novikov.morphisms import (BudgetExceeded, NotAutomorphism, WordBasis,
                                _candidate_vectors_q, act_on_cocycle,
                                derivation_algebra, enumerate_aut_fp,
                                is_homomorphism, is_isomorphism, iso_search)
 
 from conftest import first_admissible_env
+from test_algebra import _reference_fp_multiply
+from test_linalg import _reference_fp_reduce, _reference_fp_rref
 
 F2, F5 = PrimeField(2), PrimeField(5)
 
@@ -131,8 +133,22 @@ def test_iso_search_leaves_no_garbage():
         gc.enable()
 
 
+class _ReferenceOps:
+    """What the pool reference needs of B: its field, dimension and
+    square (the generic-field search adapter of earlier versions)."""
+
+    def __init__(self, B):
+        self.B = B
+        self.field = B.field
+        self.sq = B.square()
+
+    def not_in_square(self, v):
+        return not self.sq.member(v)
+
+
 def _reference_pool(ops, height):
-    """The pool built vector by vector with a membership test in B^2."""
+    """The pool built vector by vector with a membership test in B^2,
+    as field elements."""
     vals = []
     seen = set()
     for num in range(1, height + 1):
@@ -157,6 +173,10 @@ def _reference_pool(ops, height):
     return out
 
 
+def _raw(field, vectors):
+    return [tuple(map(field.raw, v)) for v in vectors]
+
+
 QI, QS2 = GaussianRationalField(), QuadraticField(2)
 
 
@@ -170,9 +190,9 @@ QI, QS2 = GaussianRationalField(), QuadraticField(2)
                      (1, 1, 3): QS2(1) + QS2.sqrt_gen()}),
 ], ids=["zero-square", "full-square", "Q(i)", "Q(sqrt2)"])
 def test_candidate_pool_matches_reference(algebra):
-    ops = _QOps(algebra)
-    pool = _candidate_vectors_q(ops, 3)
-    assert pool == _reference_pool(ops, 3)
+    ops = _ReferenceOps(algebra)
+    pool = _candidate_vectors_q(algebra, 3)
+    assert pool == _raw(algebra.field, _reference_pool(ops, 3))
     if not ops.sq.basis:
         assert len(pool) == 14 * 3 + 14 ** 2 * 3 + 14 ** 3
     if ops.sq.dim == algebra.dim:
@@ -181,17 +201,17 @@ def test_candidate_pool_matches_reference(algebra):
 
 def test_candidate_pool_matches_reference_on_catalog(cat):
     base = cat.bases["N4_07"]
-    ops = _QOps(base.algebra(QQ, first_admissible_env(base)))
-    assert _candidate_vectors_q(ops, 3) == _reference_pool(ops, 3)
+    B = base.algebra(QQ, first_admissible_env(base))
+    assert _candidate_vectors_q(B, 3) == \
+        _raw(QQ, _reference_pool(_ReferenceOps(B), 3))
     left = cat.meta["noted_isomorphisms"][1]["left"]
     assert left[0] == "N_016"
     entry = cat.entry(left[0])
     ext = entry.extension(QQ, tuple(left[1][p] for p in entry.params),
                           strict=False)
-    ops = _QOps(ext)
-    pool = _candidate_vectors_q(ops, 3)
+    pool = _candidate_vectors_q(ext, 3)
     assert len(pool) == 26096
-    assert pool == _reference_pool(ops, 3)
+    assert pool == _raw(QQ, _reference_pool(_ReferenceOps(ext), 3))
 
 
 def test_budget_exceeded():
@@ -213,6 +233,63 @@ def test_enumerate_aut_fp():
         assert is_isomorphism(zero, zero, a)
     with pytest.raises(ValueError):
         enumerate_aut_fp(Algebra(QQ, 1, {}))
+
+
+def _reference_enumerate_aut_fp(A):
+    """Every automorphism, by the generator-image search on int tuples
+    mod p with its own elimination and product, as `enumerate_aut_fp`
+    ran before every field shared one scalar kernel."""
+    p, n = A.field.p, A.dim
+    wb = WordBasis(A)
+    rows = [[c.data for c in row] for plane in A.table for row in plane]
+    square = _reference_fp_rref([r for r in rows if any(r)], p)[0]
+    pool = [v for v in product(range(p), repeat=n)
+            if any(v) and any(_reference_fp_reduce(v, square, p))]
+    relations = [[(a, b, tuple(c.data for c in coords))
+                  for a, b, coords in lvl] for lvl in wb.relations]
+    images = [None] * n
+    results = []
+
+    def mul(x, y):
+        return _reference_fp_multiply(A, x, y)
+
+    def combine(coords):
+        out = [0] * n
+        for c, v in zip(coords, images):
+            if c:
+                out = [(u + c * w) % p for u, w in zip(out, v)]
+        return tuple(out)
+
+    def extend(level):
+        for cand in pool:
+            for t in wb.new_words[level]:
+                w = wb.words[t]
+                images[t] = cand if w[0] == "gen" else \
+                    mul(images[w[1]], images[w[2]])
+            if any(mul(images[a], images[b]) != combine(coords)
+                   for a, b, coords in relations[level]):
+                continue
+            avail = [images[t] for t in range(n) if wb.word_level[t] <= level]
+            if _reference_fp_rref(avail, p)[1] != len(avail):
+                continue
+            if level + 1 == wb.n_generators:
+                img = Matrix(A.field, [[A.field(x) for x in images[t]]
+                                       for t in range(n)]).transpose()
+                results.append(img * wb.inverse)
+            else:
+                extend(level + 1)
+
+    extend(0)
+    return results
+
+
+@pytest.mark.parametrize("key, p", [("N3s_01", 3), ("M4_01", 2)])
+def test_enumerate_aut_fp_matches_reference(cat, key, p):
+    A = cat.bases[key].algebra(PrimeField(p), {})
+    auts = enumerate_aut_fp(A)
+    assert [phi.entries for phi in auts] == \
+        [phi.entries for phi in _reference_enumerate_aut_fp(A)]
+    assert len(auts) == {"N3s_01": 108, "M4_01": 192}[key]
 
 
 def test_recorded_automorphism_shapes(cat):
