@@ -58,6 +58,22 @@ def test_parse_format_roundtrip(field, a, b):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(a=rationals, b=rationals, c=rationals, d=rationals)
+def test_raw_view_matches_field_arithmetic(field, a, b, c, d):
+    x, y = _elem(field, a, b), _elem(field, c, d)
+    raw, wrap, p = field.raw, field.wrap, field.modulus
+    assert wrap(raw(x)) == x
+    assert bool(raw(x)) == bool(x)
+    for got, want in ((raw(x) + raw(y), x + y), (raw(x) - raw(y), x - y),
+                      (raw(x) * raw(y), x * y)):
+        # raw results over F_p are reduced by wrap
+        assert wrap(got) == want
+        assert raw(wrap(got)) == raw(want)
+    assert (p is None) == (not isinstance(field, PrimeField))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
 @settings(max_examples=30, deadline=None)
 @given(a=rationals, b=rationals)
 def test_sqrt_of_square(field, a, b):

@@ -14,7 +14,8 @@ from novikov.fields import (QQ, GaussianRationalField, PrimeField,
                             QuadraticField)
 from novikov.linalg import Matrix
 from novikov.morphisms import (BudgetExceeded, NotAutomorphism, WordBasis,
-                               _candidate_vectors_q, act_on_cocycle,
+                               _candidate_vectors_fp, _candidate_vectors_q,
+                               act_on_cocycle,
                                derivation_algebra, enumerate_aut_fp,
                                is_homomorphism, is_isomorphism, iso_search)
 
@@ -235,16 +236,22 @@ def test_enumerate_aut_fp():
         enumerate_aut_fp(Algebra(QQ, 1, {}))
 
 
+def _reference_fp_pool(A):
+    """The nonzero int vectors mod p outside A^2, in `product` order."""
+    p = A.field.p
+    rows = [[c.data for c in row] for plane in A.table for row in plane]
+    square = _reference_fp_rref([r for r in rows if any(r)], p)[0]
+    return [v for v in product(range(p), repeat=A.dim)
+            if any(v) and any(_reference_fp_reduce(v, square, p))]
+
+
 def _reference_enumerate_aut_fp(A):
     """Every automorphism, by the generator-image search on int tuples
     mod p with its own elimination and product, as `enumerate_aut_fp`
     ran before every field shared one scalar kernel."""
     p, n = A.field.p, A.dim
     wb = WordBasis(A)
-    rows = [[c.data for c in row] for plane in A.table for row in plane]
-    square = _reference_fp_rref([r for r in rows if any(r)], p)[0]
-    pool = [v for v in product(range(p), repeat=n)
-            if any(v) and any(_reference_fp_reduce(v, square, p))]
+    pool = _reference_fp_pool(A)
     relations = [[(a, b, tuple(c.data for c in coords))
                   for a, b, coords in lvl] for lvl in wb.relations]
     images = [None] * n
@@ -283,13 +290,18 @@ def _reference_enumerate_aut_fp(A):
     return results
 
 
-@pytest.mark.parametrize("key, p", [("N3s_01", 3), ("M4_01", 2)])
-def test_enumerate_aut_fp_matches_reference(cat, key, p):
-    A = cat.bases[key].algebra(PrimeField(p), {})
+@pytest.mark.parametrize("key, p, order", [
+    ("N3s_01", 3, 108), ("M4_01", 2, 192),
+    (None, 5, 1200)])   # e1e1 = e3, e2e2 = 2 e3: a relation coefficient 2
+def test_enumerate_aut_fp_matches_reference(cat, key, p, order):
+    F = PrimeField(p)
+    A = cat.bases[key].algebra(F, {}) if key else \
+        Algebra(F, 3, {(0, 0, 2): F(1), (1, 1, 2): F(2)})
+    assert _candidate_vectors_fp(A) == _reference_fp_pool(A)
     auts = enumerate_aut_fp(A)
     assert [phi.entries for phi in auts] == \
         [phi.entries for phi in _reference_enumerate_aut_fp(A)]
-    assert len(auts) == {"N3s_01": 108, "M4_01": 192}[key]
+    assert len(auts) == order
 
 
 def test_recorded_automorphism_shapes(cat):
