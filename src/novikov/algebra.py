@@ -67,19 +67,17 @@ class Algebra:
     def multiply_raw(self, x, y):
         """`multiply` on raw coefficient vectors (`Field.raw`), read off
         the nonzero structure constants and reduced mod p once."""
-        nz, zero = self._memo("raw", self._raw_products)
+        nz, zero, p = self._memo("raw", self._raw_products)
         out = [zero] * self.dim
         ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = nz[i]
-            for j, yj in ys:
-                if row[j]:
-                    coef = xi * yj
-                    for k, c in row[j]:
-                        out[k] = out[k] + coef * c
-        p = self.field.modulus
+            if xi:
+                row = nz[i]
+                for j, yj in ys:
+                    if row[j]:
+                        coef = xi * yj
+                        for k, c in row[j]:
+                            out[k] = out[k] + coef * c
         return tuple(out) if p is None else tuple(v % p for v in out)
 
     def basis_vector(self, i: int):
@@ -106,28 +104,33 @@ class Algebra:
             for plane in self.table))
 
     def _raw_products(self):
-        """(`nonzero_products` on raw scalars, the raw zero)."""
+        """(`nonzero_products` on raw scalars, the raw zero, the
+        modulus)."""
         raw = self.field.raw
         return tuple(tuple(tuple((k, raw(c)) for k, c in terms)
                            for terms in plane)
                      for plane in self.nonzero_products()), \
-            raw(self.field.zero())
+            raw(self.field.zero()), self.field.modulus
 
     def _left_products(self):
         """L[i][j][k] = (e_i e_j) e_k, on raw scalars."""
         def compute():
-            table, e = self._raw_table(), self._raw_basis()
+            nz = self.nonzero_products()
+            table, e, zero = self._raw_rows()
             return _triples(self.dim, lambda i, j, k: self.multiply_raw(
-                table[i][j], e[k]))
+                table[i][j], e[k]) if nz[i][j] else zero)
         return self._memo("left", compute)
 
     def _associators(self):
         """D[i][j][k] = (e_i e_j) e_k - e_i (e_j e_k), on raw scalars."""
         def compute():
-            table, e = self._raw_table(), self._raw_basis()
+            nz = self.nonzero_products()
+            table, e, _ = self._raw_rows()
             L, p = self._left_products(), self.field.modulus
 
             def associator(i, j, k):
+                if not nz[j][k]:
+                    return L[i][j][k]
                 d = list(L[i][j][k])
                 for m, b in enumerate(self.multiply_raw(e[i], table[j][k])):
                     if b:
@@ -136,15 +139,15 @@ class Algebra:
             return _triples(self.dim, associator)
         return self._memo("associators", compute)
 
-    def _raw_table(self):
+    def _raw_rows(self):
+        """(the table, the basis vectors, the zero vector) on raw
+        scalars."""
         raw = self.field.raw
-        return [[[raw(c) for c in row] for row in plane]
-                for plane in self.table]
-
-    def _raw_basis(self):
-        raw = self.field.raw
-        return [[raw(c) for c in self.basis_vector(i)]
-                for i in range(self.dim)]
+        table = [[tuple(map(raw, row)) for row in plane]
+                 for plane in self.table]
+        basis = [tuple(map(raw, self.basis_vector(i)))
+                 for i in range(self.dim)]
+        return table, basis, (raw(self.field.zero()),) * self.dim
 
     # ------------------------------------------------------------------
     # identities
