@@ -301,7 +301,9 @@ def build_parser():
     p.add_argument("--field", default="q",
                    help="field tag: q | qi | qsqrt:d | fp:p")
     p.add_argument("--budget", type=int, default=5_000_000,
-                   help="search step budget")
+                   help="isomorphism-search budget: generator images "
+                   "tried, counting only those that solve the relations "
+                   "linear in them")
     p.add_argument("--height", type=int, default=3,
                    help="rational height bound for heuristic searches")
     p.add_argument("--report", default=None,

@@ -52,13 +52,12 @@ def eliminate(rows, p=None):
     return m, rank, pivots
 
 
-def reduce(vec, rows, p=None):
+def reduce(vec, rows, pivots, p=None):
     """The residual of the raw vector vec against rows in reduced row
-    echelon form (as returned by `eliminate`): zero exactly when vec
-    lies in their span."""
+    echelon form with the given pivot columns (as returned by
+    `eliminate`): zero exactly when vec lies in their span."""
     v = list(vec)
-    for row in rows:
-        col = next(j for j, x in enumerate(row) if x)
+    for row, col in zip(rows, pivots):
         f = v[col]
         if f:
             for j in range(col, len(v)):
@@ -66,6 +65,22 @@ def reduce(vec, rows, p=None):
                     x = v[j] - f * row[j]
                     v[j] = x if p is None else x % p
     return v
+
+
+def null_space(rows, width, zero, one, p=None):
+    """A basis of the raw vectors of length `width` that every raw row
+    sends to zero (a row times the vector), one per free column of the
+    rows' reduced form; `zero` and `one` are the field's raw 0 and 1."""
+    red, _, pivots = eliminate(rows, p)
+    basis = []
+    for c in range(width):
+        if c not in pivots:
+            v = [zero] * width
+            v[c] = one
+            for r, j in enumerate(pivots):
+                v[j] = -red[r][c] if p is None else -red[r][c] % p
+            basis.append(v)
+    return basis
 
 
 class DimensionMismatch(Exception):
@@ -185,18 +200,11 @@ class Matrix:
 
     def kernel(self) -> "Subspace":
         """Right null space {v : M v = 0}."""
-        red, _, pivots = self._eliminate()
-        free = [j for j in range(self.cols) if j not in pivots]
-        wrap = self.field.wrap
-        z, o = self.field.zero(), self.field.one()
-        basis = []
-        for f in free:
-            v = [z] * self.cols
-            v[f] = o
-            for r, p in enumerate(pivots):
-                v[p] = wrap(-red[r][f])
-            basis.append(v)
-        return Subspace(self.field, self.cols, basis)
+        f = self.field
+        raw = f.raw
+        basis = null_space([[raw(x) for x in row] for row in self.entries],
+                           self.cols, raw(f.zero()), raw(f.one()), f.modulus)
+        return Subspace(f, self.cols, self._wrapped(basis))
 
     def row_space(self) -> "Subspace":
         return Subspace(self.field, self.cols, self.entries)
@@ -242,19 +250,23 @@ def _dot(a, b, field):
 
 
 class Subspace:
-    """A subspace of field^ambient, stored by its canonical RREF basis."""
+    """A subspace of field^ambient, stored by its canonical RREF basis
+    (and, for `member`, the same rows on raw scalars with their pivot
+    columns)."""
 
-    __slots__ = ("field", "ambient", "basis")
+    __slots__ = ("field", "ambient", "basis", "_rows", "_pivots")
 
     def __init__(self, field: Field, ambient: int, vectors=()):
         self.field = field
         self.ambient = ambient
+        self._rows, self._pivots = [], []
         if vectors:
             m = Matrix(field, vectors)
             if m.cols != ambient:
                 raise DimensionMismatch(f"ambient {ambient} vs {m.cols}")
-            red, rank, _ = m._eliminate()
-            self.basis = tuple(map(tuple, m._wrapped(red[:rank])))
+            red, rank, self._pivots = m._eliminate()
+            self._rows = red[:rank]
+            self.basis = tuple(map(tuple, m._wrapped(self._rows)))
         else:
             self.basis = ()
 
@@ -271,8 +283,8 @@ class Subspace:
             raise DimensionMismatch("vector length")
         f = self.field
         raw = f.raw
-        rows = [[raw(x) for x in row] for row in self.basis]
-        return not any(reduce([raw(f(x)) for x in vec], rows, f.modulus))
+        return not any(reduce([raw(f(x)) for x in vec], self._rows,
+                              self._pivots, f.modulus))
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.member(v) for v in other.basis)
@@ -315,9 +327,7 @@ class Subspace:
 
     def coordinate_complement(self):
         """Lexicographically-first coordinate complement of self."""
-        pivots = set()
-        for row in self.basis:
-            pivots.add(next(j for j in range(self.ambient) if row[j]))
+        pivots = set(self._pivots)
         z, o = self.field.zero(), self.field.one()
         vecs = []
         for j in range(self.ambient):

@@ -1,10 +1,19 @@
 """Homomorphisms, automorphisms, derivations and isomorphism search.
 
 The isomorphism engine backtracks over images of a minimal generating
-set only; all other basis vectors are words (iterated products) in the
+set only (of every basis vector when A is not generated by a complement
+of A^2); all other basis vectors are words (iterated products) in the
 generators, so their images are forced.  Partial assignments are pruned
 by checking every product relation as soon as all words it mentions
 have images.
+
+Candidates for a generator's image are not tried one by one from the
+whole pool.  With the earlier images fixed, the relations linear in the
+new image are solved as one linear system, and only the pool points on
+its solution set that are independent of the earlier images modulo B^2
+are visited, in pool order; the skipped points can never extend to an
+isomorphism, so the witnesses and their order do not change.  The
+search budget counts the visited candidates.
 
 Over F_p the generator-image candidate set is exhaustive, so a failed
 search is a proof of non-isomorphism.  Over Q the candidates are
@@ -23,7 +32,7 @@ from itertools import combinations, product as iproduct
 from .algebra import Algebra
 from .cohomology import Cocycle
 from .fields import PrimeField
-from .linalg import Matrix, Subspace, eliminate, reduce
+from .linalg import Matrix, Subspace, eliminate, null_space
 
 
 class NotAutomorphism(Exception):
@@ -97,23 +106,60 @@ def derivation_algebra(A: Algebra):
 # word bases
 
 class WordBasis:
-    """A basis of A made of minimal generators and products of earlier
-    basis elements, with a per-level schedule for the backtracking
-    search.
+    """A basis of A made of generators and products of earlier basis
+    elements, with a per-level schedule for the backtracking search.
+
+    The generators are a basis of the lexicographically first coordinate
+    complement of A^2 (`minimal` is True), which generates A when A is
+    nilpotent.  When these words do not span A, every basis vector is a
+    generator and every product a relation (`minimal` is False).
 
     words[t] is ("gen", g) or ("prod", a, b) meaning words[a]*words[b].
     word_level[t] = highest generator index a word involves; a word has
-    an image once generators 0..word_level[t] are assigned.  The
-    relation (a, b) — "product of words a and b expands with the stored
+    an image once generators 0..word_level[t] are assigned, and
+    degree[t] is its degree in generator word_level[t].  The relation
+    (a, b) — "product of words a and b expands with the stored
     coordinates" — is scheduled at the first level where a, b and every
     word in the expansion are available.
     """
 
     def __init__(self, A: Algebra):
         self.algebra = A
-        comp = A.square().coordinate_complement()
-        gens = list(comp.basis)
-        self.n_generators = len(gens)
+        n = A.dim
+        words, vectors, level = self._close(
+            A, A.square().coordinate_complement().basis)
+        self.minimal = len(vectors) == n
+        if not self.minimal:
+            words, vectors, level = self._close(
+                A, Subspace.full(A.field, n).basis)
+        self.n_generators = sum(w[0] == "gen" for w in words)
+        self.words = words
+        self.vectors = vectors
+        self.word_level = level
+        self.degree = []
+        for t, w in enumerate(words):
+            self.degree.append(1 if w[0] == "gen" else sum(
+                self.degree[c] for c in w[1:] if level[c] == level[t]))
+        self.matrix = Matrix(A.field, vectors).transpose()  # cols = words
+        self.inverse = self.matrix.inverse()
+        # schedule: per level, the words that become available and the
+        # relations that become fully checkable
+        self.new_words = [[t for t in range(n) if level[t] == lv]
+                          for lv in range(self.n_generators)]
+        self.relations = [[] for _ in range(self.n_generators)]
+        for a in range(n):
+            for b in range(n):
+                prod = A.multiply(vectors[a], vectors[b])
+                coords = self.inverse.apply(prod)
+                needed = [t for t, c in enumerate(coords) if c]
+                lv = max([level[a], level[b]] + [level[t] for t in needed])
+                self.relations[lv].append((a, b, tuple(coords)))
+
+    @staticmethod
+    def _close(A, gens):
+        """(words, vectors, levels): the generators, then products of
+        earlier words that leave their span, until the span stops
+        growing."""
         words = [("gen", g) for g in range(len(gens))]
         vectors = list(gens)
         level = list(range(len(gens)))
@@ -135,35 +181,95 @@ class WordBasis:
                             break
                 if span.dim == A.dim:
                     break
-        if span.dim < A.dim:
-            raise ValueError("generators do not generate (non-nilpotent?)")
-        self.words = words
-        self.vectors = vectors
-        self.word_level = level
-        self.matrix = Matrix(A.field, vectors).transpose()  # cols = words
-        self.inverse = self.matrix.inverse()
-        n = A.dim
-        # schedule: per level, the words that become available and the
-        # relations that become fully checkable
-        self.new_words = [[t for t in range(n) if level[t] == lv]
-                          for lv in range(self.n_generators)]
-        self.relations = [[] for _ in range(self.n_generators)]
-        for a in range(n):
-            for b in range(n):
-                prod = A.multiply(vectors[a], vectors[b])
-                coords = self.inverse.apply(prod)
-                needed = [t for t, c in enumerate(coords) if c]
-                lv = max([level[a], level[b]] + [level[t] for t in needed])
-                self.relations[lv].append((a, b, tuple(coords)))
+        return words, vectors, level
+
+
+# ----------------------------------------------------------------------
+# candidate images
+
+def _solution_tuples(rows, size, vals, index, p=None):
+    """Index tuples c (into vals) of the points x = (vals[c_0], ...) that
+    satisfy sum_j row[j] x_j = row[size] for every raw row, sorted (so in
+    `product` order).
+
+    A point takes its values at the free columns of the reduced system
+    freely; its entry at a pivot column is that row's right side less
+    the free entries it weights.  Only these entries are computed, and
+    each must be a key of `index`."""
+    red, rank, pivots = eliminate(rows, p)
+    if not rank:
+        return list(iproduct(range(len(vals)), repeat=size))
+    if pivots[-1] == size:
+        return []       # a row 0 = 1: no solution
+    free = [j for j in range(size) if j not in pivots]
+    weights = [[(j, row[j]) for j in free if row[j]] for row in red[:rank]]
+    out = []
+    for at_free in iproduct(range(len(vals)), repeat=len(free)):
+        c = [None] * size
+        for j, a in zip(free, at_free):
+            c[j] = a
+        for row, terms, j in zip(red, weights, pivots):
+            x = row[size]
+            for k, w in terms:
+                x = x - w * vals[c[k]]
+            if p is not None:
+                x %= p
+            if x not in index:
+                break
+            c[j] = index[x]
+        else:
+            out.append(tuple(c))
+    out.sort()
+    return out
+
+
+def _pool_fp(dim, p, system, functionals):
+    """The raw vectors x of F_p^dim that solve `system` (sum_j row[j] x_j
+    = row[dim] for each row) and lie outside the subspace cut out by
+    `functionals` (some functional does not vanish on x), in `product`
+    order."""
+    vals = range(p)
+    inside = set(_solution_tuples(
+        system + [w + [0] for w in functionals], dim, vals, vals, p))
+    return [x for x in _solution_tuples(system, dim, vals, vals, p)
+            if x not in inside]
+
+
+def _pool_q(dim, vals, index, zero, system, functionals):
+    """The pool vectors of `_candidate_vectors_q` (entries in vals, with
+    raw zero `zero`) that solve `system` and lie outside the subspace cut
+    out by `functionals` (as in `_pool_fp`), in pool order, generated
+    lazily support by support.  On a support S the points are those of
+    the system restricted to the columns in S, less the points that also
+    solve the functionals restricted to S."""
+    for size in (1, 2, 3):
+        for supp in combinations(range(dim), size):
+            rows = [[row[j] for j in supp] + [row[dim]] for row in system]
+            points = _solution_tuples(rows, size, vals, index)
+            if not points:
+                continue
+            inside = set(_solution_tuples(
+                rows + [[w[j] for j in supp] + [zero] for w in functionals],
+                size, vals, index))
+            for c in points:
+                if c not in inside:
+                    v = [zero] * dim
+                    for pos, a in zip(supp, c):
+                        v[pos] = vals[a]
+                    yield tuple(v)
+
+
+def _square_functionals(B: Algebra):
+    """The raw functionals that cut out B^2."""
+    f = B.field
+    raw = f.raw
+    return null_space([[raw(x) for x in row] for row in B.square().basis],
+                      B.dim, raw(f.zero()), raw(f.one()), f.modulus)
 
 
 def _candidate_vectors_fp(B: Algebra):
     """Every raw vector of F_p^dim outside B^2, in `product` order."""
-    f = B.field
-    p = f.modulus
-    square = [[f.raw(x) for x in row] for row in B.square().basis]
-    return [v for v in iproduct(range(p), repeat=B.dim)
-            if any(reduce(v, square, p))]
+    return _pool_fp(B.dim, B.field.modulus, [], _square_functionals(B))
 
 
 def _height_values(height: int):
@@ -194,68 +300,36 @@ def _candidate_vectors_q(B: Algebra, height: int):
     12,208 or 14*5 + 196*10 + 2744*10 = 29,470 vectors at height 3.
 
     B^2 is the common kernel of the functionals that vanish on it, so a
-    tuple c on S lies in B^2 exactly when it lies in the kernel K_S of
-    those functionals restricted to S.  If K_S = 0 every tuple on S is
-    kept.  Otherwise an element of K_S is fixed by its values at the
-    pivots of K_S's echelon basis, so the excluded tuples are found by
-    enumerating height values at those pivots only, and every other
-    tuple is kept without a membership test.
+    tuple on S lies in B^2 exactly when it solves those functionals
+    restricted to S.  Such a tuple is fixed by its values at the free
+    columns of that system, so the excluded tuples are found by
+    enumerating height values there only, and every other tuple is kept
+    without a membership test (`_pool_q` with no system).
     """
     f = B.field
-    raw = f.raw
-    z = raw(f.zero())
-    dim = B.dim
-    vals = [raw(f(c)) for c in _height_values(height)]
+    vals = [f.raw(f(c)) for c in _height_values(height)]
     index = {c: i for i, c in enumerate(vals)}
-    sq = B.square()
-    functionals = Matrix(f, sq.basis).kernel().basis if sq.basis \
-        else Matrix.identity(f, dim).entries
-    out = []
-    for support_size in (1, 2, 3):
-        for supp in combinations(range(dim), support_size):
-            excluded = _tuples_in_kernel(f, functionals, supp, vals, index)
-            for coeffs in iproduct(range(len(vals)), repeat=support_size):
-                if coeffs in excluded:
-                    continue
-                v = [z] * dim
-                for pos, c in zip(supp, coeffs):
-                    v[pos] = vals[c]
-                out.append(tuple(v))
-    return out
+    return list(_pool_q(B.dim, vals, index, f.raw(f.zero()), [],
+                        _square_functionals(B)))
 
 
-def _tuples_in_kernel(f, functionals, supp, vals, index):
-    """Index tuples (into vals) of the height-value tuples on `supp` that
-    every functional sends to zero: the pool vectors on `supp` in B^2.
-    A point of the kernel takes its values at the pivots of the echelon
-    basis freely; every other entry is the sum of the basis rows
-    weighted by those values, and only these entries are computed."""
-    size = len(supp)
-    kernel = Matrix(f, [[w[j] for j in supp] for w in functionals]).kernel() \
-        if functionals else Subspace.full(f, size)
-    rows = [[f.raw(x) for x in row] for row in kernel.basis]
-    pivots = [next(j for j in range(size) if row[j]) for row in rows]
-    rest = [j for j in range(size) if j not in pivots]
-    z = f.raw(f.zero())
-    excluded = set()
-    for at_pivots in iproduct(range(len(vals)), repeat=len(rows)):
-        c = [None] * size
-        for p, a in zip(pivots, at_pivots):
-            c[p] = a
-        for j in rest:
-            x = z
-            for a, row in zip(at_pivots, rows):
-                x = x + vals[a] * row[j]
-            if x not in index:
-                break
-            c[j] = index[x]
-        else:
-            excluded.add(tuple(c))
-    return excluded
-
+# ----------------------------------------------------------------------
+# the search
 
 def _search(A: Algebra, B: Algebra, budget, height, find_all):
     """Backtracking core shared by iso_search and enumerate_aut_fp.
+
+    At each level, with the earlier generators' images fixed, the
+    scheduled relations whose words have degree <= 1 in the level's
+    generator are affine in its image x: they are stacked into one
+    system over raw scalars and reduced once, and only the pool points
+    that solve it and lie outside W = span(earlier generator images) +
+    B^2 are visited (W = the span alone when the generators are not
+    minimal, and the pool then keeps B^2).  Any other candidate fails a
+    relation, or leaves the generator images dependent modulo B^2, which
+    an isomorphism never does.  Survivors get every relation check and
+    the independence check, so the witnesses and their order are those
+    of visiting the whole pool.
 
     Returns a list of witnesses (all of them when find_all, else at most
     one)."""
@@ -264,16 +338,38 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
     f = A.field
     raw, p = f.raw, f.modulus
     exhaustive = p is not None
-    pool = _candidate_vectors_fp(B) if exhaustive \
-        else _candidate_vectors_q(B, height)
+    n = A.dim
+    zero, one = raw(f.zero()), raw(f.one())
+    square = [[raw(x) for x in row] for row in B.square().basis] \
+        if wb.minimal else []
+    if exhaustive:
+        def pool(system, functionals):
+            return _pool_fp(n, p, system, functionals)
+    else:
+        vals = [raw(f(c)) for c in _height_values(height)]
+        index = {c: i for i, c in enumerate(vals)}
+
+        def pool(system, functionals):
+            return _pool_q(n, vals, index, zero, system, functionals)
     # each relation's right side as (word, raw coordinate) terms
     relations = [[(a, b, [(t, raw(c)) for t, c in enumerate(coords) if c])
                   for a, b, coords in lvl] for lvl in wb.relations]
+
+    def degree(t, level):
+        return wb.degree[t] if wb.word_level[t] == level else 0
+    affine = [[(a, b, terms) for a, b, terms in relations[lv]
+               if degree(a, lv) + degree(b, lv) <= 1
+               and all(degree(t, lv) <= 1 for t, _ in terms)]
+              for lv in range(g)]
+    linear_words = [[t for t in wb.new_words[lv] if wb.degree[t] == 1]
+                    for lv in range(g)]
+    word_of = {w[1:]: t for t, w in enumerate(wb.words) if w[0] == "prod"}
+    units = [tuple(one if i == j else zero for j in range(n))
+             for i in range(n)]
+    inverse = [[raw(x) for x in row] for row in wb.inverse.entries]
     multiply = B.multiply_raw
-    zero = raw(f.zero())
     counter = [0]
     results = []
-    n = A.dim
     images = [None] * n
 
     def combine(terms):
@@ -284,8 +380,71 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
                     out[k] = out[k] + c * w
         return tuple(out) if p is None else tuple(x % p for x in out)
 
+    def witness():
+        """The linear map sending each word's vector to its image: the
+        image matrix times the inverse of the word matrix, on raw
+        scalars."""
+        rows = []
+        for r in range(n):
+            row = []
+            for c in range(n):
+                x = zero
+                for t in range(n):
+                    if images[t][r] and inverse[t][c]:
+                        x = x + images[t][r] * inverse[t][c]
+                row.append(f.wrap(x))
+            rows.append(row)
+        return Matrix(f, rows)
+
+    def candidates(level):
+        """The pool points that solve the level's affine relations and
+        lie outside W, in pool order."""
+        # each degree-1 word as a linear map of x: its images at x = e_i
+        lin = {}
+
+        def product_map(a, b):
+            if (a, b) in word_of and word_of[a, b] in lin:
+                return lin[word_of[a, b]]
+            if a in lin:
+                return [multiply(u, images[b]) for u in lin[a]]
+            return [multiply(images[a], u) for u in lin[b]]
+        for t in linear_words[level]:
+            w = wb.words[t]
+            lin[t] = units if w[0] == "gen" else product_map(w[1], w[2])
+        rows = []
+        for a, b, terms in affine[level]:
+            # the relation as sum_i x_i cols[i] = rhs
+            if a in lin or b in lin:
+                cols = [list(u) for u in product_map(a, b)]
+                rhs = [zero] * n
+            else:
+                cols = [[zero] * n for _ in range(n)]
+                rhs = [-v for v in multiply(images[a], images[b])]
+            for t, c in terms:
+                if t in lin:
+                    for col, u in zip(cols, lin[t]):
+                        for k, v in enumerate(u):
+                            if v:
+                                col[k] = col[k] - c * v
+                else:
+                    for k, v in enumerate(images[t]):
+                        if v:
+                            rhs[k] = rhs[k] + c * v
+            for k in range(n):
+                row = [col[k] for col in cols] + [rhs[k]]
+                if p is not None:
+                    row = [x % p for x in row]
+                if any(row):
+                    rows.append(row)
+        red, rank, pivots = eliminate(rows, p)
+        if rank and pivots[-1] == n:
+            return ()       # inconsistent: no image of this generator fits
+        # the generators are words 0..g-1
+        return pool(red[:rank], null_space(square + images[:level], n,
+                                           zero, one, p))
+
     def extend(level):
-        for cand in pool:
+        for cand in candidates(level):
             counter[0] += 1
             if counter[0] > budget:
                 raise BudgetExceeded(f"search budget {budget} exhausted")
@@ -307,9 +466,7 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
                     # the scheduled relations cover every word-basis pair
                     # and independence was checked, so phi is already an
                     # isomorphism; re-verify only on the heuristic path
-                    img = Matrix(f, [[f.wrap(x) for x in images[t]]
-                                     for t in range(n)]).transpose()
-                    phi = img * wb.inverse
+                    phi = witness()
                     if exhaustive or is_isomorphism(A, B, phi):
                         results.append(phi)
                         if not find_all:
@@ -333,7 +490,10 @@ def iso_search(A: Algebra, B: Algebra, budget: int = 5_000_000,
     Over F_p the generator-image pool is exhaustive: None is a proof of
     non-isomorphism (BudgetExceeded is raised if the budget runs out
     first).  Over Q the pool is height-bounded and None only means
-    "not found within the heuristic pool".
+    "not found within the heuristic pool".  At each generator only the
+    pool points that solve the relations linear in its image and are
+    independent of the earlier images modulo B^2 are tried, and the
+    budget counts these tries alone.
     """
     if A.dim != B.dim or A.field != B.field:
         return None
@@ -349,7 +509,10 @@ def iso_search(A: Algebra, B: Algebra, budget: int = 5_000_000,
 
 def enumerate_aut_fp(A: Algebra, budget: int = 50_000_000):
     """The full automorphism group of A over F_p, by exhaustive
-    generator-image backtracking."""
+    generator-image backtracking, in the search's visiting order.  As in
+    `iso_search`, each generator's images are the solutions of the
+    relations linear in it, independent of the earlier images modulo
+    A^2, and the budget counts these tries."""
     if not isinstance(A.field, PrimeField):
         raise ValueError("exhaustive enumeration needs a prime field")
     return _search(A, A, budget, 0, find_all=True)

@@ -75,6 +75,21 @@ def test_iso_exit_codes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "proven_distinct"
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+def test_iso_on_non_nilpotent_algebras(tmp_path, capsys, field):
+    # a valid algebra that a complement of its square does not generate
+    X = Algebra(field, 2, {(0, 0, 0): field(1)})    # e1 e1 = e1
+    Y = Algebra(field, 2, {(1, 1, 1): field(1)})    # e2 e2 = e2
+    px, py = tmp_path / "x.json", tmp_path / "y.json"
+    px.write_text(X.dumps())
+    py.write_text(Y.dumps())
+    assert main(["iso", str(px), str(py)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "isomorphic"
+    assert [[field.parse(x) for x in row] for row in rep["witness"]] == \
+        [[field(0), field(1)], [field(1), field(0)]]
+
+
 def test_separate(tmp_path, capsys):
     X = Algebra(F5, 2, {(0, 0, 1): F5(1)})
     Z = Algebra(F5, 2, {})

@@ -300,7 +300,8 @@ def test_eliminate_and_reduce_match_reference(field):
             if rank and rng.random() < 0.5:   # a vector of the span
                 c = rng.choice([field(1), field(2)])
                 vec = [c * a + b for a, b in zip(basis[0], basis[-1])]
-            residual = reduce([raw(x) for x in vec], got[:rank], p)
+            residual = reduce([raw(x) for x in vec], got[:rank], pivots,
+                              p)
             member = _reference_member(field, vec, basis)
             assert not any(residual) == member
             assert Subspace(field, len(vec), rows).member(vec) == member

@@ -6,16 +6,17 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from novikov.algebra import Algebra
 from novikov.catalog import _evaluate
 from novikov.cohomology import Cocycle
 from novikov.fields import (QQ, GaussianRationalField, PrimeField,
                             QuadraticField)
-from novikov.linalg import Matrix
+from novikov.linalg import Matrix, eliminate
 from novikov.morphisms import (BudgetExceeded, NotAutomorphism, WordBasis,
                                _candidate_vectors_fp, _candidate_vectors_q,
-                               act_on_cocycle,
+                               _search, act_on_cocycle,
                                derivation_algebra, enumerate_aut_fp,
                                is_homomorphism, is_isomorphism, iso_search)
 
@@ -23,7 +24,7 @@ from conftest import first_admissible_env
 from test_algebra import _reference_fp_multiply
 from test_linalg import _reference_fp_reduce, _reference_fp_rref
 
-F2, F5 = PrimeField(2), PrimeField(5)
+F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
 A = Algebra(QQ, 3, {(0, 0, 1): QQ(1)})   # e1e1 = e2
 
@@ -298,9 +299,10 @@ def test_enumerate_aut_fp_matches_reference(cat, key, p, order):
     A = cat.bases[key].algebra(F, {}) if key else \
         Algebra(F, 3, {(0, 0, 2): F(1), (1, 1, 2): F(2)})
     assert _candidate_vectors_fp(A) == _reference_fp_pool(A)
-    auts = enumerate_aut_fp(A)
-    assert [phi.entries for phi in auts] == \
-        [phi.entries for phi in _reference_enumerate_aut_fp(A)]
+    auts = [phi.entries for phi in enumerate_aut_fp(A)]
+    assert auts == [phi.entries for phi in _reference_enumerate_aut_fp(A)]
+    assert auts == [phi.entries for phi in _reference_search(
+        A, A, 50_000_000, 0, find_all=True)]
     assert len(auts) == order
 
 
@@ -321,3 +323,196 @@ def test_recorded_automorphism_shapes(cat):
             phi = rec.automorphism(QQ, env)
             assert is_isomorphism(A0, A0, phi), (key, env)
             done += 1
+
+
+# ----------------------------------------------------------------------
+# the linear filter of the search against the whole-pool search
+
+def _reference_search(A, B, budget, height, find_all):
+    """`_search` as it was before each level solved its affine
+    relations: every pool vector is tried at every level."""
+    wb = WordBasis(A)
+    g = wb.n_generators
+    f = A.field
+    raw, p = f.raw, f.modulus
+    exhaustive = p is not None
+    pool = _candidate_vectors_fp(B) if exhaustive \
+        else _candidate_vectors_q(B, height)
+    relations = [[(a, b, [(t, raw(c)) for t, c in enumerate(coords) if c])
+                  for a, b, coords in lvl] for lvl in wb.relations]
+    multiply = B.multiply_raw
+    zero = raw(f.zero())
+    counter = [0]
+    results = []
+    n = A.dim
+    images = [None] * n
+
+    def combine(terms):
+        out = [zero] * n
+        for t, c in terms:
+            for k, w in enumerate(images[t]):
+                if w:
+                    out[k] = out[k] + c * w
+        return tuple(out) if p is None else tuple(x % p for x in out)
+
+    def extend(level):
+        for cand in pool:
+            counter[0] += 1
+            if counter[0] > budget:
+                raise BudgetExceeded(f"search budget {budget} exhausted")
+            ok = True
+            for t in wb.new_words[level]:
+                w = wb.words[t]
+                images[t] = cand if w[0] == "gen" else \
+                    multiply(images[w[1]], images[w[2]])
+            for a, b, terms in relations[level]:
+                if multiply(images[a], images[b]) != combine(terms):
+                    ok = False
+                    break
+            if ok:
+                avail = [images[t] for t in range(n)
+                         if wb.word_level[t] <= level]
+                ok = eliminate(avail, p)[1] == len(avail)
+            if ok:
+                if level + 1 == g:
+                    img = Matrix(f, [[f.wrap(x) for x in images[t]]
+                                     for t in range(n)]).transpose()
+                    phi = img * wb.inverse
+                    if exhaustive or is_isomorphism(A, B, phi):
+                        results.append(phi)
+                        if not find_all:
+                            return True
+                elif extend(level + 1):
+                    return True
+        return False
+
+    try:
+        extend(0)
+    finally:
+        extend = None
+    return results
+
+
+def _noted_pair(cat, k, field):
+    pair = cat.meta["noted_isomorphisms"][k]
+
+    def build(spec):
+        label, params = spec
+        entry = cat.entry(label)
+        return entry.extension(field, tuple(params[p] for p in entry.params),
+                               strict=False)
+    return build(pair["left"]), build(pair["right"])
+
+
+def _unitriangular(rng, n):
+    """Ones on the diagonal, random signs above it (the basis changes of
+    the iso-q benchmark workload)."""
+    return [[1 if i == j else rng.choice((1, -1)) if j > i else 0
+             for j in range(n)] for i in range(n)]
+
+
+def _entries(found):
+    return [phi.entries for phi in found]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_search_matches_reference_on_iso_q_inputs(cat, seed):
+    pairs = [_noted_pair(cat, k, QQ) for k in (0, 1)]
+    rng = random.Random(f"iso-q:{seed}")
+    for _, rec in sorted(cat.bases.items()):
+        A = rec.algebra(QQ, first_admissible_env(rec))
+        pairs.append((A, A.change_basis(
+            Matrix(QQ, _unitriangular(rng, A.dim)))))
+    for L, R in pairs:
+        found = _search(L, R, 5_000_000, 3, find_all=False)
+        assert found, L
+        assert _entries(found) == \
+            _entries(_reference_search(L, R, 5_000_000, 3, find_all=False))
+
+
+def test_search_matches_reference_on_n088_over_f5(cat):
+    L, R = _noted_pair(cat, 3, F5)
+    found = _search(L, R, 50_000_000, 0, find_all=False)
+    assert found and is_isomorphism(L, R, found[0])
+    assert _entries(found) == \
+        _entries(_reference_search(L, R, 50_000_000, 0, find_all=False))
+
+
+def test_search_skips_a_level_whose_system_is_inconsistent():
+    # both generated by e1, e2 with e3 = e1 e2; X is not commutative, Y
+    # is, so with e1's image fixed the relations of e2's image that are
+    # linear in it have no solution, and no second image is visited
+    X = Algebra(F3, 3, {(0, 0, 2): F3(2), (0, 1, 2): F3(1),
+                        (1, 0, 2): F3(2), (1, 1, 2): F3(2)})
+    Y = Algebra(F3, 3, {(0, 1, 2): F3(1), (1, 0, 2): F3(1),
+                        (1, 1, 2): F3(2)})
+    first_level = len(_candidate_vectors_fp(Y))
+    assert first_level == 24
+    assert _search(X, Y, first_level, 0, find_all=True) == []
+    with pytest.raises(BudgetExceeded):
+        _reference_search(X, Y, first_level, 0, find_all=True)
+    assert _reference_search(X, Y, 10 ** 6, 0, find_all=True) == []
+    assert iso_search(X, Y) is None
+
+
+# ----------------------------------------------------------------------
+# algebras that a complement of the square does not generate
+
+def _idempotent_lines(field):
+    """e1 e1 = e1 and e2 e2 = e2 on F^2: isomorphic, not nilpotent."""
+    return (Algebra(field, 2, {(0, 0, 0): field(1)}),
+            Algebra(field, 2, {(1, 1, 1): field(1)}))
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=["Q", "F3"])
+def test_iso_search_on_non_nilpotent_algebras(field):
+    X, Y = _idempotent_lines(field)
+    wb = WordBasis(X)
+    assert not wb.minimal and wb.n_generators == 2
+    w = iso_search(X, Y)
+    assert w is not None and is_isomorphism(X, Y, w)
+    assert w == Matrix(field, [[0, 1], [1, 0]])
+    # e1 idempotent and e2 e2 = e3 (commutative) against the same with
+    # e2 e1 = e3 added (not commutative): equal invariants, distinct
+    C = Algebra(field, 3, {(0, 0, 0): field(1), (1, 1, 2): field(1)})
+    D = Algebra(field, 3, {(0, 0, 0): field(1), (1, 1, 2): field(1),
+                           (1, 0, 2): field(1)})
+    assert iso_search(C, D) is None
+    P = Matrix(field, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    w = iso_search(C, C.change_basis(P))
+    assert w is not None and is_isomorphism(C, C.change_basis(P), w)
+
+
+# ----------------------------------------------------------------------
+# property: the search recovers a basis change
+
+@settings(max_examples=20, deadline=None)
+@given(p=st.sampled_from([3, 5]), data=st.data())
+def test_iso_search_recovers_a_basis_change_over_fp(cat, p, data):
+    key = data.draw(st.sampled_from(
+        sorted(k for k, rec in cat.bases.items() if not rec.params)))
+    F = PrimeField(p)
+    A = cat.bases[key].algebra(F, {})
+    n = A.dim
+    P = Matrix(F, data.draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    assume(P.is_invertible())
+    B = A.change_basis(P)
+    w = iso_search(A, B)       # exhaustive: an isomorphism must be found
+    assert w is not None and is_isomorphism(A, B, w)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_iso_search_recovers_a_unitriangular_change_over_q(cat, data):
+    rec = cat.bases[data.draw(st.sampled_from(sorted(cat.bases)))]
+    A = rec.algebra(QQ, first_admissible_env(rec))
+    n = A.dim
+    signs = data.draw(st.lists(st.sampled_from([1, -1]),
+                               min_size=n * n, max_size=n * n))
+    P = Matrix(QQ, [[1 if i == j else signs[i * n + j] if j > i else 0
+                     for j in range(n)] for i in range(n)])
+    B = A.change_basis(P)
+    w = iso_search(A, B, height=3)
+    assert w is not None and is_isomorphism(A, B, w)
