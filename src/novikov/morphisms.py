@@ -223,34 +223,43 @@ def _solution_tuples(rows, size, vals, index, p=None):
     return out
 
 
-def _pool_fp(dim, p, system, functionals):
-    """The raw vectors x of F_p^dim that solve `system` (sum_j row[j] x_j
-    = row[dim] for each row) and lie outside the subspace cut out by
-    `functionals` (some functional does not vanish on x), in `product`
-    order."""
-    vals = range(p)
-    inside = set(_solution_tuples(
-        system + [w + [0] for w in functionals], dim, vals, vals, p))
-    return [x for x in _solution_tuples(system, dim, vals, vals, p)
-            if x not in inside]
+class _Pool:
+    """The candidate images of a generator, in pool order: over F_p
+    every vector of F_p^dim, in `product` order; over the other fields
+    the vectors whose support S has size 1, 2 or 3 and whose entries on
+    S are values of `_height_values(height)`, supports in `combinations`
+    order, then coefficient tuples in `product` order."""
 
+    def __init__(self, field, dim, height):
+        raw, p = field.raw, field.modulus
+        self.dim, self.p, self.zero = dim, p, raw(field.zero())
+        if p is not None:
+            self.supports = [tuple(range(dim))]
+            self.vals = self.index = range(p)
+        else:
+            self.supports = [supp for size in (1, 2, 3)
+                             for supp in combinations(range(dim), size)]
+            self.vals = [raw(field(c)) for c in _height_values(height)]
+            self.index = {c: i for i, c in enumerate(self.vals)}
 
-def _pool_q(dim, vals, index, zero, system, functionals):
-    """The pool vectors of `_candidate_vectors_q` (entries in vals, with
-    raw zero `zero`) that solve `system` and lie outside the subspace cut
-    out by `functionals` (as in `_pool_fp`), in pool order, generated
-    lazily support by support.  On a support S the points are those of
-    the system restricted to the columns in S, less the points that also
-    solve the functionals restricted to S."""
-    for size in (1, 2, 3):
-        for supp in combinations(range(dim), size):
+    def points(self, system, functionals):
+        """The pool vectors x that solve `system` (raw rows: sum_j row[j]
+        x_j = row[dim]) and lie outside the subspace cut out by
+        `functionals` (some functional does not vanish on x), in pool
+        order, generated lazily support by support.  On a support S the
+        points are those of the system restricted to the columns in S,
+        less the points that also solve the functionals restricted to
+        S."""
+        dim, vals, zero = self.dim, self.vals, self.zero
+        for supp in self.supports:
+            size = len(supp)
             rows = [[row[j] for j in supp] + [row[dim]] for row in system]
-            points = _solution_tuples(rows, size, vals, index)
+            points = _solution_tuples(rows, size, vals, self.index, self.p)
             if not points:
                 continue
             inside = set(_solution_tuples(
                 rows + [[w[j] for j in supp] + [zero] for w in functionals],
-                size, vals, index))
+                size, vals, self.index, self.p))
             for c in points:
                 if c not in inside:
                     v = [zero] * dim
@@ -259,17 +268,19 @@ def _pool_q(dim, vals, index, zero, system, functionals):
                     yield tuple(v)
 
 
-def _square_functionals(B: Algebra):
-    """The raw functionals that cut out B^2."""
+def _outside_square(B: Algebra, height):
+    """The pool over B's field less the vectors in B^2."""
     f = B.field
     raw = f.raw
-    return null_space([[raw(x) for x in row] for row in B.square().basis],
-                      B.dim, raw(f.zero()), raw(f.one()), f.modulus)
+    functionals = null_space(
+        [[raw(x) for x in row] for row in B.square().basis], B.dim,
+        raw(f.zero()), raw(f.one()), f.modulus)
+    return list(_Pool(f, B.dim, height).points([], functionals))
 
 
 def _candidate_vectors_fp(B: Algebra):
     """Every raw vector of F_p^dim outside B^2, in `product` order."""
-    return _pool_fp(B.dim, B.field.modulus, [], _square_functionals(B))
+    return _outside_square(B, 0)
 
 
 def _height_values(height: int):
@@ -290,27 +301,18 @@ def _height_values(height: int):
 
 def _candidate_vectors_q(B: Algebra, height: int):
     """Height-bounded raw vectors outside B^2, sparsest-first then by
-    height.
-
-    The pool is every vector whose support S has size 1, 2 or 3 and
-    whose entries on S are values p/q with |p|, q <= height: supports
-    in `combinations` order, then coefficient tuples in `product` order
-    over the values of `_height_values`, minus the vectors in B^2.  Over
-    a 4- or 5-dimensional base that is at most 14*4 + 196*6 + 2744*4 =
-    12,208 or 14*5 + 196*10 + 2744*10 = 29,470 vectors at height 3.
+    height: the `_Pool` at `height` minus the vectors in B^2.  Over a 4-
+    or 5-dimensional base that is at most 14*4 + 196*6 + 2744*4 = 12,208
+    or 14*5 + 196*10 + 2744*10 = 29,470 vectors at height 3.
 
     B^2 is the common kernel of the functionals that vanish on it, so a
-    tuple on S lies in B^2 exactly when it solves those functionals
-    restricted to S.  Such a tuple is fixed by its values at the free
-    columns of that system, so the excluded tuples are found by
+    tuple on a support S lies in B^2 exactly when it solves those
+    functionals restricted to S.  Such a tuple is fixed by its values at
+    the free columns of that system, so the excluded tuples are found by
     enumerating height values there only, and every other tuple is kept
-    without a membership test (`_pool_q` with no system).
+    without a membership test.
     """
-    f = B.field
-    vals = [f.raw(f(c)) for c in _height_values(height)]
-    index = {c: i for i, c in enumerate(vals)}
-    return list(_pool_q(B.dim, vals, index, f.raw(f.zero()), [],
-                        _square_functionals(B)))
+    return _outside_square(B, height)
 
 
 # ----------------------------------------------------------------------
@@ -342,28 +344,22 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
     zero, one = raw(f.zero()), raw(f.one())
     square = [[raw(x) for x in row] for row in B.square().basis] \
         if wb.minimal else []
-    if exhaustive:
-        def pool(system, functionals):
-            return _pool_fp(n, p, system, functionals)
-    else:
-        vals = [raw(f(c)) for c in _height_values(height)]
-        index = {c: i for i, c in enumerate(vals)}
-
-        def pool(system, functionals):
-            return _pool_q(n, vals, index, zero, system, functionals)
+    pool = _Pool(f, n, height)
     # each relation's right side as (word, raw coordinate) terms
     relations = [[(a, b, [(t, raw(c)) for t, c in enumerate(coords) if c])
                   for a, b, coords in lvl] for lvl in wb.relations]
 
     def degree(t, level):
         return wb.degree[t] if wb.word_level[t] == level else 0
+    # the relation of a word's own factors is an identity
+    word_pairs = {w[1:] for w in wb.words if w[0] == "prod"}
     affine = [[(a, b, terms) for a, b, terms in relations[lv]
-               if degree(a, lv) + degree(b, lv) <= 1
+               if (a, b) not in word_pairs
+               and degree(a, lv) + degree(b, lv) <= 1
                and all(degree(t, lv) <= 1 for t, _ in terms)]
               for lv in range(g)]
     linear_words = [[t for t in wb.new_words[lv] if wb.degree[t] == 1]
                     for lv in range(g)]
-    word_of = {w[1:]: t for t, w in enumerate(wb.words) if w[0] == "prod"}
     units = [tuple(one if i == j else zero for j in range(n))
              for i in range(n)]
     inverse = [[raw(x) for x in row] for row in wb.inverse.entries]
@@ -403,8 +399,6 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
         lin = {}
 
         def product_map(a, b):
-            if (a, b) in word_of and word_of[a, b] in lin:
-                return lin[word_of[a, b]]
             if a in lin:
                 return [multiply(u, images[b]) for u in lin[a]]
             return [multiply(images[a], u) for u in lin[b]]
@@ -440,8 +434,8 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
         if rank and pivots[-1] == n:
             return ()       # inconsistent: no image of this generator fits
         # the generators are words 0..g-1
-        return pool(red[:rank], null_space(square + images[:level], n,
-                                           zero, one, p))
+        return pool.points(red[:rank], null_space(
+            square + images[:level], n, zero, one, p))
 
     def extend(level):
         for cand in candidates(level):
