@@ -26,7 +26,8 @@ class Algebra:
     `_cache`: the sparse table (`nonzero_products`, and its raw-scalar
     copy behind `multiply_raw`), the triple products behind the identity
     checks, `square`, `power_filtration`,
-    `annihilator`, and Z^2 (`cohomology.cocycle_space`).  `__eq__` and
+    `annihilator`, and the cocycle equations and Z^2
+    (`cohomology.cocycle_equations`, `cohomology.cocycle_space`).  `__eq__` and
     `__hash__` ignore `_cache`, and `change_basis`/`quotient` build new
     algebras with empty caches, so cached values never leak between
     algebras.
@@ -53,9 +54,6 @@ class Algebra:
 
     # ------------------------------------------------------------------
     # multiplication
-
-    def basis_product(self, i: int, j: int):
-        return self.table[i][j]
 
     def multiply(self, x, y):
         """Bilinear extension: x, y vectors of field elements of length

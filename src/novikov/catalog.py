@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .algebra import Algebra
 from .cohomology import (Cocycle, DependentClasses, coboundary_space, flatten,
-                         in_Ts)
+                         form_sum, in_Ts)
 from .exprs import Expr, ExprError, SqrtNotInField
 from .extensions import central_extension
 from .fields import DivisionByZero, Field, QQ, PrimeField
@@ -77,10 +77,16 @@ class BaseRecord:
         self.extra_orbits = doc.get("extra_orbits") or []
         self.note = doc.get("note")
 
+    def excluded(self, field: Field, env) -> bool:
+        """Do the parameter values violate a recorded constraint?
+        Evaluation errors (SqrtNotInField, DivisionByZero, ExprError)
+        propagate."""
+        return not all(_exclusion_holds(x, field, env)
+                       for x in self.param_exclusions)
+
     def check_params(self, field: Field, env) -> bool:
         try:
-            return all(_exclusion_holds(x, field, env)
-                       for x in self.param_exclusions)
+            return not self.excluded(field, env)
         except (SqrtNotInField, DivisionByZero, ExprError):
             return False
 
@@ -143,19 +149,26 @@ class CatalogEntry:
         return {name: _evaluate(expr, field, env)
                 for name, expr in self.base_params.items()}
 
+    def excluded(self, field: Field, env) -> bool:
+        """Does the sample violate one of the entry's exclusions, or its
+        base parameters one of the base's?  Evaluation errors propagate."""
+        return not all(_exclusion_holds(x, field, env)
+                       for x in self.exclusions) or \
+            self.base.excluded(field, self.base_env(field, env))
+
+    def coefficients(self, field: Field, env):
+        """Per cocycle component, the (generator index, coefficient)
+        pairs at the sample; evaluation errors propagate."""
+        return [[(int(idx) - 1, _evaluate(expr, field, env))
+                 for idx, expr in comp.items()] for comp in self.cocycle_raw]
+
     def admissible(self, field: Field, env) -> bool:
         """Sample satisfies every exclusion and all expressions evaluate
         in the field."""
         try:
-            for x in self.exclusions:
-                if not _exclusion_holds(x, field, env):
-                    return False
-            benv = self.base_env(field, env)
-            if not self.base.check_params(field, benv):
+            if self.excluded(field, env):
                 return False
-            for comp in self.cocycle_raw:
-                for expr in comp.values():
-                    _evaluate(expr, field, env)
+            self.coefficients(field, env)
             return True
         except (SqrtNotInField, DivisionByZero, ExprError):
             return False
@@ -230,14 +243,8 @@ class CatalogEntry:
         benv = self.base_env(field, env)
         A = self.base.algebra(field, benv)
         nablas = self.base.nabla_matrices(field, benv)
-        comps = []
-        for comp in self.cocycle_raw:
-            m = Matrix.zero(field, A.dim, A.dim)
-            for idx, expr in comp.items():
-                c = _evaluate(expr, field, env)
-                m = m + nablas[int(idx) - 1] * c
-            comps.append(m)
-        return A, Cocycle(A, comps)
+        return A, Cocycle(A, [form_sum(A, [(c, nablas[t]) for t, c in comp])
+                              for comp in self.coefficients(field, env)])
 
     def extension(self, field: Field, sample, strict=True) -> Algebra:
         A, theta = self.specialize(field, sample, strict=strict)

@@ -205,31 +205,24 @@ def _base_env(rec, field, text):
 
 def cmd_verify_catalog(args):
     cat = load_catalog()
-    field = field_from_tag(args.field)
     labels = _entry_labels(cat, args.labels, "--labels") if args.labels \
         else list(cat.entries)
-    entries = [cat.entry(l) for l in labels]
-
-    def run(entry):
-        try:
-            return entry.label, verify_entry(entry, field)
-        except Exception as e:
-            return entry.label, [{"sample": None,
-                                  "checks": {"error": str(e)},
-                                  "passed": False}]
-
-    results = [run(e) for e in entries]
     failures = []
-    for label, reports in results:
-        for r in reports:
-            if not r["passed"]:
-                failures.append({
-                    "label": label,
-                    "sample": list(r["sample"]) if r["sample"] else [],
-                    "failed": sorted(k for k in PREDICATES
-                                     if not r["checks"].get(k, False)),
-                })
-    report = {"checked": len(results), "failures": failures}
+    for label in labels:
+        # a check that raises is a failure of its entry: it is reported
+        # with its error, and with no predicate, since none ran
+        try:
+            reports = verify_entry(cat.entry(label), args.field)
+        except Exception as e:
+            failures.append({"label": label, "failed": [],
+                             "error": f"{type(e).__name__}: {e}"})
+            continue
+        failures.extend({
+            "label": label,
+            "sample": list(r["sample"]),
+            "failed": sorted(k for k in PREDICATES if not r["checks"][k]),
+        } for r in reports if not r["passed"])
+    report = {"checked": len(labels), "failures": failures}
     _emit(report, args)
     return 1 if failures else 0
 
@@ -252,7 +245,7 @@ def cmd_census(args):
 
 
 def cmd_orbits_fp(args):
-    field = field_from_tag(args.field)
+    field = args.field
     if not isinstance(field, PrimeField):
         raise InputError("orbits-fp needs --field fp:p")
     cat = load_catalog()
@@ -365,6 +358,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.field = field_from_tag(args.field)
         return args.func(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -5,9 +5,8 @@ Bilinear forms on A are coordinatized in the Delta_ij basis
 (i, j); a form is an n^2-vector, row-major.  A Cocycle with s components
 is s such forms; it describes a map A x A -> F^s.
 
-The two cocycle equations (for theta in Z^2):
-    theta(xy, z) = theta(xz, y)
-    theta(xy, z) - theta(x, yz) = theta(yx, z) - theta(y, xz)
+Z^2 is the kernel of the cocycle equations, written once as the rows of
+`cocycle_equations`; the same rows check a Cocycle.
 """
 
 from __future__ import annotations
@@ -48,10 +47,17 @@ class Cocycle:
         self.s = len(comps)
         self.checked = check
         if check:
+            raw, p = base.field.raw, base.field.modulus
+            equations = cocycle_equations(base)
             for t, m in enumerate(self.components):
-                if not _satisfies_cocycle_equations(base, m):
-                    raise NotACocycle(f"component {t + 1} violates the "
-                                      "cocycle equations")
+                v = [raw(x) for row in m.entries for x in row]
+                for eq in equations:
+                    value = sum(c * v[col] for col, c in eq)
+                    if p is not None:
+                        value %= p
+                    if value:
+                        raise NotACocycle(f"component {t + 1} violates "
+                                          "the cocycle equations")
 
     def evaluate(self, x, y):
         """theta(x, y) as an s-tuple of scalars."""
@@ -126,85 +132,84 @@ def unflatten(base: Algebra, vec) -> Matrix:
                                for i in range(n)])
 
 
-def _satisfies_cocycle_equations(A: Algebra, m: Matrix) -> bool:
-    """Both cocycle equations for the form m on every basis triple, read
-    off the sparse table; the same verdict as membership in Z^2, which
-    is the kernel of exactly these equations."""
-    n, nz, z = A.dim, A.nonzero_products(), A.field.zero()
-    rows, cols = m.entries, m.transpose().entries
+def cocycle_equations(A: Algebra):
+    """The cocycle equations of A, as sparse raw rows ((column, raw
+    coefficient), ...) on the flattened form (column i*n + j holds
+    theta(e_i, e_j)), computed once per algebra.  For every basis triple
+    (e_i, e_j, e_k), read off the nonzero structure constants:
 
-    def pair(terms, vec):
-        # sum over (l, c) in terms of c * vec[l]
-        acc = z
-        for l, c in terms:
-            if vec[l]:
-                acc = acc + c * vec[l]
-        return acc
+        theta(e_i e_j, e_k) - theta(e_i e_k, e_j) = 0             (j < k)
+        theta(e_i e_j, e_k) - theta(e_i, e_j e_k)
+            - theta(e_j e_i, e_k) + theta(e_j, e_i e_k) = 0       (i < j)
 
-    # first[i][j][k] = theta(e_i e_j, e_k)
-    first = [[[pair(nz[i][j], cols[k]) for k in range(n)] for j in range(n)]
-             for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(j + 1, n):
-                if first[i][j][k] != first[i][k][j]:
-                    return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                # theta(e_i, e_j e_k) and theta(e_j, e_i e_k)
-                if first[i][j][k] - pair(nz[j][k], rows[i]) != \
-                   first[j][i][k] - pair(nz[i][k], rows[j]):
-                    return False
-    return True
+    The other triples repeat these up to sign; rows that cancel to zero
+    are left out."""
+    return A._memo("cocycle_equations", lambda: _cocycle_equations(A))
 
 
-def cocycle_space(A: Algebra) -> Subspace:
-    """Z^2(A, F) as a subspace of the n^2-dimensional form space,
-    computed once per algebra."""
-    return A._memo("cocycle_space", lambda: _cocycle_space(A))
+def _cocycle_equations(A: Algebra):
+    n, raw, p = A.dim, A.field.raw, A.field.modulus
+    nz = [[[(l, raw(c)) for l, c in terms] for terms in plane]
+          for plane in A.nonzero_products()]
 
+    def row(*parts):
+        # parts: (sign, terms of a product, step, offset); its term
+        # (l, c) adds sign * c at column l * step + offset, so step n,
+        # offset k reads theta(e_l, e_k) and step 1, offset i*n reads
+        # theta(e_i, e_l)
+        acc = {}
+        for sign, terms, step, offset in parts:
+            for l, c in terms:
+                col = l * step + offset
+                acc[col] = acc[col] + sign * c if col in acc else sign * c
+        if p is not None:
+            acc = {col: c % p for col, c in acc.items()}
+        return tuple((col, c) for col, c in sorted(acc.items()) if c)
 
-def _cocycle_space(A: Algebra) -> Subspace:
-    n = A.dim
-    f = A.field
-    z = f.zero()
     rows = []
     for i in range(n):
         for j in range(n):
-            pij = A.table[i][j]
             for k in range(n):
-                pik = A.table[i][k]
-                pjk = A.table[j][k]
-                pji = A.table[j][i]
-                # eq 1: theta(e_i e_j, e_k) - theta(e_i e_k, e_j) = 0
-                if k > j:  # (j,k) symmetric pair; skip duplicates
-                    row = [z] * (n * n)
-                    for l in range(n):
-                        if pij[l]:
-                            row[l * n + k] = row[l * n + k] + pij[l]
-                        if pik[l]:
-                            row[l * n + j] = row[l * n + j] - pik[l]
-                    if any(row):
-                        rows.append(row)
-                # eq 2: theta(e_i e_j, e_k) - theta(e_i, e_j e_k)
-                #     - theta(e_j e_i, e_k) + theta(e_j, e_i e_k) = 0
-                if j > i:  # antisymmetric in (i,j); skip duplicates
-                    row = [z] * (n * n)
-                    for l in range(n):
-                        if pij[l]:
-                            row[l * n + k] = row[l * n + k] + pij[l]
-                        if pji[l]:
-                            row[l * n + k] = row[l * n + k] - pji[l]
-                        if pjk[l]:
-                            row[i * n + l] = row[i * n + l] - pjk[l]
-                        if pik[l]:
-                            row[j * n + l] = row[j * n + l] + pik[l]
-                    if any(row):
-                        rows.append(row)
-    if not rows:
-        return Subspace.full(f, n * n)
-    return Matrix(f, rows).kernel()
+                if k > j:
+                    rows.append(row((1, nz[i][j], n, k), (-1, nz[i][k], n, j)))
+                if j > i:
+                    rows.append(row((1, nz[i][j], n, k), (-1, nz[j][i], n, k),
+                                    (-1, nz[j][k], 1, i * n),
+                                    (1, nz[i][k], 1, j * n)))
+    return tuple(r for r in rows if r)
+
+
+def cocycle_space(A: Algebra) -> Subspace:
+    """Z^2(A, F) as a subspace of the n^2-dimensional form space: the
+    kernel of `cocycle_equations`, computed once per algebra."""
+    def compute():
+        f, width = A.field, A.dim ** 2
+        zero = f.raw(f.zero())
+        dense = []
+        for eq in cocycle_equations(A):
+            v = [zero] * width
+            for col, c in eq:
+                v[col] = c
+            dense.append(v)
+        return Subspace.kernel(f, width, dense)
+    return A._memo("cocycle_space", compute)
+
+
+def form_sum(A: Algebra, terms) -> Matrix:
+    """The bilinear form sum(c * m) over the (coefficient, form) pairs
+    in `terms` (FieldElement coefficients, n x n Matrix forms), added up
+    on raw scalars in one pass."""
+    f, n = A.field, A.dim
+    raw = f.raw
+    acc = [[raw(f.zero())] * n for _ in range(n)]
+    for c, m in terms:
+        c = raw(c)
+        if c:
+            for out, row in zip(acc, m.entries):
+                for j, x in enumerate(row):
+                    if x:
+                        out[j] = out[j] + c * raw(x)
+    return Matrix(f, [[f.wrap(x) for x in row] for row in acc])
 
 
 def coboundary_space(A: Algebra) -> Subspace:

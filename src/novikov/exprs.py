@@ -48,23 +48,6 @@ class Expr:
         self.text = text
         self._ast = _parse(tokenize(text))
 
-    def variables(self):
-        names = set()
-
-        def walk(node):
-            kind = node[0]
-            if kind == "var":
-                names.add(node[1])
-            elif kind in ("add", "sub", "mul", "div"):
-                walk(node[1])
-                walk(node[2])
-            elif kind in ("neg", "sqrt"):
-                walk(node[1])
-            elif kind == "pow":
-                walk(node[1])
-        walk(self._ast)
-        return names
-
     def evaluate(self, field: Field, env=None) -> FieldElement:
         env = env or {}
 

@@ -289,95 +289,16 @@ class RationalField(Field):
         return "Q"
 
 
-class GaussianRationalField(Field):
-    """Q(i): elements a + b*i with rational a, b."""
+class _QuadraticArithmetic(Field):
+    """Q(g) with g^2 = d for the subclass's integer d (not a square):
+    elements a + b*g with rational a, b, stored as the pair (a, b)."""
+
+    d: int
 
     def from_rational(self, q):
         return FieldElement(self, (Fraction(q), Fraction(0)))
 
-    def i(self):
-        return FieldElement(self, (Fraction(0), Fraction(1)))
-
-    def add(self, a, b):
-        return FieldElement(self, (a.data[0] + b.data[0], a.data[1] + b.data[1]))
-
-    def mul(self, a, b):
-        (p, q), (r, s) = a.data, b.data
-        return FieldElement(self, (p * r - q * s, p * s + q * r))
-
-    def neg(self, a):
-        return FieldElement(self, (-a.data[0], -a.data[1]))
-
-    def inv(self, a):
-        p, q = a.data
-        n = p * p + q * q
-        if n == 0:
-            raise DivisionByZero("1/0 in Q(i)")
-        return FieldElement(self, (p / n, -q / n))
-
-    def is_zero(self, a):
-        return a.data == (0, 0)
-
-    def try_sqrt(self, a):
-        # (x + y i)^2 = a + b i  =>  x^2 - y^2 = a, 2xy = b.
-        # x^2 is a root of t^2 - a t - b^2/4, so needs rational sqrt twice.
-        p, q = a.data
-        qq = RationalField()
-        disc = qq.try_sqrt(qq.from_rational(p * p + q * q))
-        if disc is None:
-            return None
-        for sign in (1, -1):
-            x2 = (p + sign * disc.data) / 2
-            x = qq.try_sqrt(qq.from_rational(x2))
-            if x is None or (x.data == 0 and q != 0):
-                continue
-            if x.data == 0:
-                y = qq.try_sqrt(qq.from_rational(-p))
-                if y is None:
-                    continue
-                cand = FieldElement(self, (Fraction(0), y.data))
-            else:
-                cand = FieldElement(self, (x.data, q / (2 * x.data)))
-            if self.mul(cand, cand) == a:
-                if cand.data[0] < 0 or (cand.data[0] == 0 and cand.data[1] < 0):
-                    cand = self.neg(cand)
-                return cand
-        return None
-
-    def format(self, a):
-        p, q = a.data
-        return f"{_fmt_frac(p)}+{_fmt_frac(q)}*i"
-
-    _re = re.compile(rf"^({_FRAC_RE})\+({_FRAC_RE})\*i$")
-
-    def parse(self, text):
-        m = self._re.match(text.strip().replace(" ", ""))
-        if not m:
-            raise ValueError(f"bad Q(i) literal: {text!r}")
-        return FieldElement(self, (Fraction(m.group(1)), Fraction(m.group(2))))
-
-    def __eq__(self, other):
-        return isinstance(other, GaussianRationalField)
-
-    def __hash__(self):
-        return hash("Qi")
-
-    def __repr__(self):
-        return "Q(i)"
-
-
-class QuadraticField(Field):
-    """Q(sqrt d) for a fixed squarefree integer d >= 2."""
-
-    def __init__(self, d: int):
-        if d < 2 or _squarefree_part(d) != d:
-            raise ValueError(f"d must be a squarefree integer >= 2, got {d}")
-        self.d = d
-
-    def from_rational(self, q):
-        return FieldElement(self, (Fraction(q), Fraction(0)))
-
-    def sqrt_gen(self):
+    def _gen(self):
         return FieldElement(self, (Fraction(0), Fraction(1)))
 
     def add(self, a, b):
@@ -395,7 +316,7 @@ class QuadraticField(Field):
         n = p * p - q * q * self.d
         if n == 0:
             if p == 0 and q == 0:
-                raise DivisionByZero(f"1/0 in Q(sqrt {self.d})")
+                raise DivisionByZero(f"1/0 in {self!r}")
             raise DivisionByZero("norm zero (d not squarefree?)")
         return FieldElement(self, (p / n, -q / n))
 
@@ -403,8 +324,8 @@ class QuadraticField(Field):
         return a.data == (0, 0)
 
     def try_sqrt(self, a):
-        # (x + y sqrt(d))^2 = p + q sqrt(d): either y=0 / x=0 shortcut or
-        # x^2 solves t^2 - p t + d q^2 / 4 = 0 over Q.
+        # (x + y g)^2 = p + q g: either y=0 / x=0 shortcut or x^2 solves
+        # t^2 - p t + d q^2 / 4 = 0 over Q.
         p, q = a.data
         qq = RationalField()
         cands = []
@@ -430,6 +351,48 @@ class QuadraticField(Field):
                     cand = self.neg(cand)
                 return cand
         return None
+
+
+class GaussianRationalField(_QuadraticArithmetic):
+    """Q(i): elements a + b*i with rational a, b."""
+
+    d = -1
+
+    def i(self):
+        return self._gen()
+
+    def format(self, a):
+        p, q = a.data
+        return f"{_fmt_frac(p)}+{_fmt_frac(q)}*i"
+
+    _re = re.compile(rf"^({_FRAC_RE})\+({_FRAC_RE})\*i$")
+
+    def parse(self, text):
+        m = self._re.match(text.strip().replace(" ", ""))
+        if not m:
+            raise ValueError(f"bad Q(i) literal: {text!r}")
+        return FieldElement(self, (Fraction(m.group(1)), Fraction(m.group(2))))
+
+    def __eq__(self, other):
+        return isinstance(other, GaussianRationalField)
+
+    def __hash__(self):
+        return hash("Qi")
+
+    def __repr__(self):
+        return "Q(i)"
+
+
+class QuadraticField(_QuadraticArithmetic):
+    """Q(sqrt d) for a fixed squarefree integer d >= 2."""
+
+    def __init__(self, d: int):
+        if d < 2 or _squarefree_part(d) != d:
+            raise ValueError(f"d must be a squarefree integer >= 2, got {d}")
+        self.d = d
+
+    def sqrt_gen(self):
+        return self._gen()
 
     def format(self, a):
         p, q = a.data
@@ -459,7 +422,7 @@ class PrimeField(Field):
     """F_p for a prime p <= 2^31."""
 
     def __init__(self, p: int):
-        if not _is_prime(p) or p > 2 ** 31:
+        if p > 2 ** 31 or not _is_prime(p):
             raise ValueError(f"p must be a prime <= 2^31, got {p}")
         self.p = self.modulus = p
 

@@ -25,13 +25,13 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from .algebra import Algebra
-from .catalog import Catalog, CatalogEntry, _exclusion_holds
-from .cohomology import Cocycle, coboundary_space, h2_basis, in_Ts
-from .exprs import Expr, ExprError, SqrtNotInField
+from .catalog import Catalog
+from .cohomology import Cocycle, coboundary_space, form_sum, h2_basis, in_Ts
+from .exprs import ExprError, SqrtNotInField
 from .extensions import central_extension
 from .fields import DivisionByZero, PrimeField
 from .invariants import fingerprint
-from .linalg import Matrix, eliminate
+from .linalg import eliminate
 from .morphisms import enumerate_aut_fp, iso_search
 
 
@@ -162,14 +162,8 @@ def run_procedure_fp_report(A: Algebra, s: int, budget: int = 50_000_000):
     roots = _orbit_representatives(points, actions, p)
 
     def cocycle_at(pt):
-        comps = []
-        for row in pt:
-            m = Matrix.zero(f, A.dim, A.dim)
-            for c, nab in zip(row, mats):
-                if c:
-                    m = m + nab * f(c)
-            comps.append(m)
-        return Cocycle(A, comps, check=False)
+        return Cocycle(A, [form_sum(A, [(f(c), m) for c, m in zip(row, mats)])
+                           for row in pt], check=False)
 
     admissible = []
     for root in roots:
@@ -226,8 +220,7 @@ def specialized_tables_fp(catalog: Catalog, field: PrimeField, dim: int):
             env = {name: field(v) for name, v in zip(rec.params, combo)}
             name = key if not combo else f"{key}{list(combo)}"
             try:
-                if not all(_exclusion_holds(x, field, env)
-                           for x in rec.param_exclusions):
+                if rec.excluded(field, env):
                     continue
                 out.append((name, rec.algebra(field, env)))
             except (SqrtNotInField, DivisionByZero, ExprError) as e:
@@ -245,24 +238,11 @@ def specialized_entries_fp(catalog: Catalog, field: PrimeField, labels):
         for combo in iproduct(range(field.p), repeat=len(entry.params)):
             name = label if not entry.params else f"{label}{list(combo)}"
             try:
-                env = entry.sample_env(field, combo)
-                excluded = False
-                for x in entry.exclusions:
-                    if not _exclusion_holds(x, field, env):
-                        excluded = True
-                        break
-                if not excluded:
-                    benv = entry.base_env(field, env)
-                    for x in entry.base.param_exclusions:
-                        if not _exclusion_holds(x, field, benv):
-                            excluded = True
-                            break
-                if excluded:
+                if entry.excluded(field, entry.sample_env(field, combo)):
                     continue
-                for comp in entry.cocycle_raw:
-                    for expr in comp.values():
-                        Expr(expr).evaluate(field, env)
-                A, theta = entry.specialize(field, combo)
+                # not strict: the exclusions passed, and an evaluation
+                # error is listed as it is raised
+                A, theta = entry.specialize(field, combo, strict=False)
             except (SqrtNotInField, DivisionByZero, ExprError) as e:
                 skips.append((name, str(e)))
                 continue

@@ -9,7 +9,7 @@ unresolved pairs are reported as "undecided", never as distinct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from .algebra import Algebra
 from .cohomology import coboundary_space, cocycle_space
@@ -32,11 +32,6 @@ class Fingerprint:
     h2: int
     commutative: bool
     associative: bool
-
-    def as_dict(self):
-        d = asdict(self)
-        d["filtration"] = list(d["filtration"])
-        return d
 
 
 def fingerprint(A: Algebra) -> Fingerprint:

@@ -195,19 +195,11 @@ class Matrix:
     def rank(self):
         return self._eliminate()[1]
 
-    def pivot_columns(self):
-        return self._eliminate()[2]
-
     def kernel(self) -> "Subspace":
         """Right null space {v : M v = 0}."""
-        f = self.field
-        raw = f.raw
-        basis = null_space([[raw(x) for x in row] for row in self.entries],
-                           self.cols, raw(f.zero()), raw(f.one()), f.modulus)
-        return Subspace(f, self.cols, self._wrapped(basis))
-
-    def row_space(self) -> "Subspace":
-        return Subspace(self.field, self.cols, self.entries)
+        raw = self.field.raw
+        return Subspace.kernel(self.field, self.cols,
+                               [[raw(x) for x in row] for row in self.entries])
 
     def solve(self, rhs):
         """One solution x of M x = rhs, or None if inconsistent."""
@@ -273,6 +265,15 @@ class Subspace:
     @staticmethod
     def full(field, ambient):
         return Subspace(field, ambient, Matrix.identity(field, ambient).entries)
+
+    @staticmethod
+    def kernel(field, ambient, rows):
+        """The vectors of field^ambient that every raw row (`Field.raw`
+        scalars, `ambient` of them) sends to zero."""
+        raw, wrap = field.raw, field.wrap
+        basis = null_space(rows, ambient, raw(field.zero()), raw(field.one()),
+                           field.modulus)
+        return Subspace(field, ambient, [[wrap(x) for x in v] for v in basis])
 
     @property
     def dim(self):

@@ -268,21 +268,6 @@ class _Pool:
                     yield tuple(v)
 
 
-def _outside_square(B: Algebra, height):
-    """The pool over B's field less the vectors in B^2."""
-    f = B.field
-    raw = f.raw
-    functionals = null_space(
-        [[raw(x) for x in row] for row in B.square().basis], B.dim,
-        raw(f.zero()), raw(f.one()), f.modulus)
-    return list(_Pool(f, B.dim, height).points([], functionals))
-
-
-def _candidate_vectors_fp(B: Algebra):
-    """Every raw vector of F_p^dim outside B^2, in `product` order."""
-    return _outside_square(B, 0)
-
-
 def _height_values(height: int):
     """The nonzero rationals p/q with |p|, q <= height, ordered by
     |p| + q, then by absolute value, positive before negative."""
@@ -299,9 +284,11 @@ def _height_values(height: int):
     return vals
 
 
-def _candidate_vectors_q(B: Algebra, height: int):
-    """Height-bounded raw vectors outside B^2, sparsest-first then by
-    height: the `_Pool` at `height` minus the vectors in B^2.  Over a 4-
+def _candidate_vectors(B: Algebra, height: int):
+    """The raw vectors of the `_Pool` at `height` (ignored over F_p)
+    that lie outside B^2, in pool order: over F_p every vector of
+    F_p^dim outside B^2, in `product` order; over the other fields the
+    height-bounded vectors, sparsest first, then by height.  Over a 4-
     or 5-dimensional base that is at most 14*4 + 196*6 + 2744*4 = 12,208
     or 14*5 + 196*10 + 2744*10 = 29,470 vectors at height 3.
 
@@ -312,7 +299,12 @@ def _candidate_vectors_q(B: Algebra, height: int):
     enumerating height values there only, and every other tuple is kept
     without a membership test.
     """
-    return _outside_square(B, height)
+    f = B.field
+    raw = f.raw
+    functionals = null_space(
+        [[raw(x) for x in row] for row in B.square().basis], B.dim,
+        raw(f.zero()), raw(f.one()), f.modulus)
+    return list(_Pool(f, B.dim, height).points([], functionals))
 
 
 # ----------------------------------------------------------------------

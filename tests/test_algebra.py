@@ -37,7 +37,6 @@ def test_multiply_bilinearity():
     x = (QQ(2), QQ(0), QQ(0))
     y = (QQ(3), QQ(0), QQ(0))
     assert A3.multiply(x, y) == (QQ(0), QQ(6), QQ(0))
-    assert A3.basis_product(0, 0) == (QQ(0), QQ(1), QQ(0))
 
 
 def test_power_filtration_and_nilpotency():

@@ -1,14 +1,16 @@
 """Catalog data integrity and the entry construction pipeline."""
 
 import os
+from itertools import product
 
 import pytest
 
 from novikov.catalog import (CatalogError, InadmissibleSample, PREDICATES,
-                             census, class_coordinates, load_catalog,
-                             membership_checks, verify_entry)
+                             _evaluate, census, class_coordinates,
+                             load_catalog, membership_checks, verify_entry)
 from novikov.cohomology import Cocycle, DependentClasses
-from novikov.fields import QQ, PrimeField
+from novikov.exprs import ExprError, SqrtNotInField
+from novikov.fields import QQ, DivisionByZero, PrimeField
 from novikov.linalg import Matrix
 
 F5 = PrimeField(5)
@@ -153,3 +155,90 @@ def test_data_dir_override(cat, tmp_path, monkeypatch):
         load_catalog()
     monkeypatch.delenv("NOVIKOV_DATA")
     assert len(load_catalog()) == 218
+
+
+# ----------------------------------------------------------------------
+# specialization against the construction it replaced: the exclusions
+# tested by their own loop, every coefficient evaluated once for the
+# admissibility test and again for the form, and each component summed
+# with Matrix.zero and Matrix.__add__
+
+def _reference_exclusion_holds(excl, field, env):
+    if "nonzero" in excl:
+        return bool(_evaluate(excl["nonzero"], field, env))
+    if "any_nonzero" in excl:
+        return any(bool(_evaluate(e, field, env))
+                   for e in excl["any_nonzero"])
+    raise CatalogError(f"unknown exclusion form {excl!r}")
+
+
+def _reference_admissible(entry, field, env):
+    try:
+        for x in entry.exclusions:
+            if not _reference_exclusion_holds(x, field, env):
+                return False
+        benv = entry.base_env(field, env)
+        if not all(_reference_exclusion_holds(x, field, benv)
+                   for x in entry.base.param_exclusions):
+            return False
+        for comp in entry.cocycle_raw:
+            for expr in comp.values():
+                _evaluate(expr, field, env)
+        return True
+    except (SqrtNotInField, DivisionByZero, ExprError):
+        return False
+
+
+def _reference_specialize(entry, field, sample, strict=True):
+    env = entry.sample_env(field, sample)
+    if strict and not _reference_admissible(entry, field, env):
+        raise InadmissibleSample(f"{entry.label} at {sample!r}")
+    benv = entry.base_env(field, env)
+    A = entry.base.algebra(field, benv)
+    nablas = entry.base.nabla_matrices(field, benv)
+    comps = []
+    for comp in entry.cocycle_raw:
+        m = Matrix.zero(field, A.dim, A.dim)
+        for idx, expr in comp.items():
+            c = _evaluate(expr, field, env)
+            m = m + nablas[int(idx) - 1] * c
+        comps.append(m)
+    return A, Cocycle(A, comps)
+
+
+def _outcome(specialize, *args):
+    try:
+        A, theta = specialize(*args)
+    except (CatalogError, SqrtNotInField, DivisionByZero, ExprError) as e:
+        return type(e), str(e)
+    return A, theta.components
+
+
+def test_specialize_matches_reference(cat):
+    for entry in cat.entries.values():
+        for s in entry.default_samples(QQ):
+            assert _outcome(entry.specialize, QQ, s) == \
+                _outcome(_reference_specialize, entry, QQ, s)
+            env = entry.sample_env(QQ, s)
+            assert entry.admissible(QQ, env) == \
+                _reference_admissible(entry, QQ, env)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_specialize_matches_reference_at_every_tuple(cat, p):
+    # every parameter tuple over F_p, excluded and failing ones included
+    field = PrimeField(p)
+    verdicts = set()
+    for entry in cat.entries.values():
+        if len(entry.params) > 2:
+            continue
+        for s in product(range(p), repeat=len(entry.params)):
+            env = entry.sample_env(field, s)
+            ok = entry.admissible(field, env)
+            assert ok == _reference_admissible(entry, field, env)
+            verdicts.add(ok)
+            for strict in (True, False):
+                assert _outcome(entry.specialize, field, s, strict) == \
+                    _outcome(_reference_specialize, entry, field, s,
+                             strict), (entry.label, s, strict)
+    assert verdicts == {True, False}

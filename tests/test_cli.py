@@ -174,6 +174,32 @@ def test_verify_catalog_rejects_unknown_label(capsys):
     _one_line_error(capsys, "N_999")
 
 
+def test_verify_catalog_reports_errors(capsys):
+    # the curated sample -2 of N_011 is 0 mod 2, so specializing it
+    # raises: the failure carries the error and names no predicate
+    assert main(["--field", "fp:2", "verify-catalog",
+                 "--labels", "N_001,N_011"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["checked"] == 2
+    assert rep["failures"] == [{
+        "label": "N_011", "failed": [],
+        "error": "InadmissibleSample: N_011 at ('-2',)"}]
+
+
+@pytest.mark.parametrize("tag", [
+    "zz", "fp:4", "fp:", "qsqrt:x", "qsqrt:4",
+    "fp:170141183460469231731687303715884105727"])    # 2^127 - 1
+@pytest.mark.parametrize("command", [
+    ["check", "ALG"], ["h2", "ALG"], ["census"],
+    ["verify-catalog", "--labels", "N_001"],
+    ["orbits-fp", "--base", "N3s_02"]], ids=lambda c: c[0])
+def test_malformed_field_exits_2(alg_file, capsys, tag, command):
+    # each command succeeds with a valid tag
+    argv = [alg_file if a == "ALG" else a for a in command]
+    assert main(["--field", tag] + argv) == 2
+    _one_line_error(capsys)
+
+
 def test_fmt_idempotent(tmp_path, capsys):
     p = tmp_path / "doc.json"
     p.write_text('{"b":1,\n "a": [1,2]}')

@@ -6,14 +6,16 @@ import pytest
 
 from novikov.algebra import Algebra
 from novikov.cohomology import (Cocycle, DependentClasses, NotACocycle,
-                                _cocycle_space,
                                 NotCommutative, classes_independent,
                                 coboundary_of, coboundary_space,
-                                cocycle_space, flatten, h2_basis,
-                                h2_dimension, h2_symmetric_dimension,
-                                in_Ts, unflatten)
+                                cocycle_equations, cocycle_space, flatten,
+                                form_sum, h2_basis, h2_dimension,
+                                h2_symmetric_dimension, in_Ts, unflatten)
 from novikov.fields import QQ, GaussianRationalField, PrimeField
-from novikov.linalg import Matrix
+from novikov.fplab import specialized_tables_fp
+from novikov.linalg import Matrix, Subspace
+
+from conftest import first_admissible_env
 
 F5 = PrimeField(5)
 
@@ -114,14 +116,57 @@ def test_abelian_algebra_cocycles():
 
 
 # ----------------------------------------------------------------------
-# Cocycle(check=True) evaluates the cocycle equations on basis triples;
-# the reference is membership in the eliminated Z^2 it replaced.
+# Z^2 and Cocycle(check=True) share the sparse rows of cocycle_equations;
+# the reference is the dense row builder they replaced, and membership in
+# the Z^2 it eliminates.
 
 QI = GaussianRationalField()
 
 
+def _reference_cocycle_space(A):
+    n = A.dim
+    f = A.field
+    z = f.zero()
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            pij = A.table[i][j]
+            for k in range(n):
+                pik = A.table[i][k]
+                pjk = A.table[j][k]
+                pji = A.table[j][i]
+                # eq 1: theta(e_i e_j, e_k) - theta(e_i e_k, e_j) = 0
+                if k > j:  # (j,k) symmetric pair; skip duplicates
+                    row = [z] * (n * n)
+                    for l in range(n):
+                        if pij[l]:
+                            row[l * n + k] = row[l * n + k] + pij[l]
+                        if pik[l]:
+                            row[l * n + j] = row[l * n + j] - pik[l]
+                    if any(row):
+                        rows.append(row)
+                # eq 2: theta(e_i e_j, e_k) - theta(e_i, e_j e_k)
+                #     - theta(e_j e_i, e_k) + theta(e_j, e_i e_k) = 0
+                if j > i:  # antisymmetric in (i,j); skip duplicates
+                    row = [z] * (n * n)
+                    for l in range(n):
+                        if pij[l]:
+                            row[l * n + k] = row[l * n + k] + pij[l]
+                        if pji[l]:
+                            row[l * n + k] = row[l * n + k] - pji[l]
+                        if pjk[l]:
+                            row[i * n + l] = row[i * n + l] - pjk[l]
+                        if pik[l]:
+                            row[j * n + l] = row[j * n + l] + pik[l]
+                    if any(row):
+                        rows.append(row)
+    if not rows:
+        return Subspace.full(f, n * n)
+    return Matrix(f, rows).kernel()
+
+
 def _reference_is_cocycle(A, m):
-    return _cocycle_space(A).member(flatten(m))
+    return _reference_cocycle_space(A).member(flatten(m))
 
 
 def _random_form(A, rng, in_z2):
@@ -136,7 +181,8 @@ def _random_form(A, rng, in_z2):
     return unflatten(A, flat)
 
 
-@pytest.mark.parametrize("field", [QQ, QI, F5], ids=["Q", "Q(i)", "F_5"])
+@pytest.mark.parametrize("field", [QQ, QI, F5, PrimeField(2), PrimeField(3)],
+                         ids=["Q", "Q(i)", "F_5", "F_2", "F_3"])
 def test_cocycle_check_matches_reference(cat, field):
     rng = random.Random(str(field))
     verdicts = set()
@@ -169,11 +215,44 @@ def test_cocycle_space_computed_once_per_algebra():
     B = Algebra(QQ, 3, {(0, 0, 1): QQ(1), (0, 1, 2): QQ(1)})
     z2 = cocycle_space(B)
     assert cocycle_space(B) is z2
-    assert z2 == _cocycle_space(Algebra(QQ, 3, B.table))
+    assert cocycle_equations(B) is cocycle_equations(B)
+    assert z2 == _reference_cocycle_space(Algebra(QQ, 3, B.table))
     # a basis change is another algebra with its own Z^2
     C = B.change_basis(Matrix(QQ, [[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
-    assert cocycle_space(C) == _cocycle_space(C)
+    assert cocycle_space(C) == _reference_cocycle_space(C)
     assert cocycle_space(C) != z2
+
+
+@pytest.mark.parametrize("field", [QQ, QI, PrimeField(2), PrimeField(3), F5],
+                         ids=repr)
+def test_cocycle_space_matches_reference(cat, field):
+    # every base at its first admissible parameters (over F_p: at every
+    # admissible parameter tuple), and some dimension-5 extensions
+    if isinstance(field, PrimeField):
+        algebras = [A for dim in (3, 4)
+                    for _, A in specialized_tables_fp(cat, field, dim)[0]]
+    else:
+        algebras = [rec.algebra(field, first_admissible_env(rec, field))
+                    for _, rec in sorted(cat.bases.items())]
+    algebras += [cat.entry(label).extension(field, ())
+                 for label in ("N_001", "N_002", "N_013", "N_070")]
+    for A in algebras:
+        assert cocycle_space(A).basis == _reference_cocycle_space(A).basis, A
+
+
+def test_form_sum_matches_matrix_sum():
+    rng = random.Random(3)
+    for field in (QQ, QI, F5):
+        B = Algebra(field, 3, {})
+        for _ in range(20):
+            terms = [(field(rng.randint(-3, 3)),
+                      Matrix(field, [[rng.randint(-2, 2) for _ in range(3)]
+                                     for _ in range(3)]))
+                     for _ in range(rng.randint(0, 4))]
+            want = Matrix.zero(field, 3, 3)
+            for c, m in terms:
+                want = want + m * c
+            assert form_sum(B, terms) == want
 
 
 @pytest.mark.parametrize("entries, s, words", [

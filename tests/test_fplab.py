@@ -1,17 +1,23 @@
 """Finite-field pipeline: Grassmannian enumeration, orbits, cross-check."""
 
+from itertools import product
+
 import pytest
 
 from novikov import fplab
 from novikov.algebra import Algebra
 from novikov.cohomology import coboundary_space, flatten, h2_basis
-from novikov.fields import PrimeField, QQ
+from novikov.exprs import Expr, ExprError, SqrtNotInField
+from novikov.extensions import central_extension
+from novikov.fields import DivisionByZero, PrimeField, QQ
 from novikov.fplab import (crosscheck, grassmannian_points,
                            qualifies_as_extension, run_procedure_fp,
                            run_procedure_fp_report, specialized_entries_fp,
                            specialized_tables_fp)
 from novikov.linalg import Matrix
 from novikov.morphisms import enumerate_aut_fp, iso_search
+
+from test_catalog import _reference_exclusion_holds, _reference_specialize
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
@@ -263,3 +269,93 @@ def test_induced_h2_matrices_rejects_non_automorphism():
                     _reference_induced_h2_matrices):
         with pytest.raises(RuntimeError, match="left the cocycle space"):
             induced(A, reps, [Matrix.identity(F3, 2), phi])
+
+
+# ----------------------------------------------------------------------
+# both catalog specializations against their copies before they called
+# the catalog's exclusion test: their own exclusion loops, and a pass
+# that evaluated every cocycle coefficient before specializing
+
+def _reference_specialized_tables_fp(catalog, field, dim):
+    out, skips = [], []
+    for key, rec in sorted(catalog.bases.items()):
+        if rec.dim != dim:
+            continue
+        for combo in product(range(field.p), repeat=len(rec.params)):
+            env = {name: field(v) for name, v in zip(rec.params, combo)}
+            name = key if not combo else f"{key}{list(combo)}"
+            try:
+                if not all(_reference_exclusion_holds(x, field, env)
+                           for x in rec.param_exclusions):
+                    continue
+                out.append((name, rec.algebra(field, env)))
+            except (SqrtNotInField, DivisionByZero, ExprError) as e:
+                skips.append((name, str(e)))
+    return out, skips
+
+
+def _reference_specialized_entries_fp(catalog, field, labels):
+    out, skips = [], []
+    for label in labels:
+        entry = catalog.entry(label)
+        for combo in product(range(field.p), repeat=len(entry.params)):
+            name = label if not entry.params else f"{label}{list(combo)}"
+            try:
+                env = entry.sample_env(field, combo)
+                excluded = False
+                for x in entry.exclusions:
+                    if not _reference_exclusion_holds(x, field, env):
+                        excluded = True
+                        break
+                if not excluded:
+                    benv = entry.base_env(field, env)
+                    for x in entry.base.param_exclusions:
+                        if not _reference_exclusion_holds(x, field, benv):
+                            excluded = True
+                            break
+                if excluded:
+                    continue
+                for comp in entry.cocycle_raw:
+                    for expr in comp.values():
+                        Expr(expr).evaluate(field, env)
+                A, theta = _reference_specialize(entry, field, combo)
+            except (SqrtNotInField, DivisionByZero, ExprError) as e:
+                skips.append((name, str(e)))
+                continue
+            out.append((name, central_extension(A, theta)))
+    return out, skips
+
+
+def _tables(pool):
+    return [(name, A.to_json()) for name, A in pool]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_specializations_match_reference(cat, p):
+    field = PrimeField(p)
+    for dim in (3, 4):
+        out, skips = specialized_tables_fp(cat, field, dim)
+        ref_out, ref_skips = _reference_specialized_tables_fp(cat, field, dim)
+        assert (_tables(out), skips) == (_tables(ref_out), ref_skips)
+    # every entry whose tuples meet an exclusion of its own or of its
+    # base, or fail to evaluate, and a few without parameters
+    labels = [label for label, e in cat.entries.items()
+              if e.exclusions or e.base.param_exclusions] + \
+        ["N_001", "N_011", "N_012"]
+    out, skips = specialized_entries_fp(cat, field, labels)
+    ref_out, ref_skips = _reference_specialized_entries_fp(cat, field, labels)
+    assert (_tables(out), skips) == (_tables(ref_out), ref_skips)
+    assert skips
+    assert any(_excluded_by_base(cat.entry(label), field, combo)
+               for label in labels
+               for combo in product(range(p),
+                                    repeat=len(cat.entry(label).params)))
+
+
+def _excluded_by_base(entry, field, combo):
+    try:
+        benv = entry.base_env(field, entry.sample_env(field, combo))
+        return not all(_reference_exclusion_holds(x, field, benv)
+                       for x in entry.base.param_exclusions)
+    except (SqrtNotInField, DivisionByZero, ExprError):
+        return False

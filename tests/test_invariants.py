@@ -32,8 +32,6 @@ def test_fingerprint_fields():
     assert fp.filtration == (2, 1, 0)
     assert fp.ann == 1 and fp.square == 1 and fp.min_generators == 1
     assert fp.commutative and fp.associative
-    d = fp.as_dict()
-    assert d["filtration"] == [2, 1, 0]
 
 
 def test_separate_over_fp():

@@ -15,8 +15,7 @@ from novikov.fields import (QQ, GaussianRationalField, PrimeField,
                             QuadraticField)
 from novikov.linalg import Matrix, eliminate
 from novikov.morphisms import (BudgetExceeded, NotAutomorphism, WordBasis,
-                               _candidate_vectors_fp, _candidate_vectors_q,
-                               _search, act_on_cocycle,
+                               _candidate_vectors, _search, act_on_cocycle,
                                derivation_algebra, enumerate_aut_fp,
                                is_homomorphism, is_isomorphism, iso_search)
 
@@ -193,7 +192,7 @@ QI, QS2 = GaussianRationalField(), QuadraticField(2)
 ], ids=["zero-square", "full-square", "Q(i)", "Q(sqrt2)"])
 def test_candidate_pool_matches_reference(algebra):
     ops = _ReferenceOps(algebra)
-    pool = _candidate_vectors_q(algebra, 3)
+    pool = _candidate_vectors(algebra, 3)
     assert pool == _raw(algebra.field, _reference_pool(ops, 3))
     if not ops.sq.basis:
         assert len(pool) == 14 * 3 + 14 ** 2 * 3 + 14 ** 3
@@ -204,14 +203,14 @@ def test_candidate_pool_matches_reference(algebra):
 def test_candidate_pool_matches_reference_on_catalog(cat):
     base = cat.bases["N4_07"]
     B = base.algebra(QQ, first_admissible_env(base))
-    assert _candidate_vectors_q(B, 3) == \
+    assert _candidate_vectors(B, 3) == \
         _raw(QQ, _reference_pool(_ReferenceOps(B), 3))
     left = cat.meta["noted_isomorphisms"][1]["left"]
     assert left[0] == "N_016"
     entry = cat.entry(left[0])
     ext = entry.extension(QQ, tuple(left[1][p] for p in entry.params),
                           strict=False)
-    pool = _candidate_vectors_q(ext, 3)
+    pool = _candidate_vectors(ext, 3)
     assert len(pool) == 26096
     assert pool == _raw(QQ, _reference_pool(_ReferenceOps(ext), 3))
 
@@ -298,7 +297,7 @@ def test_enumerate_aut_fp_matches_reference(cat, key, p, order):
     F = PrimeField(p)
     A = cat.bases[key].algebra(F, {}) if key else \
         Algebra(F, 3, {(0, 0, 2): F(1), (1, 1, 2): F(2)})
-    assert _candidate_vectors_fp(A) == _reference_fp_pool(A)
+    assert _candidate_vectors(A, 0) == _reference_fp_pool(A)
     auts = [phi.entries for phi in enumerate_aut_fp(A)]
     assert auts == [phi.entries for phi in _reference_enumerate_aut_fp(A)]
     assert auts == [phi.entries for phi in _reference_search(
@@ -336,8 +335,7 @@ def _reference_search(A, B, budget, height, find_all):
     f = A.field
     raw, p = f.raw, f.modulus
     exhaustive = p is not None
-    pool = _candidate_vectors_fp(B) if exhaustive \
-        else _candidate_vectors_q(B, height)
+    pool = _candidate_vectors(B, height)
     relations = [[(a, b, [(t, raw(c)) for t, c in enumerate(coords) if c])
                   for a, b, coords in lvl] for lvl in wb.relations]
     multiply = B.multiply_raw
@@ -446,7 +444,7 @@ def test_search_skips_a_level_whose_system_is_inconsistent():
                         (1, 0, 2): F3(2), (1, 1, 2): F3(2)})
     Y = Algebra(F3, 3, {(0, 1, 2): F3(1), (1, 0, 2): F3(1),
                         (1, 1, 2): F3(2)})
-    first_level = len(_candidate_vectors_fp(Y))
+    first_level = len(_candidate_vectors(Y, 0))
     assert first_level == 24
     assert _search(X, Y, first_level, 0, find_all=True) == []
     with pytest.raises(BudgetExceeded):

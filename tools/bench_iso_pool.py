@@ -4,7 +4,7 @@
 
 For each of the 44 catalog bases at its first admissible parameters (the
 bases of the iso-q benchmark workload), build the height-3 pool of
-`morphisms._candidate_vectors_q` and time it.  One run covers all 44
+`morphisms._candidate_vectors` and time it.  One run covers all 44
 bases.  The record appended to BENCH_iso_pool.json (next to `tools/`)
 holds the median, minimum and spread (quartile distance over median) of
 five run totals in raw seconds, the pool sizes and a digest of the pools,
@@ -29,7 +29,7 @@ from itertools import product
 import novikov
 from novikov.catalog import SAMPLE_POOL, load_catalog
 from novikov.fields import QQ
-from novikov.morphisms import _candidate_vectors_q
+from novikov.morphisms import _candidate_vectors
 
 HEIGHT = 3
 RUNS = 5
@@ -68,7 +68,7 @@ def main():
     totals = []
     for _ in range(RUNS):
         start = time.perf_counter()
-        pools = [_candidate_vectors_q(B, HEIGHT) for B in bases]
+        pools = [_candidate_vectors(B, HEIGHT) for B in bases]
         totals.append(time.perf_counter() - start)
     sizes = {}
     for B, pool in zip(bases, pools):
