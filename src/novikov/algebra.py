@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .fields import Field, field_from_tag, field_tag
+from .fields import DivisionByZero, Field, field_from_tag, field_tag
 from .linalg import Matrix, SingularMatrix, Subspace
 
 
@@ -24,13 +24,13 @@ class Algebra:
 
     The table is immutable, so derived data is computed once and kept in
     `_cache`: the sparse table (`nonzero_products`, and its raw-scalar
-    copy behind `multiply_raw`), the triple products behind the identity
-    checks, `square`, `power_filtration`,
-    `annihilator`, and the cocycle equations and Z^2
-    (`cohomology.cocycle_equations`, `cohomology.cocycle_space`).  `__eq__` and
-    `__hash__` ignore `_cache`, and `change_basis`/`quotient` build new
-    algebras with empty caches, so cached values never leak between
-    algebras.
+    copy behind `multiply_raw`), the dense table on raw scalars
+    (`_raw_rows`), the triple products behind the identity checks,
+    `square`, `power_filtration`, `annihilator`, the cocycle equations
+    and Z^2 (`cohomology.cocycle_equations`, `cohomology.cocycle_space`)
+    and the `invariants.fingerprint`.  `__eq__` and `__hash__` ignore
+    `_cache`, and `change_basis`/`quotient` build new algebras with empty
+    caches, so cached values never leak between algebras.
     """
 
     __slots__ = ("field", "dim", "table", "_cache")
@@ -139,13 +139,12 @@ class Algebra:
 
     def _raw_rows(self):
         """(the table, the basis vectors, the zero vector) on raw
-        scalars."""
+        scalars, computed once."""
         raw = self.field.raw
-        table = [[tuple(map(raw, row)) for row in plane]
-                 for plane in self.table]
-        basis = [tuple(map(raw, self.basis_vector(i)))
-                 for i in range(self.dim)]
-        return table, basis, (raw(self.field.zero()),) * self.dim
+        return self._memo("raw_rows", lambda: (
+            [[tuple(map(raw, row)) for row in plane] for plane in self.table],
+            [tuple(map(raw, self.basis_vector(i))) for i in range(self.dim)],
+            (raw(self.field.zero()),) * self.dim))
 
     # ------------------------------------------------------------------
     # identities
@@ -192,13 +191,14 @@ class Algebra:
     # subspace machinery
 
     def product_space(self, S: Subspace, T: Subspace) -> Subspace:
-        vecs = [self.multiply(u, v) for u in S.basis for v in T.basis]
-        return Subspace(self.field, self.dim, vecs)
+        return Subspace.from_raw(self.field, self.dim, [
+            self.multiply_raw(u, v) for u in S._rows for v in T._rows])
 
     def square(self) -> Subspace:
         """A^2, spanned by the basis products."""
-        return self._memo("square", lambda: Subspace(
-            self.field, self.dim, [p for plane in self.table for p in plane]))
+        return self._memo("square", lambda: Subspace.from_raw(
+            self.field, self.dim,
+            [p for plane in self._raw_rows()[0] for p in plane if any(p)]))
 
     def power_filtration(self):
         """[A^1, A^2, ...] down to 0 or stabilization (a fresh list).
@@ -211,12 +211,12 @@ class Algebra:
         powers = [Subspace.full(self.field, self.dim), self.square()]
         while powers[-1].dim and powers[-1] != powers[-2]:
             m = len(powers) + 1
-            prods = (self.multiply(u, v) for i in range(1, m)
-                     for u in powers[i - 1].basis
-                     for v in powers[m - i - 1].basis)
+            prods = (self.multiply_raw(u, v) for i in range(1, m)
+                     for u in powers[i - 1]._rows
+                     for v in powers[m - i - 1]._rows)
             # most products vanish; zero rows change no span
-            powers.append(Subspace(self.field, self.dim,
-                                   [p for p in prods if any(p)]))
+            powers.append(Subspace.from_raw(self.field, self.dim,
+                                            [p for p in prods if any(p)]))
         return tuple(powers)
 
     def nilpotency_index(self):
@@ -233,18 +233,16 @@ class Algebra:
     def _operator_kernel(self, left: bool, right: bool) -> Subspace:
         """{x : x A = 0 (left) and A x = 0 (right)}: the kernel of the
         nonzero rows of the stacked multiplication operators."""
-        z = self.field.zero()
+        nz, zero, _ = self._memo("raw", self._raw_products)
         rows = {}
-        for a, plane in enumerate(self.nonzero_products()):
+        for a, plane in enumerate(nz):
             for b, terms in enumerate(plane):
                 for k, c in terms:
                     if left:   # e_k-coefficient of x e_b: sum_a x_a c_ab^k
-                        rows.setdefault((0, b, k), [z] * self.dim)[a] = c
+                        rows.setdefault((0, b, k), [zero] * self.dim)[a] = c
                     if right:  # e_k-coefficient of e_a x: sum_b x_b c_ab^k
-                        rows.setdefault((1, a, k), [z] * self.dim)[b] = c
-        if not rows:
-            return Subspace.full(self.field, self.dim)
-        return Matrix(self.field, list(rows.values())).kernel()
+                        rows.setdefault((1, a, k), [zero] * self.dim)[b] = c
+        return Subspace.kernel(self.field, self.dim, list(rows.values()))
 
     def left_annihilator(self) -> Subspace:
         """{x : x A = 0}."""
@@ -267,11 +265,10 @@ class Algebra:
         return self.dim - self.square().dim
 
     def commutator_space(self) -> Subspace:
-        vecs = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                vecs.append(_vsub(self.table[i][j], self.table[j][i]))
-        return Subspace(self.field, self.dim, vecs)
+        n, t = self.dim, self.table
+        return Subspace(self.field, n, [
+            [x - y for x, y in zip(t[i][j], t[j][i])]
+            for i in range(n) for j in range(i + 1, n)])
 
     def is_ideal(self, I: Subspace) -> bool:
         full = Subspace.full(self.field, self.dim)
@@ -332,16 +329,15 @@ class Algebra:
 
     @staticmethod
     def from_json(doc, field: Field | None = None) -> "Algebra":
-        f = field if field is not None else field_from_tag(doc["field"])
         n = check_size(doc, "dim")
+        f = field if field is not None else field_from_tag(doc["field"])
         table = {}
-        for t in doc["table"]:
+        for t in check_entries(doc, "table"):
             key = tuple(check_index(t, name, n) for name in "ijk")
             if key in table:
                 raise ValueError("duplicate entry (i, j, k) = "
                                  f"({t['i']}, {t['j']}, {t['k']})")
-            table[key] = f.parse(str(t["c"])) \
-                if isinstance(t["c"], str) else f(t["c"])
+            table[key] = check_scalar(t, f)
         return Algebra(f, n, table)
 
     def dumps(self):
@@ -370,12 +366,36 @@ def _is_int(value):
 
 
 def check_size(doc, name):
-    """doc[name], which must be a non-negative integer; ValueError
-    otherwise."""
+    """doc[name], for a JSON object doc, which must be a non-negative
+    integer; ValueError otherwise."""
+    if not isinstance(doc, dict):
+        raise ValueError("the document is not a JSON object")
     value = doc[name]
     if not _is_int(value) or value < 0:
         raise ValueError(f"{name} = {value!r} is not a non-negative integer")
     return value
+
+
+def check_entries(doc, name):
+    """doc[name], which must be a list of JSON objects; ValueError
+    otherwise."""
+    entries = doc[name]
+    if not isinstance(entries, list) or \
+            not all(isinstance(e, dict) for e in entries):
+        raise ValueError(f"{name} is not a list of JSON objects")
+    return entries
+
+
+def check_scalar(entry, field):
+    """entry["c"], a string literal or an integer, as an element of
+    field; ValueError otherwise (a float or a bool, or division by 0)."""
+    value = entry["c"]
+    if not isinstance(value, str) and not _is_int(value):
+        raise ValueError(f"c = {value!r} is not a string or an integer")
+    try:
+        return field(value)
+    except (ZeroDivisionError, DivisionByZero) as e:
+        raise ValueError(f"c = {value!r} divides by zero ({e})")
 
 
 def check_index(entry, name, bound):
@@ -392,6 +412,3 @@ def _triples(n, f):
     return [[[f(i, j, k) for k in range(n)] for j in range(n)]
             for i in range(n)]
 
-
-def _vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))

@@ -11,7 +11,8 @@ Z^2 is the kernel of the cocycle equations, written once as the rows of
 
 from __future__ import annotations
 
-from .algebra import Algebra, check_index, check_size
+from .algebra import (Algebra, check_entries, check_index, check_scalar,
+                      check_size)
 from .fields import FieldMismatch
 from .linalg import Matrix, Subspace
 
@@ -75,13 +76,12 @@ class Cocycle:
 
     def annihilator(self) -> Subspace:
         """{x in A : theta(x, A) = theta(A, x) = 0 for all components}."""
-        n = self.base.dim
+        f, n = self.base.field, self.base.dim
         rows = []
         for m in self.components:
-            for j in range(n):
-                rows.append([m[i, j] for i in range(n)])
-                rows.append([m[j, i] for i in range(n)])
-        return Matrix(self.base.field, rows).kernel()
+            raw = [[f.raw(x) for x in row] for row in m.entries]
+            rows += raw + [list(col) for col in zip(*raw)]
+        return Subspace.kernel(f, n, rows)
 
     def to_json(self):
         entries = []
@@ -95,15 +95,15 @@ class Cocycle:
 
     @staticmethod
     def from_json(doc, base: Algebra | None = None, check: bool = True):
+        s = check_size(doc, "s")
         if base is None:
             base = Algebra.from_json(doc["base"])
         f = base.field
         n = base.dim
-        s = check_size(doc, "s")
         z = f.zero()
         comps = [[[z] * n for _ in range(n)] for _ in range(s)]
         seen = set()
-        for e in doc["entries"]:
+        for e in check_entries(doc, "entries"):
             key = (check_index(e, "t", s), check_index(e, "i", n),
                    check_index(e, "j", n))
             if key in seen:
@@ -111,7 +111,7 @@ class Cocycle:
                                  f"({e['t']}, {e['i']}, {e['j']})")
             seen.add(key)
             t, i, j = key
-            comps[t][i][j] = f.parse(str(e["c"]))
+            comps[t][i][j] = check_scalar(e, f)
         return Cocycle(base, comps, check=check)
 
     def __eq__(self, other):
@@ -148,9 +148,8 @@ def cocycle_equations(A: Algebra):
 
 
 def _cocycle_equations(A: Algebra):
-    n, raw, p = A.dim, A.field.raw, A.field.modulus
-    nz = [[[(l, raw(c)) for l, c in terms] for terms in plane]
-          for plane in A.nonzero_products()]
+    n, p = A.dim, A.field.modulus
+    nz = A._memo("raw", A._raw_products)[0]
 
     def row(*parts):
         # parts: (sign, terms of a product, step, offset); its term
@@ -185,13 +184,9 @@ def cocycle_space(A: Algebra) -> Subspace:
     def compute():
         f, width = A.field, A.dim ** 2
         zero = f.raw(f.zero())
-        dense = []
-        for eq in cocycle_equations(A):
-            v = [zero] * width
-            for col, c in eq:
-                v[col] = c
-            dense.append(v)
-        return Subspace.kernel(f, width, dense)
+        return Subspace.kernel(f, width, [
+            [dict(eq).get(col, zero) for col in range(width)]
+            for eq in cocycle_equations(A)])
     return A._memo("cocycle_space", compute)
 
 
@@ -215,11 +210,10 @@ def form_sum(A: Algebra, terms) -> Matrix:
 def coboundary_space(A: Algebra) -> Subspace:
     """B^2(A, F): forms delta f (x, y) = f(xy); spanned by the dual-basis
     slices of the structure tensor."""
-    n = A.dim
-    vecs = []
-    for t in range(n):
-        vecs.append([A.table[i][j][t] for i in range(n) for j in range(n)])
-    return Subspace(A.field, n * n, vecs)
+    n, table = A.dim, A._raw_rows()[0]
+    return Subspace.from_raw(A.field, n * n, [
+        [table[i][j][t] for i in range(n) for j in range(n)]
+        for t in range(n)])
 
 
 def coboundary_of(A: Algebra, f_coeffs) -> Matrix:
@@ -249,18 +243,12 @@ def h2_symmetric_dimension(A: Algebra) -> int:
     """Dimension of the symmetric-cocycle classes (commutative A only)."""
     if not A.is_commutative():
         raise NotCommutative("symmetric cohomology needs a commutative base")
-    n = A.dim
-    f = A.field
-    z = f.zero()
-    # symmetric forms: theta_ij = theta_ji
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = [z] * (n * n)
-            row[i * n + j] = f.one()
-            row[j * n + i] = -f.one()
-            rows.append(row)
-    sym = Matrix(f, rows).kernel() if rows else Subspace.full(f, n * n)
+    n, f = A.dim, A.field
+    zero, one = f.raw(f.zero()), f.raw(f.one())
+    # symmetric forms: spanned by Delta_ij + Delta_ji (i < j) and Delta_ii
+    sym = Subspace.from_raw(f, n * n, [
+        [one if c in (i * n + j, j * n + i) else zero for c in range(n * n)]
+        for i in range(n) for j in range(i, n)])
     zsym = cocycle_space(A).intersect(sym)
     b2 = coboundary_space(A)  # symmetric since A is commutative
     return zsym.dim - b2.dim
@@ -268,8 +256,7 @@ def h2_symmetric_dimension(A: Algebra) -> int:
 
 def classes_independent(A: Algebra, thetas) -> bool:
     """Are the single-component cocycles' classes independent in H^2?"""
-    b2 = coboundary_space(A)
-    span = Subspace(A.field, A.dim ** 2, b2.basis)
+    span = coboundary_space(A)
     for th in thetas:
         v = flatten(th.components[0] if isinstance(th, Cocycle) else th)
         if span.member(v):

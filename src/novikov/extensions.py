@@ -53,13 +53,9 @@ def extension_annihilator_law(A: Algebra, theta: Cocycle):
     ann_ext = ext.annihilator()
     core = theta.annihilator().intersect(A.annihilator())
     f = A.field
-    z, o = f.zero(), f.one()
-    expected_vecs = [list(v) + [z] * s for v in core.basis]
-    for t in range(s):
-        v = [z] * (n + s)
-        v[n + t] = o
-        expected_vecs.append(v)
-    expected = Subspace(f, n + s, expected_vecs)
+    expected = Subspace(f, n + s, [list(v) + [f.zero()] * s
+                                   for v in core.basis]) + \
+        Subspace.unit_span(f, n + s, range(n, n + s))
     return ann_ext == expected, ann_ext
 
 

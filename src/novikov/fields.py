@@ -511,6 +511,8 @@ QQ = RationalField()
 
 def field_from_tag(tag: str) -> Field:
     """Field from a CLI/JSON tag: q | qi | qsqrt:d | fp:p."""
+    if not isinstance(tag, str):
+        raise ValueError(f"field tag {tag!r} is not a string")
     tag = tag.strip().lower()
     if tag == "q":
         return RationalField()

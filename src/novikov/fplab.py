@@ -82,7 +82,7 @@ def induced_h2_matrices(A: Algebra, reps, auts):
     mats = [[[raw(c) for c in row] for row in r.components[0].entries]
             for r in reps]
     cols = [[m[i][j] for i in range(n) for j in range(n)] for m in mats]
-    cols += [[raw(c) for c in v] for v in coboundary_space(A).basis]
+    cols += coboundary_space(A)._rows
     width = len(cols)
     rref, _, pivots = eliminate(
         [[col[r] for col in cols] + [int(r == c) for c in range(n * n)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra
-from .cohomology import coboundary_space, cocycle_space
+from .cohomology import cocycle_space, h2_dimension
 from .fields import PrimeField
 from .morphisms import BudgetExceeded, derivation_algebra, iso_search
 
@@ -35,8 +35,8 @@ class Fingerprint:
 
 
 def fingerprint(A: Algebra) -> Fingerprint:
-    z2 = cocycle_space(A).dim
-    return Fingerprint(
+    """The Fingerprint of A, computed once per algebra."""
+    return A._memo("fingerprint", lambda: Fingerprint(
         dim=A.dim,
         filtration=tuple(s.dim for s in A.power_filtration()),
         ann=A.annihilator().dim,
@@ -46,11 +46,11 @@ def fingerprint(A: Algebra) -> Fingerprint:
         commutator=A.commutator_space().dim,
         min_generators=A.min_generators(),
         der=derivation_algebra(A)[1],
-        z2=z2,
-        h2=z2 - coboundary_space(A).dim,
+        z2=cocycle_space(A).dim,
+        h2=h2_dimension(A),
         commutative=A.is_commutative(),
         associative=A.is_associative(),
-    )
+    ))
 
 
 def separate(named_algebras, budget: int = 5_000_000, height: int = 3):

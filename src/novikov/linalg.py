@@ -7,7 +7,9 @@ in column order; exact fields make this correct and deterministic.
 
 The row reduction itself is `eliminate` and `reduce`, which work on
 raw scalars (`Field.raw`; residues mod p when p is given) for every
-field; `Matrix` and `Subspace` convert at their boundary.
+field.  Every `Subspace` is built from raw rows by `Subspace.from_raw`,
+which eliminates them once and wraps only the RREF basis; `Matrix`
+still holds FieldElements and converts at its boundary.
 """
 
 from __future__ import annotations
@@ -221,11 +223,9 @@ class Matrix:
         if self.rows != self.cols:
             raise SingularMatrix("not square")
         n = self.rows
-        aug = Matrix(self.field, [
-            list(self.entries[i]) + list(Matrix.identity(self.field, n).entries[i])
-            for i in range(n)
-        ])
-        red, _, pivots = aug._eliminate()
+        unit = Matrix.identity(self.field, n).entries
+        red, _, pivots = Matrix(self.field, [
+            r + e for r, e in zip(self.entries, unit)])._eliminate()
         if pivots[:n] != list(range(n)):
             raise SingularMatrix("singular")
         return Matrix(self.field, self._wrapped(row[n:] for row in red[:n]))
@@ -249,31 +249,45 @@ class Subspace:
     __slots__ = ("field", "ambient", "basis", "_rows", "_pivots")
 
     def __init__(self, field: Field, ambient: int, vectors=()):
-        self.field = field
-        self.ambient = ambient
-        self._rows, self._pivots = [], []
-        if vectors:
-            m = Matrix(field, vectors)
-            if m.cols != ambient:
-                raise DimensionMismatch(f"ambient {ambient} vs {m.cols}")
-            red, rank, self._pivots = m._eliminate()
-            self._rows = red[:rank]
-            self.basis = tuple(map(tuple, m._wrapped(self._rows)))
-        else:
-            self.basis = ()
+        rows = [[field.raw(field(x)) for x in v] for v in vectors]
+        for row in rows:
+            if len(row) != ambient:
+                raise DimensionMismatch(f"ambient {ambient} vs {len(row)}")
+        self._span(field, ambient, rows)
+
+    def _span(self, field, ambient, rows):
+        self.field, self.ambient = field, ambient
+        red, rank, self._pivots = eliminate(rows, field.modulus)
+        self._rows = red[:rank]
+        self.basis = tuple(tuple(map(field.wrap, row)) for row in self._rows)
+
+    @staticmethod
+    def from_raw(field, ambient, rows):
+        """The span of raw rows (`Field.raw` scalars, residues in [0, p)
+        over F_p, `ambient` of them in each row)."""
+        S = Subspace.__new__(Subspace)
+        S._span(field, ambient, rows)
+        return S
 
     @staticmethod
     def full(field, ambient):
-        return Subspace(field, ambient, Matrix.identity(field, ambient).entries)
+        return Subspace.unit_span(field, ambient, range(ambient))
+
+    @staticmethod
+    def unit_span(field, ambient, cols):
+        """The span of the unit vectors e_j, j in cols."""
+        zero, one = field.raw(field.zero()), field.raw(field.one())
+        return Subspace.from_raw(field, ambient, [
+            [one if i == j else zero for i in range(ambient)] for j in cols])
 
     @staticmethod
     def kernel(field, ambient, rows):
         """The vectors of field^ambient that every raw row (`Field.raw`
         scalars, `ambient` of them) sends to zero."""
-        raw, wrap = field.raw, field.wrap
-        basis = null_space(rows, ambient, raw(field.zero()), raw(field.one()),
-                           field.modulus)
-        return Subspace(field, ambient, [[wrap(x) for x in v] for v in basis])
+        raw = field.raw
+        return Subspace.from_raw(field, ambient, null_space(
+            rows, ambient, raw(field.zero()), raw(field.one()),
+            field.modulus))
 
     @property
     def dim(self):
@@ -288,38 +302,28 @@ class Subspace:
                               self._pivots, f.modulus))
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.member(v) for v in other.basis)
+        self._check(other)
+        return not any(any(reduce(v, self._rows, self._pivots,
+                                  self.field.modulus)) for v in other._rows)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        return Subspace(self.field, self.ambient, list(self.basis) + list(other.basis))
+        return Subspace.from_raw(self.field, self.ambient,
+                                 self._rows + other._rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        # Zassenhaus-free: ker of stacked coordinates w.r.t. combined span.
+        # U ∩ W = (U^⊥ + W^⊥)^⊥ for the (nondegenerate) dot product
         self._check(other)
-        if not self.basis or not other.basis:
-            return Subspace(self.field, self.ambient)
-        # solve a*B1 = b*B2: kernel of [B1^T | -B2^T] gives coefficients
-        cols = []
-        for v in self.basis:
-            cols.append(list(v))
-        for v in other.basis:
-            cols.append([-x for x in v])
-        m = Matrix(self.field, cols).transpose()  # ambient x (d1+d2)
-        vecs = []
-        for coeff in m.kernel().basis:
-            a = coeff[: len(self.basis)]
-            vec = [self.field.zero()] * self.ambient
-            for c, bvec in zip(a, self.basis):
-                vec = [u + c * w for u, w in zip(vec, bvec)]
-            vecs.append(vec)
-        return Subspace(self.field, self.ambient, vecs)
+        f, n = self.field, self.ambient
+        zero, one = f.raw(f.zero()), f.raw(f.one())
+        return Subspace.kernel(f, n, [
+            v for S in (self, other)
+            for v in null_space(S._rows, n, zero, one, f.modulus)])
 
     def quotient_basis(self, sub: "Subspace"):
         """Coset representatives completing `sub` inside self (self >= sub)."""
         self._check(sub)
-        reps = []
-        acc = Subspace(self.field, self.ambient, sub.basis)
+        reps, acc = [], sub
         for v in self.basis:
             if not acc.member(v):
                 reps.append(v)
@@ -329,14 +333,9 @@ class Subspace:
     def coordinate_complement(self):
         """Lexicographically-first coordinate complement of self."""
         pivots = set(self._pivots)
-        z, o = self.field.zero(), self.field.one()
-        vecs = []
-        for j in range(self.ambient):
-            if j not in pivots:
-                v = [z] * self.ambient
-                v[j] = o
-                vecs.append(v)
-        return Subspace(self.field, self.ambient, vecs)
+        return Subspace.unit_span(self.field, self.ambient,
+                                  [j for j in range(self.ambient)
+                                   if j not in pivots])
 
     def _check(self, other):
         if self.ambient != other.ambient or self.field != other.field:

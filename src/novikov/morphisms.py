@@ -75,30 +75,29 @@ def act_on_cocycle(A: Algebra, phi: Matrix, theta: Cocycle) -> Cocycle:
 def derivation_algebra(A: Algebra):
     """(Subspace of n^2-flattened derivation matrices, its dimension).
     D(xy) = D(x)y + xD(y); kernel of the induced linear system."""
-    n = A.dim
-    f = A.field
-    z = f.zero()
+    n, f, p = A.dim, A.field, A.field.modulus
+    table, zero = A._raw_rows()[0], f.raw(f.zero())
     rows = []
     for i in range(n):
         for j in range(n):
             for m in range(n):
-                row = [z] * (n * n)
+                row = [zero] * (n * n)
                 for l in range(n):
-                    c = A.table[i][j][l]
+                    c = table[i][j][l]
                     if c:
                         row[m * n + l] = row[m * n + l] + c
                 for k in range(n):
-                    c = A.table[k][j][m]
+                    c = table[k][j][m]
                     if c:
                         row[k * n + i] = row[k * n + i] - c
-                    c = A.table[i][k][m]
+                    c = table[i][k][m]
                     if c:
                         row[k * n + j] = row[k * n + j] - c
+                if p is not None:
+                    row = [x % p for x in row]
                 if any(row):
                     rows.append(row)
-    if not rows:
-        return Subspace.full(f, n * n), n * n
-    ker = Matrix(f, rows).kernel()
+    ker = Subspace.kernel(f, n * n, rows)
     return ker, ker.dim
 
 
@@ -301,9 +300,8 @@ def _candidate_vectors(B: Algebra, height: int):
     """
     f = B.field
     raw = f.raw
-    functionals = null_space(
-        [[raw(x) for x in row] for row in B.square().basis], B.dim,
-        raw(f.zero()), raw(f.one()), f.modulus)
+    functionals = null_space(B.square()._rows, B.dim, raw(f.zero()),
+                             raw(f.one()), f.modulus)
     return list(_Pool(f, B.dim, height).points([], functionals))
 
 
@@ -334,8 +332,7 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
     exhaustive = p is not None
     n = A.dim
     zero, one = raw(f.zero()), raw(f.one())
-    square = [[raw(x) for x in row] for row in B.square().basis] \
-        if wb.minimal else []
+    square = B.square()._rows if wb.minimal else []
     pool = _Pool(f, n, height)
     # each relation's right side as (word, raw coordinate) terms
     relations = [[(a, b, [(t, raw(c)) for t, c in enumerate(coords) if c])

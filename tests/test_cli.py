@@ -217,8 +217,8 @@ def test_input_errors(tmp_path, capsys):
     assert main(["check", str(bad)]) == 2
 
 
-def _table(*triples):
-    return [{"i": i, "j": j, "k": k, "c": "1"} for i, j, k in triples]
+def _table(*triples, c="1"):
+    return [{"i": i, "j": j, "k": k, "c": c} for i, j, k in triples]
 
 
 @pytest.mark.parametrize("doc, words", [
@@ -232,13 +232,36 @@ def _table(*triples):
     ({"dim": 2, "field": "q", "table": _table((1, "1", 2))}, "j = '1'"),
     ({"dim": -1, "field": "q", "table": []}, "dim = -1"),
     ({"dim": 2.5, "field": "q", "table": []}, "dim = 2.5"),
+    # each of these used to raise a traceback and exit 1
+    ({"dim": 2, "field": "q", "table": _table((1, 1, 2), c="1/0")},
+     "divides by zero"),
+    ({"dim": 2, "field": 5, "table": []}, "field tag 5"),
+    ([{"dim": 2, "field": "q", "table": []}], "not a JSON object"),
+    ({"dim": 2, "field": "q", "table": [7]}, "table is not a list"),
+    ({"dim": 2, "field": "q", "table": None}, "table is not a list"),
+    ({"dim": 2, "field": "q", "table": _table((1, 1, 2), c=None)},
+     "c = None"),
+    ({"dim": 2, "field": "q", "table": _table((1, 1, 2), c=[1])},
+     "c = [1]"),
+    # each of these used to build a wrong constant silently
+    ({"dim": 2, "field": "q", "table": _table((1, 1, 2), c=0.1)},
+     "c = 0.1"),
+    ({"dim": 2, "field": "fp:5", "table": _table((1, 1, 2), c=0.5)},
+     "c = 0.5"),
+    ({"dim": 2, "field": "q", "table": _table((1, 1, 2), c=True)},
+     "c = True"),
 ], ids=["zero-index", "index-past-dim", "duplicate-triple",
-        "string-index", "negative-dim", "fractional-dim"])
+        "string-index", "negative-dim", "fractional-dim",
+        "division-by-zero", "integer-field", "top-level-list",
+        "entry-not-object", "null-table", "null-coefficient",
+        "list-coefficient", "float-coefficient", "float-coefficient-fp5",
+        "bool-coefficient"])
 def test_check_rejects_malformed_algebra(tmp_path, capsys, doc, words):
     p = tmp_path / "alg.json"
     p.write_text(json.dumps(doc))
-    assert main(["check", str(p)]) == 2
-    _one_line_error(capsys, "alg.json", words)
+    for command in ("check", "h2"):
+        assert main([command, str(p)]) == 2
+        _one_line_error(capsys, "alg.json", words)
 
 
 @pytest.mark.parametrize("entries, words", [
@@ -247,8 +270,12 @@ def test_check_rejects_malformed_algebra(tmp_path, capsys, doc, words):
     ([{"t": 1, "i": 1, "j": 1, "c": "1"}, {"t": 1, "i": 1, "j": 1, "c": "0"}],
      "duplicate"),
     ([{"t": 1, "i": 1, "c": "1"}], "'j'"),
+    ([{"t": 1, "i": 1, "j": 1, "c": "1/0"}], "divides by zero"),
+    ([7], "entries is not a list"),
+    ([{"t": 1, "i": 1, "j": 1, "c": 0.5}], "c = 0.5"),
 ], ids=["index-past-dim", "component-past-s", "duplicate-triple",
-        "missing-index"])
+        "missing-index", "division-by-zero", "entry-not-object",
+        "float-coefficient"])
 def test_extend_rejects_malformed_cocycle(alg_file, tmp_path, capsys,
                                           entries, words):
     coc = tmp_path / "coc.json"

@@ -310,3 +310,65 @@ def test_eliminate_and_reduce_match_reference(field):
             if p is not None:
                 assert tuple(residual) == _reference_fp_reduce(
                     [raw(x) for x in vec], got[:rank], p)
+
+
+def _raw_entries(field):
+    if field.modulus is not None:
+        return st.integers(min_value=0, max_value=field.modulus - 1)
+    return st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_from_raw_equals_constructor(data):
+    # the span of raw rows, zero and repeated rows included, is the span
+    # of the same rows as FieldElements, with the same raw rows and pivots
+    field = data.draw(st.sampled_from([QQ, F2, PrimeField(3), F5]))
+    n = data.draw(st.integers(min_value=0, max_value=5))
+    rows = data.draw(st.lists(st.lists(_raw_entries(field), min_size=n,
+                                       max_size=n), max_size=6))
+    if rows and data.draw(st.booleans()):
+        rows.append(list(data.draw(st.sampled_from(rows))))
+    if data.draw(st.booleans()):
+        rows.insert(data.draw(st.integers(0, len(rows))),
+                    [field.raw(field.zero())] * n)
+    wrapped = [[field.wrap(x) for x in row] for row in rows]
+    got = Subspace.from_raw(field, n, rows)
+    want = Subspace(field, n, wrapped)
+    assert got == want
+    assert (got._rows, got._pivots) == (want._rows, want._pivots)
+    red, rank, pivots = _reference_eliminate(field, wrapped)
+    assert got.basis == tuple(map(tuple, red[:rank]))
+    assert got._pivots == pivots
+
+
+def _reference_intersect(U, W):
+    """U ∩ W from the kernel of [U^T | -W^T] in FieldElement arithmetic,
+    as `Subspace.intersect` computed it before it ran on raw rows."""
+    if not U.basis or not W.basis:
+        return Subspace(U.field, U.ambient)
+    cols = [list(v) for v in U.basis] + [[-x for x in v] for v in W.basis]
+    vecs = []
+    for coeff in Matrix(U.field, cols).transpose().kernel().basis:
+        vec = [U.field.zero()] * U.ambient
+        for c, bvec in zip(coeff[:len(U.basis)], U.basis):
+            vec = [u + c * w for u, w in zip(vec, bvec)]
+        vecs.append(vec)
+    return Subspace(U.field, U.ambient, vecs)
+
+
+@pytest.mark.parametrize("field", [QQ, QI, QS2, F2, F5], ids=repr)
+def test_intersect_and_contains_match_reference(field):
+    rng = random.Random(repr(field))
+    sizes = set()
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        U, W = (Subspace(field, n, _random_rows(rng, field,
+                                                rng.randint(0, 4), n))
+                for _ in range(2))
+        got, want = U.intersect(W), _reference_intersect(U, W)
+        assert (got.basis, got._pivots) == (want.basis, want._pivots)
+        sizes.add(got.dim)
+        for S, T in ((U, W), (U + W, U), (got, U)):
+            assert S.contains(T) == all(S.member(v) for v in T.basis)
+    assert 0 in sizes and max(sizes) > 0
