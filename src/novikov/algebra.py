@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 
 from .fields import DivisionByZero, Field, field_from_tag, field_tag
-from .linalg import Matrix, SingularMatrix, Subspace
+from .linalg import (DimensionMismatch, Matrix, SingularMatrix, Subspace,
+                     reduce, solve_in_basis)
 
 
 class NotAnIdeal(Exception):
@@ -276,41 +277,38 @@ class Algebra:
             I.contains(self.product_space(full, I))
 
     def quotient(self, I: Subspace) -> "Algebra":
-        """A / I on the lexicographically-first coordinate complement."""
+        """A / I on the lexicographically-first coordinate complement, the
+        e_j at the non-pivot columns j of I: a product reduced against
+        I's RREF basis is zero at the pivots, so its other entries are
+        its coordinates on the complement."""
         if not self.is_ideal(I):
             raise NotAnIdeal("quotient by a non-ideal")
-        comp = I.coordinate_complement()
-        reps = list(comp.basis)
-        m = len(reps)
-        # projection to the complement modulo I, in the reps coordinates
-        stack = Matrix(self.field, [list(v) for v in reps] +
-                       [list(v) for v in I.basis]).transpose()
-        table = {}
-        for a in range(m):
-            for b in range(m):
-                prod = self.multiply(reps[a], reps[b])
-                coeff = stack.solve(prod)
-                for k in range(m):
-                    if coeff[k]:
-                        table[(a, b, k)] = coeff[k]
-        return Algebra(self.field, m, table)
+        free = [j for j in range(self.dim) if j not in I._pivots]
+        table, f = self._raw_rows()[0], self.field
+
+        def coordinates(v):
+            w = reduce(v, I._rows, I._pivots, f.modulus)
+            return [f.wrap(w[c]) for c in free]
+        return Algebra(f, len(free), [[coordinates(table[i][j]) for j in free]
+                                      for i in free])
 
     def change_basis(self, P: Matrix) -> "Algebra":
         """Same product expressed in the basis f_i = sum_j P[j][i] e_j
         (columns of P are the new basis vectors)."""
-        if not P.is_invertible():
+        n, f = self.dim, self.field
+        if P.rows != P.cols:
             raise SingularMatrix("basis change by a singular matrix")
-        Pinv = P.inverse()
-        table = {}
-        for i in range(self.dim):
-            fi = P.col(i)
-            for j in range(self.dim):
-                prod = self.multiply(fi, P.col(j))
-                coeff = Pinv.apply(prod)
-                for k in range(self.dim):
-                    if coeff[k]:
-                        table[(i, j, k)] = coeff[k]
-        return Algebra(self.field, self.dim, table)
+        if P.rows != n:
+            raise DimensionMismatch(f"a {P.rows}x{P.cols} basis change "
+                                    f"of a {n}-dimensional algebra")
+        cols = P.transpose()._raw()
+        solved = solve_in_basis(cols, [self.multiply_raw(u, v) for u in cols
+                                       for v in cols], f.modulus)
+        if solved is None:
+            raise SingularMatrix("basis change by a singular matrix")
+        return Algebra(f, n, {(t // n, t % n, k): f.wrap(c)
+                              for k, row in enumerate(solved[0])
+                              for t, c in enumerate(row) if c})
 
     # ------------------------------------------------------------------
     # serialization

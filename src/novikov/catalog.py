@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 
 from .algebra import Algebra
-from .cohomology import (Cocycle, DependentClasses, coboundary_space, flatten,
-                         form_sum, in_Ts)
+from .cohomology import (Cocycle, DependentClasses, coboundary_space,
+                         flatten_raw, form_sum, in_Ts)
 from .exprs import Expr, ExprError, SqrtNotInField
 from .extensions import central_extension
 from .fields import DivisionByZero, Field, QQ, PrimeField
-from .linalg import Matrix
+from .linalg import Matrix, solve_in_basis
 
 DATA_ENV = "NOVIKOV_DATA"
 
@@ -165,13 +164,21 @@ class CatalogEntry:
     def admissible(self, field: Field, env) -> bool:
         """Sample satisfies every exclusion and all expressions evaluate
         in the field."""
+        return self._admitted(field, env) is not None
+
+    def _admitted(self, field: Field, env):
+        """(base parameter values, `coefficients`) at an admissible
+        sample, each expression evaluated once; None otherwise."""
         try:
-            if self.excluded(field, env):
-                return False
-            self.coefficients(field, env)
-            return True
+            if not all(_exclusion_holds(x, field, env)
+                       for x in self.exclusions):
+                return None
+            benv = self.base_env(field, env)
+            if self.base.excluded(field, benv):
+                return None
+            return benv, self.coefficients(field, env)
         except (SqrtNotInField, DivisionByZero, ExprError):
-            return False
+            return None
 
     def sample_env(self, field: Field, sample):
         if len(sample) != len(self.params):
@@ -238,13 +245,16 @@ class CatalogEntry:
         entry's own exclusions are ignored (boundary values stay
         constructible as long as the expressions evaluate)."""
         env = self.sample_env(field, sample)
-        if strict and not self.admissible(field, env):
+        admitted = self._admitted(field, env) if strict else None
+        if strict and admitted is None:
             raise InadmissibleSample(f"{self.label} at {sample!r}")
-        benv = self.base_env(field, env)
+        benv = admitted[0] if strict else self.base_env(field, env)
         A = self.base.algebra(field, benv)
         nablas = self.base.nabla_matrices(field, benv)
+        coefficients = admitted[1] if strict else \
+            self.coefficients(field, env)
         return A, Cocycle(A, [form_sum(A, [(c, nablas[t]) for t, c in comp])
-                              for comp in self.coefficients(field, env)])
+                              for comp in coefficients])
 
     def extension(self, field: Field, sample, strict=True) -> Algebra:
         A, theta = self.specialize(field, sample, strict=strict)
@@ -349,15 +359,17 @@ def verify_entry(entry: CatalogEntry, field: Field = QQ, samples=None):
 
 def class_coordinates(A: Algebra, theta: Cocycle, nabla_mats):
     """Coordinates of theta's components in the printed class basis,
-    modulo coboundaries.  Raises if a component is outside the span."""
-    cob = list(coboundary_space(A).basis)
-    cols = [list(flatten(m)) for m in nabla_mats] + [list(v) for v in cob]
-    stack = Matrix(A.field, cols).transpose()
-    out = []
-    for m in theta.components:
-        sol = stack.solve(list(flatten(m)))
-        if sol is None:
-            raise CatalogError("component outside the printed class span")
-        out.append(tuple(sol[:len(nabla_mats)]))
-    return out
-
+    modulo coboundaries (the classes followed by B^2 are the basis of
+    one `solve_in_basis`).  Raises CatalogError if the classes are
+    dependent modulo B^2 or a component is outside their span."""
+    f = A.field
+    solved = solve_in_basis(
+        [flatten_raw(m) for m in nabla_mats] + coboundary_space(A)._rows,
+        [flatten_raw(m) for m in theta.components], f.modulus)
+    if solved is None:
+        raise CatalogError("printed classes dependent modulo coboundaries")
+    coords, residual = solved
+    if any(any(row) for row in residual):
+        raise CatalogError("component outside the printed class span")
+    return [tuple(f.wrap(row[t]) for row in coords[:len(nabla_mats)])
+            for t in range(theta.s)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .algebra import (Algebra, check_entries, check_index, check_scalar,
                       check_size)
 from .fields import FieldMismatch
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, eliminate
 
 
 class NotACocycle(Exception):
@@ -48,10 +48,9 @@ class Cocycle:
         self.s = len(comps)
         self.checked = check
         if check:
-            raw, p = base.field.raw, base.field.modulus
-            equations = cocycle_equations(base)
+            p, equations = base.field.modulus, cocycle_equations(base)
             for t, m in enumerate(self.components):
-                v = [raw(x) for row in m.entries for x in row]
+                v = flatten_raw(m)
                 for eq in equations:
                     value = sum(c * v[col] for col, c in eq)
                     if p is not None:
@@ -124,6 +123,11 @@ class Cocycle:
 
 def flatten(m: Matrix):
     return tuple(m[i, j] for i in range(m.rows) for j in range(m.cols))
+
+
+def flatten_raw(m: Matrix):
+    """`flatten` on raw scalars (`Field.raw`)."""
+    return [x for row in m._raw() for x in row]
 
 
 def unflatten(base: Algebra, vec) -> Matrix:
@@ -255,14 +259,13 @@ def h2_symmetric_dimension(A: Algebra) -> int:
 
 
 def classes_independent(A: Algebra, thetas) -> bool:
-    """Are the single-component cocycles' classes independent in H^2?"""
-    span = coboundary_space(A)
-    for th in thetas:
-        v = flatten(th.components[0] if isinstance(th, Cocycle) else th)
-        if span.member(v):
-            return False
-        span = span + Subspace(A.field, A.dim ** 2, [v])
-    return True
+    """Are the classes of the forms (n x n Matrices, or single-component
+    cocycles) independent in H^2?  One rank test on raw rows: rank(B^2
+    basis + flattened forms) = dim B^2 + their number."""
+    rows = coboundary_space(A)._rows + [
+        flatten_raw(th.components[0] if isinstance(th, Cocycle) else th)
+        for th in thetas]
+    return eliminate(rows, A.field.modulus)[1] == len(rows)
 
 
 def in_Ts(A: Algebra, thetas) -> bool:
@@ -271,8 +274,7 @@ def in_Ts(A: Algebra, thetas) -> bool:
     comps = []
     for th in thetas:
         comps.extend(th.components if isinstance(th, Cocycle) else [th])
-    if not classes_independent(A, [Cocycle(A, [m], check=False)
-                                   for m in comps]):
+    if not classes_independent(A, comps):
         raise DependentClasses("classes linearly dependent in H^2")
     joint = Cocycle(A, comps, check=False)
     return joint.annihilator().intersect(A.annihilator()).dim == 0

@@ -7,8 +7,9 @@ the new summand annihilating everything.
 reconstruct(B) inverts this: for B with Ann(B) != 0 it produces the
 quotient algebra on the lexicographically-first coordinate complement of
 Ann(B) together with the cocycle recording the annihilator part of the
-products, so that central_extension(reconstruct(B)) is B up to the
-induced basis change.
+products, both read off the products without solving a linear system,
+so that central_extension(reconstruct(B)) is B up to the induced basis
+change.
 """
 
 from __future__ import annotations
@@ -62,43 +63,28 @@ def extension_annihilator_law(A: Algebra, theta: Cocycle):
 def extension_is_split(A: Algebra, theta: Cocycle) -> bool:
     """A_theta is split iff the component classes are linearly dependent
     in H^2 (includes any component being a coboundary)."""
-    singles = [Cocycle(A, [m], check=False) for m in theta.components]
-    return not classes_independent(A, singles)
+    return not classes_independent(A, theta.components)
 
 
 def reconstruct(B: Algebra):
     """(A, theta) with central_extension(A, theta) = B after moving
-    Ann(B) to the trailing coordinates.  Requires Ann(B) != 0."""
+    Ann(B) to the trailing coordinates.  Requires Ann(B) != 0.  A is
+    B.quotient(Ann(B)); theta's t-th component holds the products' entries
+    at the pivot column of Ann(B)'s t-th RREF row, their coordinate on it."""
     ann = B.annihilator()
-    m = ann.dim
-    if m == 0:
+    if ann.dim == 0:
         raise ZeroAnnihilator("no central subspace to strip")
-    comp = ann.coordinate_complement()
-    reps = list(comp.basis)
-    n = len(reps)
-    # coordinates: products decompose as (complement part) + (ann part)
-    stack = Matrix(B.field, [list(v) for v in reps] +
-                   [list(v) for v in ann.basis]).transpose()
-    table = {}
-    theta_comps = [[[B.field.zero()] * n for _ in range(n)] for _ in range(m)]
-    for a in range(n):
-        for b in range(n):
-            prod = B.multiply(reps[a], reps[b])
-            coeff = stack.solve(prod)
-            for k in range(n):
-                if coeff[k]:
-                    table[(a, b, k)] = coeff[k]
-            for t in range(m):
-                theta_comps[t][a][b] = coeff[n + t]
-    base = Algebra(B.field, n, table)
-    theta = Cocycle(base, theta_comps, check=False)
-    return base, theta
+    base = B.quotient(ann)
+    free = [j for j in range(B.dim) if j not in ann._pivots]
+    table, wrap = B._raw_rows()[0], B.field.wrap
+    return base, Cocycle(base, [[[wrap(table[i][j][c]) for j in free]
+                                 for i in free] for c in ann._pivots],
+                         check=False)
 
 
 def reconstruction_basis_change(B: Algebra) -> Matrix:
     """The basis change aligning B with central_extension(*reconstruct(B)):
     columns are the complement representatives followed by Ann(B) basis."""
     ann = B.annihilator()
-    comp = ann.coordinate_complement()
-    cols = list(comp.basis) + list(ann.basis)
-    return Matrix(B.field, cols).transpose()
+    return Matrix(B.field, ann.coordinate_complement().basis +
+                  ann.basis).transpose()

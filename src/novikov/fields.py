@@ -24,7 +24,6 @@ Text encodings (used in all JSON formats):
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 import re
 
 

@@ -31,7 +31,7 @@ from .exprs import ExprError, SqrtNotInField
 from .extensions import central_extension
 from .fields import DivisionByZero, PrimeField
 from .invariants import fingerprint
-from .linalg import eliminate
+from .linalg import Matrix, eliminate, solve_in_basis
 from .morphisms import enumerate_aut_fp, iso_search
 
 
@@ -71,26 +71,21 @@ def induced_h2_matrices(A: Algebra, reps, auts):
     """For each automorphism, the d x d integer matrix of its action on
     H^2 coordinates in the basis `reps` (single-component cocycles).
 
-    One elimination of [S | I], where the columns of S are the flattened
+    One `solve_in_basis` of the unit forms in the basis S, the flattened
     representatives followed by a basis of B^2, gives a left inverse of
-    S in its first rows and the equations of Z^2 = span(S) in the rows
-    past rank S.  Each image phi^T theta phi is then read off on ints
-    mod p."""
+    S (the coordinates) and the equations of Z^2 = span(S) (the residual
+    rows).  Each image phi^T theta phi is then read off on ints mod p."""
     raw, p = A.field.raw, A.field.modulus
     n = A.dim
     d = len(reps)
     mats = [[[raw(c) for c in row] for row in r.components[0].entries]
             for r in reps]
-    cols = [[m[i][j] for i in range(n) for j in range(n)] for m in mats]
-    cols += coboundary_space(A)._rows
-    width = len(cols)
-    rref, _, pivots = eliminate(
-        [[col[r] for col in cols] + [int(r == c) for c in range(n * n)]
-         for r in range(n * n)], p)
-    if pivots[:width] != list(range(width)):
+    solved = solve_in_basis(
+        [[m[i][j] for i in range(n) for j in range(n)] for m in mats] +
+        coboundary_space(A)._rows, Matrix.identity(A.field, n * n)._raw(), p)
+    if solved is None:
         raise ValueError("representatives are not independent modulo B^2")
-    coords = [row[width:] for row in rref[:d]]
-    equations = [row[width:] for row in rref[width:]]
+    coords, equations = solved[0][:d], solved[1]
     out = []
     for phi in auts:
         ph = [[raw(c) for c in row] for row in phi.entries]

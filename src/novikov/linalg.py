@@ -8,13 +8,14 @@ in column order; exact fields make this correct and deterministic.
 The row reduction itself is `eliminate` and `reduce`, which work on
 raw scalars (`Field.raw`; residues mod p when p is given) for every
 field.  Every `Subspace` is built from raw rows by `Subspace.from_raw`,
-which eliminates them once and wraps only the RREF basis; `Matrix`
-still holds FieldElements and converts at its boundary.
+which eliminates them once and wraps only the RREF basis; every vector
+written in a basis goes through `solve_in_basis`.  `Matrix` still holds
+FieldElements and converts at its boundary.
 """
 
 from __future__ import annotations
 
-from .fields import Field, FieldElement
+from .fields import Field
 
 
 def eliminate(rows, p=None):
@@ -67,6 +68,22 @@ def reduce(vec, rows, pivots, p=None):
                     x = v[j] - f * row[j]
                     v[j] = x if p is None else x % p
     return v
+
+
+def solve_in_basis(columns, targets, p=None):
+    """The raw targets written in the basis `columns` (raw vectors of
+    one length) by one elimination of [columns | targets]: (coordinates,
+    residual), where coordinates[i][t] is the coefficient of columns[i]
+    in target t and the residual rows vanish in column t exactly when
+    target t lies in the span; None when the columns are dependent."""
+    vectors = list(columns) + list(targets)
+    if len({len(v) for v in vectors}) > 1:
+        raise DimensionMismatch("vectors of different lengths")
+    k = len(columns)
+    red, _, pivots = eliminate([list(r) for r in zip(*vectors)], p)
+    if pivots[:k] != list(range(k)):
+        return None
+    return [row[k:] for row in red[:k]], [row[k:] for row in red[k:]]
 
 
 def null_space(rows, width, zero, one, p=None):
@@ -179,11 +196,13 @@ class Matrix:
         body = "; ".join(" ".join(repr(x) for x in row) for row in self.entries)
         return f"Matrix[{body}]"
 
+    def _raw(self):
+        raw = self.field.raw
+        return [[raw(x) for x in row] for row in self.entries]
+
     def _eliminate(self):
         """`eliminate` on the raw entries: (raw rows, rank, pivots)."""
-        raw = self.field.raw
-        return eliminate([[raw(x) for x in row] for row in self.entries],
-                         self.field.modulus)
+        return eliminate(self._raw(), self.field.modulus)
 
     def _wrapped(self, rows):
         wrap = self.field.wrap
@@ -199,9 +218,7 @@ class Matrix:
 
     def kernel(self) -> "Subspace":
         """Right null space {v : M v = 0}."""
-        raw = self.field.raw
-        return Subspace.kernel(self.field, self.cols,
-                               [[raw(x) for x in row] for row in self.entries])
+        return Subspace.kernel(self.field, self.cols, self._raw())
 
     def solve(self, rhs):
         """One solution x of M x = rhs, or None if inconsistent."""
@@ -222,13 +239,12 @@ class Matrix:
     def inverse(self):
         if self.rows != self.cols:
             raise SingularMatrix("not square")
-        n = self.rows
-        unit = Matrix.identity(self.field, n).entries
-        red, _, pivots = Matrix(self.field, [
-            r + e for r, e in zip(self.entries, unit)])._eliminate()
-        if pivots[:n] != list(range(n)):
+        solved = solve_in_basis(
+            self.transpose()._raw(),
+            Matrix.identity(self.field, self.rows)._raw(), self.field.modulus)
+        if solved is None:
             raise SingularMatrix("singular")
-        return Matrix(self.field, self._wrapped(row[n:] for row in red[:n]))
+        return Matrix(self.field, self._wrapped(solved[0]))
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
@@ -321,14 +337,13 @@ class Subspace:
             for v in null_space(S._rows, n, zero, one, f.modulus)])
 
     def quotient_basis(self, sub: "Subspace"):
-        """Coset representatives completing `sub` inside self (self >= sub)."""
+        """Coset representatives completing `sub` inside self (self >= sub):
+        the pivot columns past sub's of one elimination of [sub | self]."""
         self._check(sub)
-        reps, acc = [], sub
-        for v in self.basis:
-            if not acc.member(v):
-                reps.append(v)
-                acc = acc + Subspace(self.field, self.ambient, [v])
-        return reps
+        k = len(sub._rows)
+        _, _, pivots = eliminate([list(r) for r in zip(
+            *sub._rows, *self._rows)], self.field.modulus)
+        return [self.basis[c - k] for c in pivots if c >= k]
 
     def coordinate_complement(self):
         """Lexicographically-first coordinate complement of self."""

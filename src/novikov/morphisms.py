@@ -32,7 +32,8 @@ from itertools import combinations, product as iproduct
 from .algebra import Algebra
 from .cohomology import Cocycle
 from .fields import PrimeField
-from .linalg import Matrix, Subspace, eliminate, null_space
+from .linalg import (Matrix, Subspace, eliminate, null_space, reduce,
+                     solve_in_basis)
 
 
 class NotAutomorphism(Exception):
@@ -113,24 +114,24 @@ class WordBasis:
     nilpotent.  When these words do not span A, every basis vector is a
     generator and every product a relation (`minimal` is False).
 
-    words[t] is ("gen", g) or ("prod", a, b) meaning words[a]*words[b].
+    words[t] is ("gen", g) or ("prod", a, b) meaning words[a]*words[b],
+    with raw coefficient vector vectors[t] (`Field.raw`, as is all else).
     word_level[t] = highest generator index a word involves; a word has
     an image once generators 0..word_level[t] are assigned, and
     degree[t] is its degree in generator word_level[t].  The relation
-    (a, b) — "product of words a and b expands with the stored
-    coordinates" — is scheduled at the first level where a, b and every
-    word in the expansion are available.
+    (a, b, terms) — "words[a]*words[b] = sum of c * words[t] over the
+    (t, c) terms" — is scheduled at the first level where a, b and every
+    word in the expansion are available.  inverse[t][c] is the
+    coordinate of e_c on words[t].
     """
 
     def __init__(self, A: Algebra):
-        self.algebra = A
-        n = A.dim
+        n, units = A.dim, A._raw_rows()[1]
         words, vectors, level = self._close(
-            A, A.square().coordinate_complement().basis)
+            A, A.square().coordinate_complement()._rows)
         self.minimal = len(vectors) == n
         if not self.minimal:
-            words, vectors, level = self._close(
-                A, Subspace.full(A.field, n).basis)
+            words, vectors, level = self._close(A, units)
         self.n_generators = sum(w[0] == "gen" for w in words)
         self.words = words
         self.vectors = vectors
@@ -139,47 +140,46 @@ class WordBasis:
         for t, w in enumerate(words):
             self.degree.append(1 if w[0] == "gen" else sum(
                 self.degree[c] for c in w[1:] if level[c] == level[t]))
-        self.matrix = Matrix(A.field, vectors).transpose()  # cols = words
-        self.inverse = self.matrix.inverse()
+        # one elimination: the unit vectors, then the n^2 products
+        coords = solve_in_basis(vectors, units + [
+            A.multiply_raw(u, v) for u in vectors for v in vectors],
+            A.field.modulus)[0]
+        self.inverse = [row[:n] for row in coords]
         # schedule: per level, the words that become available and the
         # relations that become fully checkable
         self.new_words = [[t for t in range(n) if level[t] == lv]
                           for lv in range(self.n_generators)]
         self.relations = [[] for _ in range(self.n_generators)]
-        for a in range(n):
-            for b in range(n):
-                prod = A.multiply(vectors[a], vectors[b])
-                coords = self.inverse.apply(prod)
-                needed = [t for t, c in enumerate(coords) if c]
-                lv = max([level[a], level[b]] + [level[t] for t in needed])
-                self.relations[lv].append((a, b, tuple(coords)))
+        products = list(zip(*coords))[n:]
+        for (a, b), col in zip(iproduct(range(n), repeat=2), products):
+            terms = tuple((t, c) for t, c in enumerate(col) if c)
+            lv = max([level[a], level[b]] + [level[t] for t, _ in terms])
+            self.relations[lv].append((a, b, terms))
 
     @staticmethod
     def _close(A, gens):
-        """(words, vectors, levels): the generators, then products of
-        earlier words that leave their span, until the span stops
-        growing."""
+        """(words, vectors, levels): the raw generators, then products
+        of earlier words that leave their span, until the span stops
+        growing (a product leaves the span, kept as RREF rows, when it
+        does not `reduce` to zero)."""
+        p = A.field.modulus
         words = [("gen", g) for g in range(len(gens))]
-        vectors = list(gens)
+        vectors = [tuple(g) for g in gens]
         level = list(range(len(gens)))
-        span = Subspace(A.field, A.dim, vectors)
+        rows, rank, pivots = eliminate(vectors, p)
         grew = True
-        while span.dim < A.dim and grew:
+        while rank < A.dim and grew:
             grew = False
-            size = len(vectors)
-            for a in range(size):
-                for b in range(size):
-                    v = A.multiply(vectors[a], vectors[b])
-                    if any(v) and not span.member(v):
-                        words.append(("prod", a, b))
-                        vectors.append(v)
-                        level.append(max(level[a], level[b]))
-                        span = span + Subspace(A.field, A.dim, [v])
-                        grew = True
-                        if span.dim == A.dim:
-                            break
-                if span.dim == A.dim:
-                    break
+            for a, b in iproduct(range(len(vectors)), repeat=2):
+                v = A.multiply_raw(vectors[a], vectors[b])
+                if any(reduce(v, rows[:rank], pivots, p)):
+                    words.append(("prod", a, b))
+                    vectors.append(v)
+                    level.append(max(level[a], level[b]))
+                    rows, rank, pivots = eliminate(rows[:rank] + [v], p)
+                    grew = True
+                    if rank == A.dim:
+                        break
         return words, vectors, level
 
 
@@ -334,24 +334,19 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
     zero, one = raw(f.zero()), raw(f.one())
     square = B.square()._rows if wb.minimal else []
     pool = _Pool(f, n, height)
-    # each relation's right side as (word, raw coordinate) terms
-    relations = [[(a, b, [(t, raw(c)) for t, c in enumerate(coords) if c])
-                  for a, b, coords in lvl] for lvl in wb.relations]
 
     def degree(t, level):
         return wb.degree[t] if wb.word_level[t] == level else 0
     # the relation of a word's own factors is an identity
     word_pairs = {w[1:] for w in wb.words if w[0] == "prod"}
-    affine = [[(a, b, terms) for a, b, terms in relations[lv]
+    affine = [[(a, b, terms) for a, b, terms in wb.relations[lv]
                if (a, b) not in word_pairs
                and degree(a, lv) + degree(b, lv) <= 1
                and all(degree(t, lv) <= 1 for t, _ in terms)]
               for lv in range(g)]
     linear_words = [[t for t in wb.new_words[lv] if wb.degree[t] == 1]
                     for lv in range(g)]
-    units = [tuple(one if i == j else zero for j in range(n))
-             for i in range(n)]
-    inverse = [[raw(x) for x in row] for row in wb.inverse.entries]
+    units = B._raw_rows()[1]
     multiply = B.multiply_raw
     counter = [0]
     results = []
@@ -369,17 +364,9 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
         """The linear map sending each word's vector to its image: the
         image matrix times the inverse of the word matrix, on raw
         scalars."""
-        rows = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                x = zero
-                for t in range(n):
-                    if images[t][r] and inverse[t][c]:
-                        x = x + images[t][r] * inverse[t][c]
-                row.append(f.wrap(x))
-            rows.append(row)
-        return Matrix(f, rows)
+        return Matrix(f, [[f.wrap(sum((images[t][r] * wb.inverse[t][c]
+                                       for t in range(n)), zero))
+                           for c in range(n)] for r in range(n)])
 
     def candidates(level):
         """The pool points that solve the level's affine relations and
@@ -436,7 +423,7 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
                 w = wb.words[t]
                 images[t] = cand if w[0] == "gen" else \
                     multiply(images[w[1]], images[w[2]])
-            for a, b, terms in relations[level]:
+            for a, b, terms in wb.relations[level]:
                 if multiply(images[a], images[b]) != combine(terms):
                     ok = False
                     break

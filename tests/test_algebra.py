@@ -7,7 +7,8 @@ import pytest
 from novikov.algebra import Algebra, NotAnIdeal
 from novikov.fields import (QQ, GaussianRationalField, PrimeField,
                             QuadraticField)
-from novikov.linalg import Matrix, SingularMatrix, Subspace
+from novikov.linalg import (DimensionMismatch, Matrix, SingularMatrix,
+                            Subspace)
 
 F2, F5 = PrimeField(2), PrimeField(5)
 
@@ -95,6 +96,18 @@ def test_change_basis_identity_and_errors():
     assert A3.change_basis(Matrix.identity(QQ, 3)) == A3
     with pytest.raises(SingularMatrix):
         A3.change_basis(Matrix.zero(QQ, 3, 3))
+
+
+def test_change_basis_rejects_a_basis_of_the_wrong_size():
+    # an invertible 2x2 change of a 3-dimensional algebra: its columns
+    # are too short to be vectors of the algebra
+    with pytest.raises(DimensionMismatch):
+        A3.change_basis(Matrix.identity(QQ, 2))
+    with pytest.raises(DimensionMismatch):
+        A3.change_basis(Matrix.identity(QQ, 4))
+    # a matrix that is not square is not a basis change at all
+    with pytest.raises(SingularMatrix):
+        A3.change_basis(Matrix(QQ, [[1, 0], [0, 1], [0, 0]]))
 
 
 def test_json_roundtrip():

@@ -5,8 +5,8 @@ from itertools import product
 
 import pytest
 
-from novikov.catalog import (CatalogError, InadmissibleSample, PREDICATES,
-                             _evaluate, census, class_coordinates,
+from novikov.catalog import (CatalogEntry, CatalogError, InadmissibleSample,
+                             PREDICATES, _evaluate, census, class_coordinates,
                              load_catalog, membership_checks, verify_entry)
 from novikov.cohomology import Cocycle, DependentClasses
 from novikov.exprs import ExprError, SqrtNotInField
@@ -242,3 +242,25 @@ def test_specialize_matches_reference_at_every_tuple(cat, p):
                     _outcome(_reference_specialize, entry, field, s,
                              strict), (entry.label, s, strict)
     assert verdicts == {True, False}
+
+
+def test_strict_specialize_evaluates_each_expression_once(cat, monkeypatch):
+    """The admissibility test of a strict `specialize` hands over the base
+    parameter values and the coefficients it evaluated; neither is
+    evaluated again for the form."""
+    calls = []
+    for name in ("base_env", "coefficients"):
+        def counted(self, *args, _name=name,
+                    _original=getattr(CatalogEntry, name)):
+            calls.append(_name)
+            return _original(self, *args)
+        monkeypatch.setattr(CatalogEntry, name, counted)
+    entry = cat.entry("N_064")     # base parameters and exclusions
+    sample = entry.default_samples()[0]
+    calls.clear()
+    strict = entry.specialize(QQ, sample)
+    assert sorted(calls) == ["base_env", "coefficients"]
+    calls.clear()
+    loose = entry.specialize(QQ, sample, strict=False)
+    assert sorted(calls) == ["base_env", "coefficients"]
+    assert strict[0] == loose[0] and strict[1] == loose[1]

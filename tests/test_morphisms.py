@@ -252,8 +252,8 @@ def _reference_enumerate_aut_fp(A):
     p, n = A.field.p, A.dim
     wb = WordBasis(A)
     pool = _reference_fp_pool(A)
-    relations = [[(a, b, tuple(c.data for c in coords))
-                  for a, b, coords in lvl] for lvl in wb.relations]
+    relations = [[(a, b, tuple(dict(terms).get(t, 0) for t in range(n)))
+                  for a, b, terms in lvl] for lvl in wb.relations]
     images = [None] * n
     results = []
 
@@ -282,7 +282,7 @@ def _reference_enumerate_aut_fp(A):
             if level + 1 == wb.n_generators:
                 img = Matrix(A.field, [[A.field(x) for x in images[t]]
                                        for t in range(n)]).transpose()
-                results.append(img * wb.inverse)
+                results.append(img * Matrix(A.field, wb.inverse))
             else:
                 extend(level + 1)
 
@@ -336,8 +336,7 @@ def _reference_search(A, B, budget, height, find_all):
     raw, p = f.raw, f.modulus
     exhaustive = p is not None
     pool = _candidate_vectors(B, height)
-    relations = [[(a, b, [(t, raw(c)) for t, c in enumerate(coords) if c])
-                  for a, b, coords in lvl] for lvl in wb.relations]
+    relations = wb.relations
     multiply = B.multiply_raw
     zero = raw(f.zero())
     counter = [0]
@@ -375,7 +374,8 @@ def _reference_search(A, B, budget, height, find_all):
                 if level + 1 == g:
                     img = Matrix(f, [[f.wrap(x) for x in images[t]]
                                      for t in range(n)]).transpose()
-                    phi = img * wb.inverse
+                    phi = img * Matrix(f, [[f.wrap(x) for x in row]
+                                           for row in wb.inverse])
                     if exhaustive or is_isomorphism(A, B, phi):
                         results.append(phi)
                         if not find_all:

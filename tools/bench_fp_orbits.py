@@ -6,9 +6,10 @@ Runs `fplab.run_procedure_fp_report` on M4_01 over F_2 at s = 1 and on
 N3s_01 over F_3 at s = 1 and s = 2, five times each.  The record
 appended to BENCH_fp_orbits.json (next to `tools/`) holds, per run, the
 median, minimum and spread (quartile distance over median) of the five
-times in raw seconds, the report's counts and a digest of its classes
-and class points, plus the git commit of the checkout the package was
-imported from and the Python version.  Point PYTHONPATH at another
+times in raw and in host-speed reference seconds (`benchclock`), the
+report's counts and a digest of its classes and class points, plus the
+git commit of the checkout the package was imported from and the Python
+version.  Point PYTHONPATH at another
 checkout's `src` to measure that version; equal digests mean equal
 reports.
 """
@@ -19,15 +20,12 @@ import argparse
 import hashlib
 import json
 import os
-import platform
-import statistics
-import subprocess
-import time
 
-import novikov
 from novikov.catalog import load_catalog
 from novikov.fields import PrimeField
 from novikov.fplab import run_procedure_fp_report
+
+from benchclock import append_record, provenance, summary, timed
 
 RUNS = (("M4_01", 2, 1), ("N3s_01", 3, 1), ("N3s_01", 3, 2))
 REPEATS = 5
@@ -35,15 +33,6 @@ COUNTS = ("h2_dim", "aut_order", "points", "distinct_actions", "orbits",
           "admissible_orbits", "merged")
 OUT = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "BENCH_fp_orbits.json")
-
-
-def git_commit(path):
-    def git(*args):
-        return subprocess.run(["git", "-C", path, *args], check=True,
-                              capture_output=True, text=True).stdout.strip()
-    sha = git("rev-parse", "--short", "HEAD")
-    return sha + ("-dirty" if git("status", "--porcelain", "--", "src")
-                  else "")
 
 
 def main():
@@ -56,42 +45,22 @@ def main():
     results = {}
     for key, p, s in RUNS:
         A = cat.bases[key].algebra(PrimeField(p), {})
-        times = []
+        raw, ref = [], []
         for _ in range(REPEATS):
-            start = time.perf_counter()
-            rep = run_procedure_fp_report(A, s)
-            times.append(time.perf_counter() - start)
-        median = statistics.median(times)
-        q1, _, q3 = statistics.quantiles(times, n=4)
+            rep, raw_s, ref_s = timed(run_procedure_fp_report, A, s)
+            raw.append(raw_s)
+            ref.append(ref_s)
         classes = (rep["class_points"], [B.to_json() for B in rep["classes"]])
         rid = f"{key}/F{p}/s={s}"
         results[rid] = {
-            "runs_s": [round(t, 3) for t in times],
-            "median_s": round(median, 3),
-            "min_s": round(min(times), 3),
-            "spread": round((q3 - q1) / median, 3),
+            **summary(raw, ref),
             "counts": {k: rep[k] for k in COUNTS if k in rep},
             "classes": len(rep["classes"]),
             "digest": hashlib.sha256(json.dumps(
                 classes, sort_keys=True).encode()).hexdigest()[:16],
         }
         print(rid, json.dumps(results[rid]), flush=True)
-    record = {
-        "label": args.label,
-        "commit": git_commit(os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.abspath(novikov.__file__))))),
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
-        "runs": results,
-    }
-    records = []
-    if os.path.exists(OUT):
-        with open(OUT) as fh:
-            records = json.load(fh)
-    records.append(record)
-    with open(OUT, "w") as fh:
-        json.dump(records, fh, indent=1)
-        fh.write("\n")
+    append_record(OUT, {**provenance(args.label), "runs": results})
 
 
 if __name__ == "__main__":

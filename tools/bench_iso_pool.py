@@ -7,7 +7,8 @@ bases of the iso-q benchmark workload), build the height-3 pool of
 `morphisms._candidate_vectors` and time it.  One run covers all 44
 bases.  The record appended to BENCH_iso_pool.json (next to `tools/`)
 holds the median, minimum and spread (quartile distance over median) of
-five run totals in raw seconds, the pool sizes and a digest of the pools,
+five run totals in raw and in host-speed reference seconds
+(`benchclock`), the pool sizes and a digest of the pools,
 the git commit of the checkout the package was imported from, and the
 Python version.  Point PYTHONPATH at another checkout's `src` to measure
 that version; equal digests mean equal pools, vector for vector.
@@ -19,17 +20,14 @@ import argparse
 import hashlib
 import json
 import os
-import platform
-import statistics
-import subprocess
-import time
 from fractions import Fraction
 from itertools import product
 
-import novikov
 from novikov.catalog import SAMPLE_POOL, load_catalog
 from novikov.fields import QQ
 from novikov.morphisms import _candidate_vectors
+
+from benchclock import append_record, provenance, summary, timed
 
 HEIGHT = 3
 RUNS = 5
@@ -45,15 +43,6 @@ def first_admissible_env(rec):
     raise ValueError(f"no admissible parameters for {rec.key}")
 
 
-def git_commit(path):
-    def git(*args):
-        return subprocess.run(["git", "-C", path, *args], check=True,
-                              capture_output=True, text=True).stdout.strip()
-    sha = git("rev-parse", "--short", "HEAD")
-    return sha + ("-dirty" if git("status", "--porcelain", "--", "src")
-                  else "")
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True,
@@ -65,42 +54,27 @@ def main():
              for _, rec in sorted(cat.bases.items())]
     for B in bases:
         B.square()   # computed once per algebra, outside the timed runs
-    totals = []
+    raw, ref = [], []
     for _ in range(RUNS):
-        start = time.perf_counter()
-        pools = [_candidate_vectors(B, HEIGHT) for B in bases]
-        totals.append(time.perf_counter() - start)
+        pools, raw_s, ref_s = timed(
+            lambda: [_candidate_vectors(B, HEIGHT) for B in bases])
+        raw.append(raw_s)
+        ref.append(ref_s)
     sizes = {}
     for B, pool in zip(bases, pools):
         sizes.setdefault(str(B.dim), set()).add(len(pool))
     # the digest is of the vectors as field elements, as earlier
     # versions built them
     pools = [[tuple(map(QQ.wrap, v)) for v in pool] for pool in pools]
-    q1, _, q3 = statistics.quantiles(totals, n=4)
-    median = statistics.median(totals)
     record = {
-        "label": args.label,
-        "commit": git_commit(os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.abspath(novikov.__file__))))),
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
+        **provenance(args.label),
         "bases": len(bases),
         "height": HEIGHT,
-        "runs_s": [round(t, 3) for t in totals],
-        "median_s": round(median, 3),
-        "min_s": round(min(totals), 3),
-        "spread": round((q3 - q1) / median, 3),
+        **summary(raw, ref),
         "pool_sizes_by_dim": {d: sorted(n) for d, n in sorted(sizes.items())},
         "pool_digest": hashlib.sha256(repr(pools).encode()).hexdigest()[:16],
     }
-    records = []
-    if os.path.exists(OUT):
-        with open(OUT) as fh:
-            records = json.load(fh)
-    records.append(record)
-    with open(OUT, "w") as fh:
-        json.dump(records, fh, indent=1)
-        fh.write("\n")
+    append_record(OUT, record)
     print(json.dumps(record))
 
 

@@ -8,7 +8,8 @@ criterion 8 builds them), at the default budget and height 3: the five
 pairs over Q, then N_087 over F_5.  One run times every row once.  The
 record appended to BENCH_iso_search.json (next to `tools/`) holds, per
 row, the median, minimum and spread (quartile distance over median) of
-five runs in raw seconds and a digest of the witness; the same for the
+five runs in raw and in host-speed reference seconds (`benchclock`) and
+a digest of the witness; the same for the
 sum of the five Q rows, which is the search time of criterion 8; the
 git commit of the checkout the package was imported from, and the
 Python version.  Point PYTHONPATH at another checkout's `src` to measure
@@ -21,16 +22,12 @@ import argparse
 import hashlib
 import json
 import os
-import platform
-import statistics
-import time
 
-import novikov
 from novikov.catalog import load_catalog
 from novikov.fields import QQ, PrimeField
 from novikov.morphisms import iso_search
 
-from bench_iso_pool import git_commit
+from benchclock import append_record, provenance, summary, timed
 
 RUNS = 5
 HEIGHT = 3
@@ -56,15 +53,6 @@ def noted_pairs(cat):
     return rows
 
 
-def stats(times):
-    q1, _, q3 = statistics.quantiles(times, n=4)
-    median = statistics.median(times)
-    return {"runs_s": [round(t, 3) for t in times],
-            "median_s": round(median, 3),
-            "min_s": round(min(times), 3),
-            "spread": round((q3 - q1) / median, 3) if median else 0.0}
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True,
@@ -75,37 +63,29 @@ def main():
     for _, L, R in rows:   # cached invariants, outside the timed runs
         for X in (L, R):
             X.square(), X.annihilator(), X.nilpotency_index()
-    times = {name: [] for name, _, _ in rows}
+    raw = {name: [] for name, _, _ in rows}
+    ref = {name: [] for name, _, _ in rows}
     digests = {}
     for _ in range(RUNS):
         for name, L, R in rows:
-            start = time.perf_counter()
-            w = iso_search(L, R, height=HEIGHT)
-            times[name].append(time.perf_counter() - start)
+            w, raw_s, ref_s = timed(lambda: iso_search(L, R, height=HEIGHT))
+            raw[name].append(raw_s)
+            ref[name].append(ref_s)
             digest = hashlib.sha256(repr(
                 w.entries if w is not None else None).encode()).hexdigest()
             assert digests.setdefault(name, digest[:16]) == digest[:16]
-    q_rows = [name for name in times if name.endswith("/Q")]
+    q_rows = [name for name in raw if name.endswith("/Q")]
+
+    def q_total(times):
+        return [sum(times[name][r] for name in q_rows) for r in range(RUNS)]
     record = {
-        "label": args.label,
-        "commit": git_commit(os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.abspath(novikov.__file__))))),
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
+        **provenance(args.label),
         "height": HEIGHT,
-        "rows": {name: dict(stats(t), witness_digest=digests[name])
-                 for name, t in times.items()},
-        "criterion8_q": stats([sum(times[name][r] for name in q_rows)
-                               for r in range(RUNS)]),
+        "rows": {name: dict(summary(raw[name], ref[name]),
+                            witness_digest=digests[name]) for name in raw},
+        "criterion8_q": summary(q_total(raw), q_total(ref)),
     }
-    records = []
-    if os.path.exists(OUT):
-        with open(OUT) as fh:
-            records = json.load(fh)
-    records.append(record)
-    with open(OUT, "w") as fh:
-        json.dump(records, fh, indent=1)
-        fh.write("\n")
+    append_record(OUT, record)
     print(json.dumps(record))
 
 

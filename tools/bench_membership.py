@@ -15,7 +15,8 @@ Every repeat builds its algebras anew, so nothing cached on an algebra
 carries over from one repeat to the next.  The record appended to
 BENCH_membership.json (next to `tools/`) holds, per run, the median,
 minimum and spread (quartile distance over median) of the five times in
-raw seconds and a digest of every verdict, plus the git commit of the
+raw and in host-speed reference seconds (`benchclock`) and a digest of
+every verdict, plus the git commit of the
 checkout the package was imported from and the Python version.  Point
 PYTHONPATH at another checkout's `src` to measure that version; equal
 digests mean equal verdicts.
@@ -27,13 +28,9 @@ import argparse
 import hashlib
 import json
 import os
-import platform
 import random
-import statistics
-import time
 from fractions import Fraction
 
-import novikov
 from novikov.catalog import load_catalog, verify_entry
 from novikov.cohomology import Cocycle, cocycle_space
 from novikov.extensions import (extension_annihilator_law,
@@ -41,7 +38,8 @@ from novikov.extensions import (extension_annihilator_law,
 from novikov.fields import QQ
 from novikov.linalg import Matrix
 
-from bench_iso_pool import first_admissible_env, git_commit
+from bench_iso_pool import first_admissible_env
+from benchclock import append_record, provenance, summary, timed
 
 REPEATS = 5
 TRIALS = 40
@@ -93,40 +91,19 @@ def main():
 
     results = {}
     for rid, run in RUNS:
-        times = []
+        raw, ref = [], []
         for _ in range(REPEATS):
-            cat = load_catalog()
-            start = time.perf_counter()
-            verdicts = run(cat)
-            times.append(time.perf_counter() - start)
-        median = statistics.median(times)
-        q1, _, q3 = statistics.quantiles(times, n=4)
+            verdicts, raw_s, ref_s = timed(run, load_catalog())
+            raw.append(raw_s)
+            ref.append(ref_s)
         results[rid] = {
-            "runs_s": [round(t, 3) for t in times],
-            "median_s": round(median, 3),
-            "min_s": round(min(times), 3),
-            "spread": round((q3 - q1) / median, 3),
+            **summary(raw, ref),
             "verdicts": len(verdicts),
             "digest": hashlib.sha256(json.dumps(
                 verdicts, sort_keys=True).encode()).hexdigest()[:16],
         }
         print(rid, json.dumps(results[rid]), flush=True)
-    record = {
-        "label": args.label,
-        "commit": git_commit(os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.abspath(novikov.__file__))))),
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
-        "runs": results,
-    }
-    records = []
-    if os.path.exists(OUT):
-        with open(OUT) as fh:
-            records = json.load(fh)
-    records.append(record)
-    with open(OUT, "w") as fh:
-        json.dump(records, fh, indent=1)
-        fh.write("\n")
+    append_record(OUT, {**provenance(args.label), "runs": results})
 
 
 if __name__ == "__main__":
