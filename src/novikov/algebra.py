@@ -13,7 +13,7 @@ import json
 
 from .fields import DivisionByZero, Field, field_from_tag, field_tag
 from .linalg import (DimensionMismatch, Matrix, SingularMatrix, Subspace,
-                     reduce, solve_in_basis)
+                     eliminate, null_space, reduce, solve_in_basis)
 
 
 class NotAnIdeal(Exception):
@@ -28,10 +28,12 @@ class Algebra:
     copy behind `multiply_raw`), the dense table on raw scalars
     (`_raw_rows`), the triple products behind the identity checks,
     `square`, `power_filtration`, `annihilator`, the cocycle equations
-    and Z^2 (`cohomology.cocycle_equations`, `cohomology.cocycle_space`)
-    and the `invariants.fingerprint`.  `__eq__` and `__hash__` ignore
-    `_cache`, and `change_basis`/`quotient` build new algebras with empty
-    caches, so cached values never leak between algebras.
+    and Z^2 (`cohomology.cocycle_equations`, `cohomology.cocycle_space`),
+    the `invariants.fingerprint`, and over F_p the `local_types` of all
+    elements and their `invariants.element_census`.  `__eq__` and
+    `__hash__` ignore `_cache`, and `change_basis`/`quotient` build new
+    algebras with empty caches, so cached values never leak between
+    algebras.
     """
 
     __slots__ = ("field", "dim", "table", "_cache")
@@ -137,6 +139,81 @@ class Algebra:
                 return tuple(d) if p is None else tuple(v % p for v in d)
             return _triples(self.dim, associator)
         return self._memo("associators", compute)
+
+    def local_types(self):
+        """The local type of every element x of F_p^dim: (depth of x,
+        rank L_x, rank R_x, depth of x x), where L_x: y -> x y, R_x:
+        y -> y x, and the depth of a vector is the number of terms of
+        `power_filtration` that contain it.  An isomorphism sends each
+        element to one of the same type.
+
+        Returns (ids, types), computed once: `types` lists the distinct
+        types in order of first appearance, and ids[i] (2-byte unsigned
+        integers) is the position in `types` of the type of the element
+        whose base-p digits, first coordinate most significant, are i
+        (so elements are listed in `product` order)."""
+        return self._memo("local_types", self._local_types)
+
+    def local_type(self, x):
+        """The local type of the raw vector x (residues mod p)."""
+        ids, types = self.local_types()
+        return types[ids[_index(x, self.field.modulus)]]
+
+    def _local_types(self):
+        """L_x, R_x and the filtration functionals' values at x are
+        linear in x, so one walk through the elements in `product`
+        order keeps them as a running sum: the next element adds the
+        data of e_d for each coordinate d the step changes (a
+        coordinate wrapping from p - 1 to 0 adds it p times in all).
+        L_x repeats whenever x does modulo the left annihilator, so
+        ranks are cached by matrix."""
+        n, p = self.dim, self.field.modulus
+        if p is None:
+            raise ValueError("local types need a prime field")
+        table = self._raw_rows()[0]
+        levels = [null_space(P._rows, n, 0, 1, p)
+                  for P in self.power_filtration()[1:]]
+        steps = [[c for j in range(n) for c in table[d][j]] +
+                 [c for j in range(n) for c in table[j][d]] +
+                 [w[d] for ws in levels for w in ws] for d in range(n)]
+        bounds, at = [], 2 * n * n
+        for ws in levels:
+            bounds.append((at, at + len(ws)))
+            at += len(ws)
+        ranks = {}
+
+        def rank(key):
+            r = ranks.get(key)
+            if r is None:
+                r = ranks[key] = eliminate(
+                    [key[j * n:(j + 1) * n] for j in range(n)], p)[1]
+            return r
+        x = [0] * n
+        v = [0] * at
+        depth, data = [], []
+        for _ in range(p ** n):
+            d = 1
+            for lo, hi in bounds:
+                if any(v[lo:hi]):
+                    break
+                d += 1
+            depth.append(d)
+            data.append((rank(tuple(v[:n * n])),
+                         rank(tuple(v[n * n:2 * n * n])),
+                         _index(self.multiply_raw(x, x), p)))
+            for c in range(n - 1, -1, -1):
+                v = [(a + b) % p for a, b in zip(v, steps[c])]
+                x[c] += 1
+                if x[c] < p:
+                    break
+                x[c] = 0
+        # two bytes per element, without loading the array module into
+        # processes that never build a table
+        ids, types = memoryview(bytearray(2 * len(depth))).cast("H"), {}
+        for i, (d, (left, right, square)) in enumerate(zip(depth, data)):
+            ids[i] = types.setdefault((d, left, right, depth[square]),
+                                      len(types))
+        return ids, list(types)
 
     def _raw_rows(self):
         """(the table, the basis vectors, the zero vector) on raw
@@ -403,6 +480,14 @@ def check_index(entry, name, bound):
     if not _is_int(value) or not 1 <= value <= bound:
         raise ValueError(f"{name} = {value!r} is not an integer in 1..{bound}")
     return value - 1
+
+
+def _index(x, p):
+    """The integer whose base-p digits are x, most significant first."""
+    i = 0
+    for c in x:
+        i = i * p + c
+    return i
 
 
 def _triples(n, f):

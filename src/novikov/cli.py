@@ -260,7 +260,8 @@ def cmd_orbits_fp(args):
     rep = run_procedure_fp_report(A, args.s, budget=args.budget)
     report = {k: rep[k] for k in ("p", "s", "h2_dim", "aut_order", "points",
                                   "distinct_actions", "orbits",
-                                  "admissible_orbits", "merged")}
+                                  "admissible_orbits", "merged",
+                                  "census_splits", "dedupe_searches")}
     report["classes"] = [B.to_json() for B in rep["classes"]]
     ok = True
     if labels:
@@ -270,6 +271,8 @@ def cmd_orbits_fp(args):
             "matches": {str(k): v for k, v in cc["matches"].items()},
             "unmatched_classes": cc["unmatched_classes"],
             "unmatched_pool": cc["unmatched_pool"],
+            "census_splits": cc["census_splits"],
+            "dedupe_searches": cc["dedupe_searches"],
             "skips": [list(s) for s in skips],
         }
         ok = not cc["unmatched_classes"] and not cc["unmatched_pool"]

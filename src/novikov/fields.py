@@ -24,6 +24,7 @@ Text encodings (used in all JSON formats):
 from __future__ import annotations
 
 from fractions import Fraction
+import math
 import re
 
 
@@ -258,16 +259,7 @@ class RationalField(Field):
         if q < 0:
             return None
         num, den = q.numerator, q.denominator
-        rn = int(num ** 0.5)
-        while rn * rn < num:
-            rn += 1
-        while rn * rn > num:
-            rn -= 1
-        rd = int(den ** 0.5)
-        while rd * rd < den:
-            rd += 1
-        while rd * rd > den:
-            rd -= 1
+        rn, rd = math.isqrt(num), math.isqrt(den)
         if rn * rn == num and rd * rd == den:
             return FieldElement(self, Fraction(rn, rd))
         return None

@@ -7,6 +7,14 @@ row-echelon form, act with the distinct H^2 matrices of the (fully
 enumerated) automorphism group, keep the admissible orbits, build one
 extension per orbit and deduplicate by exhaustive isomorphism search.
 
+Both the dedupe and the cross-check compare only algebras with equal
+fingerprints, and settle such a pair by proof: unequal element censuses
+(`invariants.element_census`, the multiset of local types of the p^n
+elements) prove it non-isomorphic without a search, and otherwise the
+exhaustive search decides.  The reports count both kinds of
+settlement, `census_splits` and `dedupe_searches`; they are counts, not
+times, so the reports stay byte-stable.
+
 Each orbit is generated once, from its first point in Grassmannian
 order, by mapping that point under every distinct action; its
 representative is the last image to appear for the first time (the
@@ -30,7 +38,7 @@ from .cohomology import Cocycle, coboundary_space, form_sum, h2_basis, in_Ts
 from .exprs import ExprError, SqrtNotInField
 from .extensions import central_extension
 from .fields import DivisionByZero, PrimeField
-from .invariants import fingerprint
+from .invariants import element_census, fingerprint
 from .linalg import Matrix, eliminate, solve_in_basis
 from .morphisms import enumerate_aut_fp, iso_search
 
@@ -128,6 +136,18 @@ def _orbit_representatives(points, actions, p):
     return sorted(roots)
 
 
+def _isomorphic(B: Algebra, C: Algebra, counts, budget):
+    """Is B isomorphic to C, for algebras over F_p with equal
+    fingerprints?  Unequal element censuses prove not (counted in
+    counts["census_splits"]); otherwise the exhaustive search decides
+    (counted in counts["dedupe_searches"])."""
+    if element_census(B) != element_census(C):
+        counts["census_splits"] += 1
+        return False
+    counts["dedupe_searches"] += 1
+    return iso_search(B, C, budget=budget) is not None
+
+
 def run_procedure_fp(A: Algebra, s: int, budget: int = 50_000_000):
     """Pairwise non-isomorphic admissible central extensions of A by
     F_p^s, one per automorphism orbit.  See run_procedure_fp_report for
@@ -169,17 +189,18 @@ def run_procedure_fp_report(A: Algebra, s: int, budget: int = 50_000_000):
     built = [(root, central_extension(A, theta))
              for root, theta in admissible]
 
-    # deduplicate: fingerprint screen, then exhaustive search
+    # deduplicate: fingerprint screen, then census screen and
+    # exhaustive search
     groups = {}
     for root, B in built:
         groups.setdefault(fingerprint(B), []).append((root, B))
     classes = []
     merged = 0
+    counts = {"census_splits": 0, "dedupe_searches": 0}
     for members in groups.values():
         kept = []
         for root, B in members:
-            if any(iso_search(B, C, budget=budget) is not None
-                   for _, C in kept):
+            if any(_isomorphic(B, C, counts, budget) for _, C in kept):
                 merged += 1
                 continue
             kept.append((root, B))
@@ -195,6 +216,7 @@ def run_procedure_fp_report(A: Algebra, s: int, budget: int = 50_000_000):
         "orbits": len(roots),
         "admissible_orbits": len(admissible),
         "merged": merged,
+        **counts,
         "class_points": [root for root, _ in classes],
         "classes": [B for _, B in classes],
     }
@@ -264,18 +286,21 @@ def crosscheck(classes, pool, budget: int = 50_000_000):
     named algebras over F_p.  Matching is exhaustive, so leftovers on
     either side are proofs of absence.
 
-    Returns {"matches", "unmatched_classes", "unmatched_pool"} where
-    matches maps class index -> sorted pool names isomorphic to it.
+    Returns {"matches", "unmatched_classes", "unmatched_pool",
+    "census_splits", "dedupe_searches"} where matches maps class index
+    -> sorted pool names isomorphic to it, and the counts are those of
+    the same-fingerprint pairs settled by census and by search.
     """
     fps_pool = [(name, fingerprint(B), B) for name, B in pool]
     matches = {}
     matched_names = set()
     unmatched_classes = []
+    counts = {"census_splits": 0, "dedupe_searches": 0}
     for idx, C in enumerate(classes):
         fc = fingerprint(C)
         hits = []
         for name, fb, B in fps_pool:
-            if fb == fc and iso_search(C, B, budget=budget) is not None:
+            if fb == fc and _isomorphic(C, B, counts, budget):
                 hits.append(name)
                 matched_names.add(name)
         if hits:
@@ -287,4 +312,5 @@ def crosscheck(classes, pool, budget: int = 50_000_000):
         "matches": matches,
         "unmatched_classes": unmatched_classes,
         "unmatched_pool": unmatched_pool,
+        **counts,
     }

@@ -2,13 +2,19 @@
 
 A Fingerprint collects basis-independent numbers cheap enough to
 compute for every algebra; unequal fingerprints prove non-isomorphism.
+Over F_p the element census, the multiset of the local types of all p^n
+elements (`Algebra.local_types`), is a finer invariant, and unequal
+censuses prove non-isomorphism too; it is never used over Q, which has
+no finite set of elements to count.
 `separate` groups algebras by fingerprint and, inside a group over F_p,
-settles pairs by exhaustive search.  Over Q the search is heuristic, so
-unresolved pairs are reported as "undecided", never as distinct.
+settles pairs by census, then by exhaustive search.  Over Q the search
+is heuristic, so unresolved pairs are reported as "undecided", never as
+distinct.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import Algebra
@@ -53,6 +59,17 @@ def fingerprint(A: Algebra) -> Fingerprint:
     ))
 
 
+def element_census(A: Algebra):
+    """The multiset of local types (`Algebra.local_types`) of the
+    elements of A over F_p, as sorted (type, count) pairs, computed
+    once per algebra.  An isomorphism preserves each element's type, so
+    unequal censuses prove non-isomorphism."""
+    def compute():
+        ids, types = A.local_types()
+        return tuple(sorted((types[i], c) for i, c in Counter(ids).items()))
+    return A._memo("element_census", compute)
+
+
 def separate(named_algebras, budget: int = 5_000_000, height: int = 3):
     """Partition report for [(name, Algebra), ...].
 
@@ -60,8 +77,9 @@ def separate(named_algebras, budget: int = 5_000_000, height: int = 3):
       groups: fingerprint-equivalence classes (distinct groups are
               proven non-isomorphic),
       proven_isomorphic: pairs with a verified witness,
-      proven_distinct: pairs separated by fingerprint, plus — over
-              F_p only — pairs where the exhaustive search failed,
+      proven_distinct: (a, b, reason) for the pairs separated by
+              "fingerprint", plus — over F_p only — by "census" or
+              where the "exhaustive_search" failed,
       undecided: same-fingerprint pairs the heuristic search could not
               settle (only possible over non-prime fields).
     """
@@ -81,6 +99,10 @@ def separate(named_algebras, budget: int = 5_000_000, height: int = 3):
                 proven_distinct.append((a, b, "fingerprint"))
                 continue
             exhaustive = isinstance(algs[a].field, PrimeField)
+            if exhaustive and \
+                    element_census(algs[a]) != element_census(algs[b]):
+                proven_distinct.append((a, b, "census"))
+                continue
             try:
                 w = iso_search(algs[a], algs[b], budget=budget, height=height)
             except BudgetExceeded:

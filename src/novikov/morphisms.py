@@ -12,8 +12,14 @@ whole pool.  With the earlier images fixed, the relations linear in the
 new image are solved as one linear system, and only the pool points on
 its solution set that are independent of the earlier images modulo B^2
 are visited, in pool order; the skipped points can never extend to an
-isomorphism, so the witnesses and their order do not change.  The
-search budget counts the visited candidates.
+isomorphism, so the witnesses and their order do not change.  Over F_p
+those points are filtered once more, in pool order: an isomorphism
+sends each element to one of the same local type
+(`Algebra.local_types`), so only the points whose type in B is the type
+of the generator in A are visited.  Over Q the pool is not filtered by
+type (the filter keeps most of a height-bounded pool and costs more
+than it saves).  The search budget counts the visited candidates, those
+that pass every filter.
 
 Over F_p the generator-image candidate set is exhaustive, so a failed
 search is a proof of non-isomorphism.  Over Q the candidates are
@@ -317,11 +323,12 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
     system over raw scalars and reduced once, and only the pool points
     that solve it and lie outside W = span(earlier generator images) +
     B^2 are visited (W = the span alone when the generators are not
-    minimal, and the pool then keeps B^2).  Any other candidate fails a
-    relation, or leaves the generator images dependent modulo B^2, which
-    an isomorphism never does.  Survivors get every relation check and
-    the independence check, so the witnesses and their order are those
-    of visiting the whole pool.
+    minimal, and the pool then keeps B^2).  Over F_p they must also have
+    the local type of the level's generator in A.  Any other candidate
+    fails a relation, leaves the generator images dependent modulo B^2,
+    or changes a local type, which an isomorphism never does.  Survivors
+    get every relation check and the independence check, so the
+    witnesses and their order are those of visiting the whole pool.
 
     Returns a list of witnesses (all of them when find_all, else at most
     one)."""
@@ -410,8 +417,12 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
         if rank and pivots[-1] == n:
             return ()       # inconsistent: no image of this generator fits
         # the generators are words 0..g-1
-        return pool.points(red[:rank], null_space(
+        points = pool.points(red[:rank], null_space(
             square + images[:level], n, zero, one, p))
+        if not exhaustive:
+            return points
+        want = A.local_type(wb.vectors[level])
+        return (x for x in points if B.local_type(x) == want)
 
     def extend(level):
         for cand in candidates(level):
@@ -462,8 +473,9 @@ def iso_search(A: Algebra, B: Algebra, budget: int = 5_000_000,
     first).  Over Q the pool is height-bounded and None only means
     "not found within the heuristic pool".  At each generator only the
     pool points that solve the relations linear in its image and are
-    independent of the earlier images modulo B^2 are tried, and the
-    budget counts these tries alone.
+    independent of the earlier images modulo B^2 (over F_p: and have
+    the generator's local type) are tried, and the budget counts these
+    tries alone.
     """
     if A.dim != B.dim or A.field != B.field:
         return None
@@ -481,8 +493,9 @@ def enumerate_aut_fp(A: Algebra, budget: int = 50_000_000):
     """The full automorphism group of A over F_p, by exhaustive
     generator-image backtracking, in the search's visiting order.  As in
     `iso_search`, each generator's images are the solutions of the
-    relations linear in it, independent of the earlier images modulo
-    A^2, and the budget counts these tries."""
+    relations linear in it that are independent of the earlier images
+    modulo A^2 and have the generator's local type, and the budget
+    counts these tries."""
     if not isinstance(A.field, PrimeField):
         raise ValueError("exhaustive enumeration needs a prime field")
     return _search(A, A, budget, 0, find_all=True)

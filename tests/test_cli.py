@@ -132,6 +132,15 @@ def test_orbits_fp(capsys):
     assert rep["p"] == 3 and rep["classes"] == []
 
 
+def test_orbits_fp_reports_dedupe_counters(capsys):
+    # the three same-fingerprint pairs of N3s_01 over F_3 at s = 1 are
+    # all settled by census
+    assert main(["--field", "fp:3", "orbits-fp", "--base", "N3s_01"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["merged"], rep["census_splits"], rep["dedupe_searches"]) \
+        == (0, 3, 0)
+
+
 def test_orbits_fp_needs_prime_field(capsys):
     assert main(["orbits-fp", "--base", "N3s_02"]) == 2
 

@@ -101,6 +101,13 @@ def test_sqrt_specials():
     assert F7.try_sqrt(F7(3)) is None
 
 
+def test_sqrt_of_huge_rationals_is_exact():
+    # 10**400 is past the float range, so a float square root overflows
+    assert QQ.try_sqrt(QQ(10 ** 400)) == QQ(10 ** 200)
+    assert QQ.try_sqrt(QQ(2 * 10 ** 400)) is None
+    assert QQ.try_sqrt(QQ(Fraction(10 ** 400, 3))) is None
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 17])
 def test_prime_sqrt_matches_scan(p):
     F = PrimeField(p)

@@ -117,6 +117,7 @@ def test_crosscheck_exhaustive_matching():
     rep = crosscheck([A, C], [("same", B), ("zero", C)])
     assert rep["matches"] == {0: ["same"], 1: ["zero"]}
     assert not rep["unmatched_classes"] and not rep["unmatched_pool"]
+    assert (rep["census_splits"], rep["dedupe_searches"]) == (0, 2)
     rep = crosscheck([A], [("zero", C)])
     assert rep["unmatched_classes"] == [0]
     assert rep["unmatched_pool"] == ["zero"]
@@ -251,12 +252,39 @@ def test_report_matches_reference(cat, case, monkeypatch):
 
 def test_distinct_actions_counts(cat):
     # |Aut| 192 acts on H^2 of M4_01 over F_2 through 96 matrices,
-    # |Aut| 108 on H^2 of N3s_01 over F_3 through 36
-    for key, p, aut, distinct in (("M4_01", 2, 192, 96),
-                                  ("N3s_01", 3, 108, 36)):
+    # |Aut| 108 on H^2 of N3s_01 over F_3 through 36; the dedupe settles
+    # 2 same-fingerprint pairs of M4_01 by census and searches 1, and
+    # settles all 3 of N3s_01 by census
+    for key, p, aut, distinct, splits, searches in (
+            ("M4_01", 2, 192, 96, 2, 1), ("N3s_01", 3, 108, 36, 3, 0)):
         rep = run_procedure_fp_report(
             cat.bases[key].algebra(PrimeField(p), {}), 1)
         assert (rep["aut_order"], rep["distinct_actions"]) == (aut, distinct)
+        assert (rep["census_splits"], rep["dedupe_searches"]) == \
+            (splits, searches)
+        if key == "M4_01":
+            pool, _ = specialized_entries_fp(
+                cat, PrimeField(p), ["N_%03d" % i for i in range(1, 13)])
+            cc = crosscheck(rep["classes"], pool)
+            assert (cc["census_splits"], cc["dedupe_searches"]) == (3, 17)
+
+
+# the census screen against the dedupe without it (every census equal):
+# the same classes, and every pair the screen settles is searched instead
+@pytest.mark.parametrize("case", sorted(
+    c for c in ORBIT_CASES if c != "N3s_04z/F3-s2"))
+def test_census_screen_keeps_the_report(cat, case, monkeypatch):
+    make, s = ORBIT_CASES[case]
+    A = make(cat)
+    rep = run_procedure_fp_report(A, s)
+    monkeypatch.setattr(fplab, "element_census", lambda B: ())
+    unscreened = run_procedure_fp_report(A, s)
+    assert unscreened["census_splits"] == 0
+    assert unscreened["dedupe_searches"] == \
+        rep["census_splits"] + rep["dedupe_searches"]
+    for r in (rep, unscreened):
+        del r["census_splits"], r["dedupe_searches"]
+    assert _comparable(rep) == _comparable(unscreened)
 
 
 def test_induced_h2_matrices_rejects_non_automorphism():

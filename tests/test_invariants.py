@@ -1,13 +1,19 @@
 """Fingerprints and the isomorphism separation report."""
 
 import random
+from itertools import product
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from novikov import invariants
 from novikov.algebra import Algebra
-from novikov.fields import QQ, PrimeField
-from novikov.invariants import fingerprint, separate
+from novikov.exprs import ExprError, SqrtNotInField
+from novikov.fields import QQ, DivisionByZero, PrimeField
+from novikov.invariants import element_census, fingerprint, separate
 from novikov.linalg import Matrix
 
-F5 = PrimeField(5)
+F3, F5 = PrimeField(3), PrimeField(5)
 
 
 def test_fingerprint_is_basis_independent():
@@ -53,3 +59,66 @@ def test_separate_over_q_undecided_never_distinct_without_proof():
     assert ("a", "b") in rep["proven_isomorphic"] or \
         ("a", "b") in rep["undecided"]
     assert all(p[:2] != ("a", "b") for p in rep["proven_distinct"])
+
+
+def test_separate_over_fp_settles_by_census_without_search(monkeypatch):
+    # two classes of the s = 1 procedure on N3s_01 over F_3: equal
+    # fingerprints, and elements of type (1, 0, 1, 4) in X only
+    X = Algebra(F3, 4, {(0, 0, 1): 1, (0, 2, 3): 1, (1, 0, 3): 2,
+                        (2, 0, 3): 1})
+    Y = Algebra(F3, 4, {(0, 0, 1): 1, (0, 1, 3): 1, (0, 2, 3): 2,
+                        (2, 0, 3): 2})
+    assert fingerprint(X) == fingerprint(Y)
+    assert element_census(X) != element_census(Y)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("iso_search ran")
+    monkeypatch.setattr(invariants, "iso_search", no_search)
+    rep = separate([("x", X), ("y", Y)])
+    assert rep["proven_distinct"] == [("x", "y", "census")]
+    assert not rep["proven_isomorphic"] and not rep["undecided"]
+
+
+def test_local_types_of_a_small_algebra():
+    # e1 e1 = e2 over F_3: A^2 = <e2>, A^3 = 0
+    A = Algebra(F3, 2, {(0, 0, 1): 1})
+    assert A.local_type((0, 0)) == (3, 0, 0, 3)
+    assert A.local_type((0, 2)) == (2, 0, 0, 3)
+    assert A.local_type((1, 2)) == (1, 1, 1, 2)
+    assert element_census(A) == (((1, 1, 1, 2), 6), ((2, 0, 0, 3), 2),
+                                 ((3, 0, 0, 3), 1))
+    # Q has no finite set of elements to count
+    with pytest.raises(ValueError):
+        Algebra(QQ, 2, {(0, 0, 1): 1}).local_types()
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), extension=st.booleans(),
+       data=st.data())
+def test_local_types_are_basis_independent_over_fp(cat, p, extension,
+                                                   data):
+    """The element with coordinates y in the basis of B = A.change_basis(P)
+    is P y in A's: both have one local type, so the censuses agree."""
+    F = PrimeField(p)
+    if extension:
+        label = data.draw(st.sampled_from(sorted(
+            label for label, e in cat.entries.items() if not e.params)))
+        try:
+            A = cat.entry(label).extension(F, (), strict=False)
+        except (SqrtNotInField, DivisionByZero, ExprError):
+            assume(False)
+    else:
+        A = cat.bases[data.draw(st.sampled_from(sorted(
+            k for k, rec in cat.bases.items() if not rec.params)))
+                      ].algebra(F, {})
+    n = A.dim
+    P = Matrix(F, data.draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    assume(P.is_invertible())
+    B = A.change_basis(P)
+    assert element_census(B) == element_census(A)
+    rows = P._raw()
+    for y in product(range(p), repeat=n):
+        x = tuple(sum(a * b for a, b in zip(row, y)) % p for row in rows)
+        assert B.local_type(y) == A.local_type(x)

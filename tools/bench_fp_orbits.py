@@ -2,10 +2,12 @@
 
     PYTHONPATH=src python3 tools/bench_fp_orbits.py --label after
 
-Runs `fplab.run_procedure_fp_report` on M4_01 over F_2 at s = 1 and on
-N3s_01 over F_3 at s = 1 and s = 2, five times each.  The record
-appended to BENCH_fp_orbits.json (next to `tools/`) holds, per run, the
-median, minimum and spread (quartile distance over median) of the five
+Runs `fplab.run_procedure_fp_report` on M4_01 over F_2 at s = 1, on
+N3s_01 over F_3 at s = 1 and s = 2 and on N3s_04z over F_3 at s = 2,
+five times each (`--repeats` sets another count, at least 2, for a
+version whose slowest row takes minutes).  The record appended to
+BENCH_fp_orbits.json (next to `tools/`) holds, per run, the median,
+minimum and spread (quartile distance over median) of the
 times in raw and in host-speed reference seconds (`benchclock`), the
 report's counts and a digest of its classes and class points, plus the
 git commit of the checkout the package was imported from and the Python
@@ -27,10 +29,10 @@ from novikov.fplab import run_procedure_fp_report
 
 from benchclock import append_record, provenance, summary, timed
 
-RUNS = (("M4_01", 2, 1), ("N3s_01", 3, 1), ("N3s_01", 3, 2))
-REPEATS = 5
+RUNS = (("M4_01", 2, 1), ("N3s_01", 3, 1), ("N3s_01", 3, 2),
+        ("N3s_04z", 3, 2))
 COUNTS = ("h2_dim", "aut_order", "points", "distinct_actions", "orbits",
-          "admissible_orbits", "merged")
+          "admissible_orbits", "merged", "census_splits", "dedupe_searches")
 OUT = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "BENCH_fp_orbits.json")
 
@@ -39,14 +41,18 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True,
                     help="name of the measured version, e.g. before/after")
+    ap.add_argument("--repeats", type=int, default=5,
+                    help="runs per row (at least 2; default 5)")
     args = ap.parse_args()
+    if args.repeats < 2:
+        ap.error("--repeats must be at least 2")
 
     cat = load_catalog()
     results = {}
     for key, p, s in RUNS:
         A = cat.bases[key].algebra(PrimeField(p), {})
         raw, ref = [], []
-        for _ in range(REPEATS):
+        for _ in range(args.repeats):
             rep, raw_s, ref_s = timed(run_procedure_fp_report, A, s)
             raw.append(raw_s)
             ref.append(ref_s)

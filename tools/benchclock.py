@@ -40,15 +40,16 @@ def timed(fn, *args):
 def summary(raw, ref):
     """Per-run and summary statistics of raw and reference seconds:
     each run, the median, the minimum and the spread (quartile distance
-    over the median)."""
+    over the median).  Seconds keep 6 decimals, so sub-millisecond rows
+    read as more than 0."""
     out = {}
     for tag, times in (("", raw), ("_ref", ref)):
         q1, _, q3 = statistics.quantiles(times, n=4)
         median = statistics.median(times)
         out.update({
-            f"runs{tag}_s": [round(t, 3) for t in times],
-            f"median{tag}_s": round(median, 3),
-            f"min{tag}_s": round(min(times), 3),
+            f"runs{tag}_s": [round(t, 6) for t in times],
+            f"median{tag}_s": round(median, 6),
+            f"min{tag}_s": round(min(times), 6),
             f"spread{tag}": round((q3 - q1) / median, 3) if median else 0.0,
         })
     return out
