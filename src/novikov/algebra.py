@@ -23,37 +23,43 @@ class NotAnIdeal(Exception):
 class Algebra:
     """A bilinear product on field^dim given by its structure constants.
 
-    The table is immutable, so derived data is computed once and kept in
-    `_cache`: the sparse table (`nonzero_products`, and its raw-scalar
-    copy behind `multiply_raw`), the dense table on raw scalars
-    (`_raw_rows`), the triple products behind the identity checks,
-    `square`, `power_filtration`, `annihilator`, the cocycle equations
-    and Z^2 (`cohomology.cocycle_equations`, `cohomology.cocycle_space`),
-    the `invariants.fingerprint`, and over F_p the `local_types` of all
-    elements and their `invariants.element_census`.  `__eq__` and
-    `__hash__` ignore `_cache`, and `change_basis`/`quotient` build new
-    algebras with empty caches, so cached values never leak between
-    algebras.
+    `table[i][j][k]` is c_ij^k on raw scalars (`Field.raw`): the
+    constructor coerces ints, strings and field elements, `from_raw`
+    takes raw tables as they are, and `multiply`, `to_json` and `repr`
+    give field elements back.  The table is immutable, so derived data
+    is computed once and kept in `_cache`: the sparse table
+    (`nonzero_products`), the triple products behind the identity
+    checks, `square`, `power_filtration`, `annihilator`, the cocycle
+    equations and Z^2 (`cohomology.cocycle_equations`,
+    `cohomology.cocycle_space`), the `invariants.fingerprint`, and over
+    F_p the `local_types` of all elements and their
+    `invariants.element_census`.  `__eq__` and `__hash__` ignore
+    `_cache`, and `change_basis`/`quotient` build new algebras with
+    empty caches, so cached values never leak between algebras.
     """
 
     __slots__ = ("field", "dim", "table", "_cache")
 
     def __init__(self, field: Field, dim: int, table):
         """table: nested n x n x n of scalars, or a dict {(i,j,k): c} 0-based."""
-        self.field = field
-        self.dim = dim
-        z = field.zero()
         if isinstance(table, dict):
+            z = field.zero()
             t = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
             for (i, j, k), c in table.items():
-                t[i][j][k] = field(c)
-            self.table = tuple(tuple(tuple(r) for r in p) for p in t)
-        else:
-            self.table = tuple(
-                tuple(tuple(field(c) for c in row) for row in plane)
-                for plane in table
-            )
-        self._cache = {}
+                t[i][j][k] = c
+            table = t
+        self.field, self.dim, self._cache = field, dim, {}
+        self.table = tuple(tuple(tuple(field.raw(field(c)) for c in row)
+                                 for row in plane) for plane in table)
+
+    @staticmethod
+    def from_raw(field, dim, table):
+        """The algebra with the n x n x n raw table `table` (Fractions
+        over Q, residues in [0, p) over F_p), taken as it is."""
+        A = Algebra.__new__(Algebra)
+        A.field, A.dim, A._cache = field, dim, {}
+        A.table = tuple(tuple(map(tuple, plane)) for plane in table)
+        return A
 
     # ------------------------------------------------------------------
     # multiplication
@@ -68,7 +74,7 @@ class Algebra:
     def multiply_raw(self, x, y):
         """`multiply` on raw coefficient vectors (`Field.raw`), read off
         the nonzero structure constants and reduced mod p once."""
-        nz, zero, p = self._memo("raw", self._raw_products)
+        nz, zero, p = self._memo("nz", self._sparse)
         out = [zero] * self.dim
         ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
@@ -99,34 +105,33 @@ class Algebra:
     def nonzero_products(self):
         """nz[i][j] = ((k, c_ij^k), ...) over the nonzero constants of
         e_i e_j, in increasing k."""
-        return self._memo("nz", lambda: tuple(
-            tuple(tuple((k, c) for k, c in enumerate(row) if c)
-                  for row in plane)
-            for plane in self.table))
+        return self._memo("nz", self._sparse)[0]
 
-    def _raw_products(self):
-        """(`nonzero_products` on raw scalars, the raw zero, the
-        modulus)."""
-        raw = self.field.raw
-        return tuple(tuple(tuple((k, raw(c)) for k, c in terms)
-                           for terms in plane)
-                     for plane in self.nonzero_products()), \
-            raw(self.field.zero()), self.field.modulus
+    def _sparse(self):
+        """(`nonzero_products`, the raw zero, the modulus)."""
+        f = self.field
+        return tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c)
+                           for row in plane) for plane in self.table), \
+            f.raw(f.zero()), f.modulus
+
+    def _units(self):
+        """The basis vectors on raw scalars, computed once."""
+        return self._memo("units", lambda: [
+            tuple(e) for e in Subspace.full(self.field, self.dim)._rows])
 
     def _left_products(self):
         """L[i][j][k] = (e_i e_j) e_k, on raw scalars."""
         def compute():
-            nz = self.nonzero_products()
-            table, e, zero = self._raw_rows()
+            nz, zero, _ = self._memo("nz", self._sparse)
+            table, e, zeros = self.table, self._units(), (zero,) * self.dim
             return _triples(self.dim, lambda i, j, k: self.multiply_raw(
-                table[i][j], e[k]) if nz[i][j] else zero)
+                table[i][j], e[k]) if nz[i][j] else zeros)
         return self._memo("left", compute)
 
     def _associators(self):
         """D[i][j][k] = (e_i e_j) e_k - e_i (e_j e_k), on raw scalars."""
         def compute():
-            nz = self.nonzero_products()
-            table, e, _ = self._raw_rows()
+            nz, table, e = self.nonzero_products(), self.table, self._units()
             L, p = self._left_products(), self.field.modulus
 
             def associator(i, j, k):
@@ -170,7 +175,7 @@ class Algebra:
         n, p = self.dim, self.field.modulus
         if p is None:
             raise ValueError("local types need a prime field")
-        table = self._raw_rows()[0]
+        table = self.table
         levels = [null_space(P._rows, n, 0, 1, p)
                   for P in self.power_filtration()[1:]]
         steps = [[c for j in range(n) for c in table[d][j]] +
@@ -214,15 +219,6 @@ class Algebra:
             ids[i] = types.setdefault((d, left, right, depth[square]),
                                       len(types))
         return ids, list(types)
-
-    def _raw_rows(self):
-        """(the table, the basis vectors, the zero vector) on raw
-        scalars, computed once."""
-        raw = self.field.raw
-        return self._memo("raw_rows", lambda: (
-            [[tuple(map(raw, row)) for row in plane] for plane in self.table],
-            [tuple(map(raw, self.basis_vector(i))) for i in range(self.dim)],
-            (raw(self.field.zero()),) * self.dim))
 
     # ------------------------------------------------------------------
     # identities
@@ -276,7 +272,7 @@ class Algebra:
         """A^2, spanned by the basis products."""
         return self._memo("square", lambda: Subspace.from_raw(
             self.field, self.dim,
-            [p for plane in self._raw_rows()[0] for p in plane if any(p)]))
+            [p for plane in self.table for p in plane if any(p)]))
 
     def power_filtration(self):
         """[A^1, A^2, ...] down to 0 or stabilization (a fresh list).
@@ -311,7 +307,7 @@ class Algebra:
     def _operator_kernel(self, left: bool, right: bool) -> Subspace:
         """{x : x A = 0 (left) and A x = 0 (right)}: the kernel of the
         nonzero rows of the stacked multiplication operators."""
-        nz, zero, _ = self._memo("raw", self._raw_products)
+        nz, zero, _ = self._memo("nz", self._sparse)
         rows = {}
         for a, plane in enumerate(nz):
             for b, terms in enumerate(plane):
@@ -343,9 +339,10 @@ class Algebra:
         return self.dim - self.square().dim
 
     def commutator_space(self) -> Subspace:
-        n, t = self.dim, self.table
-        return Subspace(self.field, n, [
-            [x - y for x, y in zip(t[i][j], t[j][i])]
+        n, t, p = self.dim, self.table, self.field.modulus
+        return Subspace.from_raw(self.field, n, [
+            [x - y if p is None else (x - y) % p
+             for x, y in zip(t[i][j], t[j][i])]
             for i in range(n) for j in range(i + 1, n)])
 
     def is_ideal(self, I: Subspace) -> bool:
@@ -361,13 +358,13 @@ class Algebra:
         if not self.is_ideal(I):
             raise NotAnIdeal("quotient by a non-ideal")
         free = [j for j in range(self.dim) if j not in I._pivots]
-        table, f = self._raw_rows()[0], self.field
+        table, p = self.table, self.field.modulus
 
         def coordinates(v):
-            w = reduce(v, I._rows, I._pivots, f.modulus)
-            return [f.wrap(w[c]) for c in free]
-        return Algebra(f, len(free), [[coordinates(table[i][j]) for j in free]
-                                      for i in free])
+            w = reduce(v, I._rows, I._pivots, p)
+            return [w[c] for c in free]
+        return Algebra.from_raw(self.field, len(free), [
+            [coordinates(table[i][j]) for j in free] for i in free])
 
     def change_basis(self, P: Matrix) -> "Algebra":
         """Same product expressed in the basis f_i = sum_j P[j][i] e_j
@@ -383,22 +380,18 @@ class Algebra:
                                        for v in cols], f.modulus)
         if solved is None:
             raise SingularMatrix("basis change by a singular matrix")
-        return Algebra(f, n, {(t // n, t % n, k): f.wrap(c)
-                              for k, row in enumerate(solved[0])
-                              for t, c in enumerate(row) if c})
+        products = list(zip(*solved[0]))
+        return Algebra.from_raw(f, n, [products[i * n:(i + 1) * n]
+                                       for i in range(n)])
 
     # ------------------------------------------------------------------
     # serialization
 
     def to_json(self):
-        triples = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    c = self.table[i][j][k]
-                    if c:
-                        triples.append({"i": i + 1, "j": j + 1, "k": k + 1,
-                                        "c": repr(c)})
+        wrap = self.field.wrap
+        triples = [{"i": i + 1, "j": j + 1, "k": k + 1, "c": repr(wrap(c))}
+                   for i, plane in enumerate(self.nonzero_products())
+                   for j, terms in enumerate(plane) for k, c in terms]
         return {"dim": self.dim, "field": field_tag(self.field),
                 "table": triples}
 
@@ -426,13 +419,11 @@ class Algebra:
         return hash((self.field, self.dim, self.table))
 
     def __repr__(self):
-        prods = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                terms = [(c, k) for k, c in enumerate(self.table[i][j]) if c]
-                if terms:
-                    s = "+".join(f"{repr(c)}*e{k + 1}" for c, k in terms)
-                    prods.append(f"e{i + 1}e{j + 1}={s}")
+        wrap = self.field.wrap
+        prods = [f"e{i + 1}e{j + 1}=" + "+".join(
+                     f"{repr(wrap(c))}*e{k + 1}" for k, c in terms)
+                 for i, plane in enumerate(self.nonzero_products())
+                 for j, terms in enumerate(plane) if terms]
         return f"Algebra(dim {self.dim}: " + ", ".join(prods) + ")"
 
 

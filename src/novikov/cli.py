@@ -59,11 +59,18 @@ def _canonical(doc):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise InputError(f"{path}: {e}")
+
+
 def _emit(report, args):
     text = _canonical(report)
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text)
+        _write(args.report, text)
     sys.stdout.write(text)
 
 
@@ -115,8 +122,7 @@ def cmd_extend(args):
     B = central_extension(A, theta)
     report = B.to_json()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_canonical(report))
+        _write(args.out, _canonical(report))
     _emit(report, args)
     return 0
 
@@ -129,8 +135,7 @@ def cmd_reconstruct(args):
         raise InputError(str(e))
     report = {"base": base.to_json(), "cocycle": theta.to_json()}
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_canonical(report))
+        _write(args.out, _canonical(report))
     _emit(report, args)
     return 0
 
@@ -282,9 +287,7 @@ def cmd_orbits_fp(args):
 
 def cmd_fmt(args):
     doc = _load_json(args.file)
-    text = _canonical(doc)
-    with open(args.file, "w") as fh:
-        fh.write(text)
+    _write(args.file, _canonical(doc))
     return 0
 
 

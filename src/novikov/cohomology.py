@@ -78,7 +78,7 @@ class Cocycle:
         f, n = self.base.field, self.base.dim
         rows = []
         for m in self.components:
-            raw = [[f.raw(x) for x in row] for row in m.entries]
+            raw = m._raw()
             rows += raw + [list(col) for col in zip(*raw)]
         return Subspace.kernel(f, n, rows)
 
@@ -153,7 +153,7 @@ def cocycle_equations(A: Algebra):
 
 def _cocycle_equations(A: Algebra):
     n, p = A.dim, A.field.modulus
-    nz = A._memo("raw", A._raw_products)[0]
+    nz = A.nonzero_products()
 
     def row(*parts):
         # parts: (sign, terms of a product, step, offset); its term
@@ -214,7 +214,7 @@ def form_sum(A: Algebra, terms) -> Matrix:
 def coboundary_space(A: Algebra) -> Subspace:
     """B^2(A, F): forms delta f (x, y) = f(xy); spanned by the dual-basis
     slices of the structure tensor."""
-    n, table = A.dim, A._raw_rows()[0]
+    n, table = A.dim, A.table
     return Subspace.from_raw(A.field, n * n, [
         [table[i][j][t] for i in range(n) for j in range(n)]
         for t in range(n)])

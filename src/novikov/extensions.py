@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from .algebra import Algebra
 from .cohomology import Cocycle, classes_independent, cocycle_space, flatten
+from .fields import FieldMismatch
 from .linalg import Matrix, Subspace
 
 
@@ -24,18 +25,15 @@ class ZeroAnnihilator(Exception):
 
 
 def central_extension(A: Algebra, theta: Cocycle) -> Algebra:
-    n, s = A.dim, theta.s
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c = A.table[i][j][k]
-                if c:
-                    table[(i, j, k)] = c
-            for t, m in enumerate(theta.components):
-                if m[i, j]:
-                    table[(i, j, n + t)] = m[i, j]
-    return Algebra(A.field, n + s, table)
+    n, s, f = A.dim, theta.s, A.field
+    if theta.base.field != f:
+        raise FieldMismatch(f"{theta.base.field} vs {f}")
+    forms = [m._raw() for m in theta.components]
+    zero = (f.raw(f.zero()),) * (n + s)
+    table = [[row + tuple(m[i][j] for m in forms)
+              for j, row in enumerate(plane)] + [zero] * s
+             for i, plane in enumerate(A.table)]
+    return Algebra.from_raw(f, n + s, table + [[zero] * (n + s)] * s)
 
 
 def extension_is_novikov_iff(A: Algebra, theta: Cocycle):
@@ -54,8 +52,8 @@ def extension_annihilator_law(A: Algebra, theta: Cocycle):
     ann_ext = ext.annihilator()
     core = theta.annihilator().intersect(A.annihilator())
     f = A.field
-    expected = Subspace(f, n + s, [list(v) + [f.zero()] * s
-                                   for v in core.basis]) + \
+    expected = Subspace.from_raw(f, n + s, [
+        v + [f.raw(f.zero())] * s for v in core._rows]) + \
         Subspace.unit_span(f, n + s, range(n, n + s))
     return ann_ext == expected, ann_ext
 
@@ -76,7 +74,7 @@ def reconstruct(B: Algebra):
         raise ZeroAnnihilator("no central subspace to strip")
     base = B.quotient(ann)
     free = [j for j in range(B.dim) if j not in ann._pivots]
-    table, wrap = B._raw_rows()[0], B.field.wrap
+    table, wrap = B.table, B.field.wrap
     return base, Cocycle(base, [[[wrap(table[i][j][c]) for j in free]
                                  for i in free] for c in ann._pivots],
                          check=False)
@@ -86,5 +84,5 @@ def reconstruction_basis_change(B: Algebra) -> Matrix:
     """The basis change aligning B with central_extension(*reconstruct(B)):
     columns are the complement representatives followed by Ann(B) basis."""
     ann = B.annihilator()
-    return Matrix(B.field, ann.coordinate_complement().basis +
-                  ann.basis).transpose()
+    return Matrix(B.field, ann.coordinate_complement()._rows +
+                  ann._rows).transpose()

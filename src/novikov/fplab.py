@@ -83,11 +83,8 @@ def induced_h2_matrices(A: Algebra, reps, auts):
     representatives followed by a basis of B^2, gives a left inverse of
     S (the coordinates) and the equations of Z^2 = span(S) (the residual
     rows).  Each image phi^T theta phi is then read off on ints mod p."""
-    raw, p = A.field.raw, A.field.modulus
-    n = A.dim
-    d = len(reps)
-    mats = [[[raw(c) for c in row] for row in r.components[0].entries]
-            for r in reps]
+    n, d, p = A.dim, len(reps), A.field.modulus
+    mats = [r.components[0]._raw() for r in reps]
     solved = solve_in_basis(
         [[m[i][j] for i in range(n) for j in range(n)] for m in mats] +
         coboundary_space(A)._rows, Matrix.identity(A.field, n * n)._raw(), p)
@@ -96,7 +93,7 @@ def induced_h2_matrices(A: Algebra, reps, auts):
     coords, equations = solved[0][:d], solved[1]
     out = []
     for phi in auts:
-        ph = [[raw(c) for c in row] for row in phi.entries]
+        ph = phi._raw()
         columns = []
         for m in mats:
             mph = [[sum(m[i][k] * ph[k][b] for k in range(n))

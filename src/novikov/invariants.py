@@ -82,8 +82,11 @@ def separate(named_algebras, budget: int = 5_000_000, height: int = 3):
               where the "exhaustive_search" failed,
       undecided: same-fingerprint pairs the heuristic search could not
               settle (only possible over non-prime fields).
+    ValueError when the algebras live over different fields.
     """
     items = list(named_algebras)
+    if len({alg.field for _, alg in items}) > 1:
+        raise ValueError("the algebras live over different fields")
     fps = {name: fingerprint(alg) for name, alg in items}
     groups = {}
     for name, alg in items:

@@ -8,9 +8,9 @@ in column order; exact fields make this correct and deterministic.
 The row reduction itself is `eliminate` and `reduce`, which work on
 raw scalars (`Field.raw`; residues mod p when p is given) for every
 field.  Every `Subspace` is built from raw rows by `Subspace.from_raw`,
-which eliminates them once and wraps only the RREF basis; every vector
-written in a basis goes through `solve_in_basis`.  `Matrix` still holds
-FieldElements and converts at its boundary.
+which eliminates them once and keeps only the raw RREF basis; every
+vector written in a basis goes through `solve_in_basis`.  `Matrix`
+still holds FieldElements and converts at its boundary.
 """
 
 from __future__ import annotations
@@ -258,11 +258,10 @@ def _dot(a, b, field):
 
 
 class Subspace:
-    """A subspace of field^ambient, stored by its canonical RREF basis
-    (and, for `member`, the same rows on raw scalars with their pivot
-    columns)."""
+    """A subspace of field^ambient, stored by its canonical RREF basis on
+    raw scalars (`_rows`, with their pivot columns `_pivots`)."""
 
-    __slots__ = ("field", "ambient", "basis", "_rows", "_pivots")
+    __slots__ = ("field", "ambient", "_rows", "_pivots")
 
     def __init__(self, field: Field, ambient: int, vectors=()):
         rows = [[field.raw(field(x)) for x in v] for v in vectors]
@@ -275,7 +274,6 @@ class Subspace:
         self.field, self.ambient = field, ambient
         red, rank, self._pivots = eliminate(rows, field.modulus)
         self._rows = red[:rank]
-        self.basis = tuple(tuple(map(field.wrap, row)) for row in self._rows)
 
     @staticmethod
     def from_raw(field, ambient, rows):
@@ -306,15 +304,19 @@ class Subspace:
             field.modulus))
 
     @property
+    def basis(self):
+        """The RREF basis as tuples of FieldElements."""
+        return tuple(tuple(map(self.field.wrap, row)) for row in self._rows)
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return len(self._rows)
 
     def member(self, vec) -> bool:
         if len(vec) != self.ambient:
             raise DimensionMismatch("vector length")
         f = self.field
-        raw = f.raw
-        return not any(reduce([raw(f(x)) for x in vec], self._rows,
+        return not any(reduce([f.raw(f(x)) for x in vec], self._rows,
                               self._pivots, f.modulus))
 
     def contains(self, other: "Subspace") -> bool:
@@ -343,7 +345,8 @@ class Subspace:
         k = len(sub._rows)
         _, _, pivots = eliminate([list(r) for r in zip(
             *sub._rows, *self._rows)], self.field.modulus)
-        return [self.basis[c - k] for c in pivots if c >= k]
+        wrap = self.field.wrap
+        return [tuple(map(wrap, self._rows[c - k])) for c in pivots if c >= k]
 
     def coordinate_complement(self):
         """Lexicographically-first coordinate complement of self."""
@@ -358,10 +361,10 @@ class Subspace:
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
-                and self.ambient == other.ambient and self.basis == other.basis)
+                and (self.ambient, self._rows) == (other.ambient, other._rows))
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.basis))
+        return hash((self.field, self.ambient, *map(tuple, self._rows)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"

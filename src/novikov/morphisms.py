@@ -37,7 +37,7 @@ from itertools import combinations, product as iproduct
 
 from .algebra import Algebra
 from .cohomology import Cocycle
-from .fields import PrimeField
+from .fields import FieldMismatch, PrimeField
 from .linalg import (Matrix, Subspace, eliminate, null_space, reduce,
                      solve_in_basis)
 
@@ -55,12 +55,16 @@ def is_homomorphism(A: Algebra, B: Algebra, phi: Matrix):
     Returns (True, None) or (False, (i, j))."""
     if phi.rows != B.dim or phi.cols != A.dim:
         raise ValueError("map shape does not match the algebras")
-    cols = [phi.col(i) for i in range(A.dim)]
+    if not phi.field == A.field == B.field:
+        raise FieldMismatch(f"{phi.field} map from {A.field} to {B.field}")
+    m, p = phi._raw(), B.field.modulus
+    cols = [tuple(row[i] for row in m) for i in range(A.dim)]
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = phi.apply(A.table[i][j])
-            rhs = B.multiply(cols[i], cols[j])
-            if lhs != rhs:
+            lhs = [sum(a * c for a, c in zip(row, A.table[i][j])) for row in m]
+            if p is not None:
+                lhs = [x % p for x in lhs]
+            if tuple(lhs) != B.multiply_raw(cols[i], cols[j]):
                 return False, (i, j)
     return True, None
 
@@ -83,7 +87,7 @@ def derivation_algebra(A: Algebra):
     """(Subspace of n^2-flattened derivation matrices, its dimension).
     D(xy) = D(x)y + xD(y); kernel of the induced linear system."""
     n, f, p = A.dim, A.field, A.field.modulus
-    table, zero = A._raw_rows()[0], f.raw(f.zero())
+    table, zero = A.table, f.raw(f.zero())
     rows = []
     for i in range(n):
         for j in range(n):
@@ -132,7 +136,7 @@ class WordBasis:
     """
 
     def __init__(self, A: Algebra):
-        n, units = A.dim, A._raw_rows()[1]
+        n, units = A.dim, A._units()
         words, vectors, level = self._close(
             A, A.square().coordinate_complement()._rows)
         self.minimal = len(vectors) == n
@@ -353,7 +357,7 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
               for lv in range(g)]
     linear_words = [[t for t in wb.new_words[lv] if wb.degree[t] == 1]
                     for lv in range(g)]
-    units = B._raw_rows()[1]
+    units = B._units()
     multiply = B.multiply_raw
     counter = [0]
     results = []

@@ -1,6 +1,8 @@
 """Structure-constant algebras: identities, filtration, basis change."""
 
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -302,7 +304,7 @@ def _reference_fp_multiply(A, x, y):
     """The product on int tuples mod p over the dense table, as the
     separate F_p search algebra computed it."""
     p, n = A.field.p, A.dim
-    table = [[[c.data for c in row] for row in plane] for plane in A.table]
+    table = A.table
     out = [0] * n
     for i in range(n):
         if not x[i]:
@@ -401,3 +403,40 @@ def test_cache_does_not_leak():
     Q = A.quotient(A.annihilator())
     _assert_derived_match_reference(Q)
     assert [s.dim for s in Q.power_filtration()] == [2, 1, 0]
+
+
+# e1e1 = 2 e2, e1e2 = -e3 + e2, e2e1 = 3 e3, e3e3 = 1/2 e1
+BOUNDARY_TABLE = {(0, 0, 1): 2, (0, 1, 2): -1, (0, 1, 1): 1, (1, 0, 2): 3,
+                  (2, 2, 0): Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("field", [QQ, F5, GaussianRationalField(),
+                                   QuadraticField(2)],
+                         ids=["Q", "F5", "Qi", "Qsqrt2"])
+def test_the_constructor_is_the_one_coercing_boundary(field):
+    elements = {key: field(c) for key, c in BOUNDARY_TABLE.items()}
+    raw = [[[field.raw(elements.get((i, j, k), field.zero()))
+             for k in range(3)] for j in range(3)] for i in range(3)]
+    algebras = [
+        Algebra(field, 3, BOUNDARY_TABLE),
+        Algebra(field, 3, {key: repr(c) for key, c in elements.items()}),
+        Algebra(field, 3, elements),
+        Algebra(field, 3, [[[field.wrap(c) for c in row] for row in plane]
+                           for plane in raw]),
+        Algebra.from_raw(field, 3, raw),
+    ]
+    for B in algebras:
+        assert B == algebras[0] and hash(B) == hash(algebras[0])
+        assert B.dumps() == algebras[0].dumps()
+        assert repr(B) == repr(algebras[0])
+    A = algebras[0]
+    # the table holds raw scalars: Fractions over Q (an int there would
+    # make elimination divide in floats), residues in [0, p) over F_p
+    entries = [c for plane in A.table for row in plane for c in row]
+    if field == QQ:
+        assert all(type(c) is Fraction for c in entries)
+    elif field == F5:
+        assert all(type(c) is int and 0 <= c < 5 for c in entries)
+    assert A.multiply(A.basis_vector(0), A.basis_vector(1)) == \
+        tuple(map(field.wrap, A.table[0][1]))
+    assert Algebra.from_json(json.loads(A.dumps())) == A

@@ -101,6 +101,23 @@ def test_separate(tmp_path, capsys):
     assert len(rep["groups"]) == 2
 
 
+@pytest.mark.parametrize("first", [0, 1])
+def test_separate_rejects_algebras_over_different_fields(tmp_path, capsys,
+                                                          first):
+    # the same table over Q and over F_3: with Q first both used to land
+    # in one group as undecided (exit 0), with F_3 first the local types
+    # refused the Q algebra with a message about prime fields
+    paths = []
+    for field, name in ((QQ, "q.json"), (PrimeField(3), "f3.json")):
+        p = tmp_path / name
+        p.write_text(Algebra(field, 2, {(0, 0, 1): 1}).dumps())
+        paths.append(str(p))
+    if first:
+        paths.reverse()
+    assert main(["separate"] + paths) == 2
+    _one_line_error(capsys, "different fields")
+
+
 def test_census(capsys):
     assert main(["census"]) == 0
     out = capsys.readouterr().out
@@ -224,6 +241,28 @@ def test_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
     assert main(["check", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--report", "OUT", "check", "ALG"],
+    ["extend", "--algebra", "ALG", "--cocycle", "COC", "--out", "OUT"],
+    ["reconstruct", "EXT", "--out", "OUT"],
+])
+def test_unwritable_output_exits_2(alg_file, tmp_path, capsys, argv):
+    # a report into a missing directory raised a traceback (exit 1, the
+    # code of a failed verification)
+    assert main(["h2", alg_file]) == 0
+    coc = tmp_path / "coc.json"
+    coc.write_text(json.dumps(json.loads(capsys.readouterr().out)
+                              ["classes"][0]))
+    ext = tmp_path / "ext.json"
+    assert main(["extend", "--algebra", alg_file, "--cocycle", str(coc),
+                 "--out", str(ext)]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "missing" / "r.json")
+    names = {"ALG": alg_file, "COC": str(coc), "EXT": str(ext), "OUT": out}
+    assert main([names.get(a, a) for a in argv]) == 2
+    _one_line_error(capsys, out)
 
 
 def _table(*triples, c="1"):

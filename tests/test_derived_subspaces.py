@@ -431,7 +431,7 @@ def test_solve_in_basis_returns_rationals():
             assert (not any(rest)) == (not any(row[t] for row in residual))
     A = Algebra(QQ, 3, {(0, 0, 1): QQ(1), (0, 1, 2): QQ(1)})
     B = A.change_basis(Matrix(QQ, [[1, 1, 0], [0, 2, 0], [1, 0, 3]]))
-    assert all(type(c.data) is Fraction for plane in B.table
+    assert all(type(c) is Fraction for plane in B.table
                for row in plane for c in row)
     W = WordBasis(B)
     assert all(type(x) is Fraction for row in W.inverse + W.vectors

@@ -9,7 +9,7 @@ from novikov.extensions import (ZeroAnnihilator, central_extension,
                                 extension_is_novikov_iff,
                                 extension_is_split, reconstruct,
                                 reconstruction_basis_change)
-from novikov.fields import QQ, PrimeField
+from novikov.fields import QQ, FieldMismatch, PrimeField
 from novikov.linalg import Matrix
 
 F5 = PrimeField(5)
@@ -40,6 +40,15 @@ def test_central_extension_table():
     for i in range(3):
         assert B.multiply(e3, B.basis_vector(i)) == (QQ(0),) * 3
         assert B.multiply(B.basis_vector(i), e3) == (QQ(0),) * 3
+
+
+def test_central_extension_keeps_one_field():
+    # the table is built from raw scalars, so a cocycle over another
+    # field must be refused, not mixed in as residues
+    over_f5 = Cocycle(Algebra(F5, 2, {(0, 0, 1): 1}),
+                      [[[F5(0), F5(1)], [F5(0), F5(0)]]])
+    with pytest.raises(FieldMismatch):
+        central_extension(A, over_f5)
 
 
 def test_novikov_iff_cocycle():

@@ -13,7 +13,7 @@ from novikov.fields import QQ, DivisionByZero, PrimeField
 from novikov.invariants import element_census, fingerprint, separate
 from novikov.linalg import Matrix
 
-F3, F5 = PrimeField(3), PrimeField(5)
+F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
 
 def test_fingerprint_is_basis_independent():
@@ -29,6 +29,34 @@ def test_fingerprint_is_basis_independent():
             continue
         assert fingerprint(A.change_basis(P)) == fp
         done += 1
+
+
+@st.composite
+def _table_and_basis_change(draw):
+    """(a random table over Q, F_2, F_3 or F_5, an invertible matrix of
+    its size)."""
+    field = draw(st.sampled_from([QQ, F2, F3, F5]))
+    n = draw(st.integers(1, 4))
+    values = st.integers(-2, 2)
+    A = Algebra(field, n, draw(st.dictionaries(
+        st.tuples(*[st.integers(0, n - 1)] * 3), values, max_size=8)))
+    P = Matrix(field, draw(st.lists(st.lists(values, min_size=n,
+                                             max_size=n),
+                                    min_size=n, max_size=n)))
+    assume(P.is_invertible())
+    return A, P
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_table_and_basis_change())
+def test_fingerprint_does_not_depend_on_the_basis(case):
+    # the filtration, Ann, A^2, Der, Z^2 and H^2 of the same product in
+    # another basis; over F_p the element census too
+    A, P = case
+    B = A.change_basis(P)
+    assert fingerprint(B) == fingerprint(A)
+    if A.field.modulus is not None:
+        assert element_census(B) == element_census(A)
 
 
 def test_fingerprint_fields():

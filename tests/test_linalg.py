@@ -372,3 +372,19 @@ def test_intersect_and_contains_match_reference(field):
         for S, T in ((U, W), (U + W, U), (got, U)):
             assert S.contains(T) == all(S.member(v) for v in T.basis)
     assert 0 in sizes and max(sizes) > 0
+
+
+@pytest.mark.parametrize("field", [QQ, F5, QI, QS2],
+                         ids=["Q", "F5", "Qi", "Qsqrt2"])
+def test_subspaces_from_different_spanning_sets(field):
+    u, v = [field(1), field(2), field(0)], [field(0), field(1), field(3)]
+    w = [a + 2 * b for a, b in zip(u, v)]
+    spans = [Subspace(field, 3, [u, v]), Subspace(field, 3, [w, v, u]),
+             Subspace(field, 3, [[3 * x for x in u], w]),
+             Subspace.from_raw(field, 3, [[field.raw(x) for x in w],
+                                          [field.raw(x) for x in u]])]
+    for S in spans:
+        assert S == spans[0] and hash(S) == hash(spans[0]) and S.dim == 2
+        assert S.basis == tuple(tuple(map(field.wrap, row))
+                                for row in S._rows)
+    assert spans[0] != Subspace(field, 3, [u])

@@ -11,8 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 from novikov.algebra import Algebra
 from novikov.catalog import _evaluate
 from novikov.cohomology import Cocycle
-from novikov.fields import (QQ, GaussianRationalField, PrimeField,
-                            QuadraticField)
+from novikov.fields import (QQ, FieldMismatch, GaussianRationalField,
+                            PrimeField, QuadraticField)
 from novikov.linalg import Matrix, eliminate
 from novikov.morphisms import (BudgetExceeded, NotAutomorphism, WordBasis,
                                _candidate_vectors, _search, act_on_cocycle,
@@ -36,6 +36,9 @@ def test_homomorphism_check():
     assert not ok and wit == (0, 0)
     with pytest.raises(ValueError):
         is_homomorphism(A, A, Matrix.identity(QQ, 2))
+    # the check runs on raw scalars, which must not mix across fields
+    with pytest.raises(FieldMismatch):
+        is_homomorphism(A, A, Matrix.identity(F5, 3))
 
 
 def test_isomorphism_check():
@@ -239,7 +242,7 @@ def test_enumerate_aut_fp():
 def _reference_fp_pool(A):
     """The nonzero int vectors mod p outside A^2, in `product` order."""
     p = A.field.p
-    rows = [[c.data for c in row] for plane in A.table for row in plane]
+    rows = [list(row) for plane in A.table for row in plane]
     square = _reference_fp_rref([r for r in rows if any(r)], p)[0]
     return [v for v in product(range(p), repeat=A.dim)
             if any(v) and any(_reference_fp_reduce(v, square, p))]
