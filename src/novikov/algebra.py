@@ -65,11 +65,12 @@ class Algebra:
     # multiplication
 
     def multiply(self, x, y):
-        """Bilinear extension: x, y vectors of field elements of length
-        dim."""
-        raw = self.field.raw
-        return tuple(map(self.field.wrap, self.multiply_raw(
-            [raw(a) for a in x], [raw(b) for b in y])))
+        """Bilinear extension: x, y vectors of length dim whose
+        coordinates the field coerces (ints, strings, raw scalars, field
+        elements); returns field elements."""
+        f = self.field
+        return tuple(map(f.wrap, self.multiply_raw(
+            [f.raw(f(a)) for a in x], [f.raw(f(b)) for b in y])))
 
     def multiply_raw(self, x, y):
         """`multiply` on raw coefficient vectors (`Field.raw`), read off

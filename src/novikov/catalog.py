@@ -6,6 +6,15 @@ records (cocycle coefficient expressions over parameters).  An entry at
 a parameter sample *is* the central extension built from its base and
 cocycle; nothing 5-dimensional is stored.
 
+The 218 entries rest on 44 bases, so many samples share one base at the
+same parameter values (the 448 default samples over Q use 34 such
+tuples).  Each `BaseRecord` builds its algebra and generator forms once
+per (field, base parameter values) and hands the same objects to every
+caller, so everything the algebra memoizes (sparse table, cocycle
+equations, Z^2, annihilator) is computed once per tuple too.  The memo
+lives on the records of one `load_catalog()` result: each load starts
+empty.
+
 Data lives in JSON files next to this module (override the directory
 with the NOVIKOV_DATA environment variable):
     bases/<key>.json    one base algebra record
@@ -75,6 +84,7 @@ class BaseRecord:
         self.aut_action = doc.get("aut_action")
         self.extra_orbits = doc.get("extra_orbits") or []
         self.note = doc.get("note")
+        self._specializations = {}
 
     def excluded(self, field: Field, env) -> bool:
         """Do the parameter values violate a recorded constraint?
@@ -90,25 +100,40 @@ class BaseRecord:
             return False
 
     def algebra(self, field: Field, env=None) -> Algebra:
-        env = env or {}
-        n = self.dim
-        table = {}
-        for i, j, k, c in self.table_raw:
-            table[(i - 1, j - 1, k - 1)] = _evaluate(c, field, env)
-        return Algebra(field, n, table)
+        """The base algebra at the parameter values `env`; equal (field,
+        values) give the same object."""
+        return self._specialization(field, env or {})[0]
 
     def nabla_matrices(self, field: Field, env=None):
+        """The listed generator forms at `env`, as a tuple of matrices
+        shared like `algebra`."""
         if self.nablas_raw is None:
             raise CatalogError(f"{self.key} has no trusted generator list")
-        env = env or {}
-        n = self.dim
-        out = []
-        for nab in self.nablas_raw:
-            m = [[field.zero()] * n for _ in range(n)]
-            for i, j, c in nab:
-                m[i - 1][j - 1] = _evaluate(c, field, env)
-            out.append(Matrix(field, m))
-        return out
+        return self._specialization(field, env or {})[1]
+
+    def _specialization(self, field: Field, env):
+        """(algebra, generator forms or None), built once per (field,
+        parameter values) and kept on this record.  The table and the
+        forms are evaluated together; an evaluation error propagates and
+        nothing is kept."""
+        key = (field, tuple(sorted(env.items())))
+        spec = self._specializations.get(key)
+        if spec is None:
+            n = self.dim
+            A = Algebra(field, n, {
+                (i - 1, j - 1, k - 1): _evaluate(c, field, env)
+                for i, j, k, c in self.table_raw})
+            forms = None
+            if self.nablas_raw is not None:
+                forms = []
+                for nab in self.nablas_raw:
+                    m = [[field.zero()] * n for _ in range(n)]
+                    for i, j, c in nab:
+                        m[i - 1][j - 1] = _evaluate(c, field, env)
+                    forms.append(Matrix(field, m))
+                forms = tuple(forms)
+            spec = self._specializations[key] = (A, forms)
+        return spec
 
     def nabla_cocycles(self, field: Field, env=None, check=True):
         A = self.algebra(field, env)
@@ -226,24 +251,30 @@ class CatalogEntry:
                 env = self.sample_env(field, cand)
             except (SqrtNotInField, DivisionByZero, ExprError):
                 continue
-            if not self.admissible(field, env):
+            if not require_ts:
+                if self.admissible(field, env):
+                    return cand
                 continue
-            if require_ts:
+            try:
+                # the strict specialization is the admissibility test
                 A, theta = self.specialize(field, cand)
-                try:
-                    if not in_Ts(A, [theta]):
-                        continue
-                except DependentClasses:
-                    continue
-            return cand
+            except InadmissibleSample:
+                continue
+            try:
+                if in_Ts(A, [theta]):
+                    return cand
+            except DependentClasses:
+                pass
         return None
 
     # -- construction -------------------------------------------------
 
     def specialize(self, field: Field, sample, strict=True):
-        """(base algebra, cocycle) at the sample.  With strict=False the
-        entry's own exclusions are ignored (boundary values stay
-        constructible as long as the expressions evaluate)."""
+        """(base algebra, cocycle) at the sample; the base algebra is the
+        one `BaseRecord.algebra` shares among all samples with the same
+        base parameter values.  With strict=False the entry's own
+        exclusions are ignored (boundary values stay constructible as
+        long as the expressions evaluate)."""
         env = self.sample_env(field, sample)
         admitted = self._admitted(field, env) if strict else None
         if strict and admitted is None:

@@ -13,6 +13,7 @@ fails loudly when no square root exists in the field.
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .fields import Field, FieldElement
@@ -46,116 +47,121 @@ class Expr:
 
     def __init__(self, text: str):
         self.text = text
-        self._ast = _parse(tokenize(text))
+        self._ast = _Parser(tokenize(text)).parse()
 
     def evaluate(self, field: Field, env=None) -> FieldElement:
-        env = env or {}
-
-        def ev(node):
-            kind = node[0]
-            if kind == "int":
-                return field(node[1])
-            if kind == "var":
-                if node[1] not in env:
-                    raise ExprError(f"unbound parameter {node[1]!r} "
-                                    f"in {self.text!r}")
-                return field(env[node[1]])
-            if kind == "add":
-                return ev(node[1]) + ev(node[2])
-            if kind == "sub":
-                return ev(node[1]) - ev(node[2])
-            if kind == "mul":
-                return ev(node[1]) * ev(node[2])
-            if kind == "div":
-                return ev(node[1]) / ev(node[2])
-            if kind == "neg":
-                return -ev(node[1])
-            if kind == "pow":
-                base = ev(node[1])
-                out = field.one()
-                for _ in range(node[2]):
-                    out = out * base
-                return out
-            if kind == "sqrt":
-                arg = ev(node[1])
-                root = field.try_sqrt(arg)
-                if root is None:
-                    raise SqrtNotInField(
-                        f"sqrt({arg!r}) does not exist in {field!r}")
-                return root
-            raise ExprError(f"bad node {node!r}")
-
-        return ev(self._ast)
+        return _evaluate(self._ast, field, env or {}, self.text)
 
     def __repr__(self):
         return f"Expr({self.text!r})"
 
 
-def _parse(tokens):
-    pos = [0]
+# Recursion runs through a parser object and a module function, never
+# through a nested closure that refers to itself, so parsing and
+# evaluating leave no reference cycles for the garbage collector.
 
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+           "div": operator.truediv}
 
-    def take(expected=None):
-        tok = peek()
+
+def _evaluate(node, field, env, text):
+    kind = node[0]
+    if kind == "int":
+        return field(node[1])
+    if kind == "var":
+        if node[1] not in env:
+            raise ExprError(f"unbound parameter {node[1]!r} in {text!r}")
+        return field(env[node[1]])
+    if kind in _BINARY:
+        return _BINARY[kind](_evaluate(node[1], field, env, text),
+                             _evaluate(node[2], field, env, text))
+    if kind == "neg":
+        return -_evaluate(node[1], field, env, text)
+    if kind == "pow":
+        base = _evaluate(node[1], field, env, text)
+        out = field.one()
+        for _ in range(node[2]):
+            out = out * base
+        return out
+    if kind == "sqrt":
+        arg = _evaluate(node[1], field, env, text)
+        root = field.try_sqrt(arg)
+        if root is None:
+            raise SqrtNotInField(f"sqrt({arg!r}) does not exist in {field!r}")
+        return root
+    raise ExprError(f"bad node {node!r}")
+
+
+class _Parser:
+    """Recursive descent over a token list (grammar in the module
+    docstring)."""
+
+    def __init__(self, tokens):
+        self.tokens, self.pos = tokens, 0
+
+    def parse(self):
+        root = self.expr()
+        if self.pos != len(self.tokens):
+            raise ExprError(f"trailing tokens: {self.tokens[self.pos:]}")
+        return root
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self, expected=None):
+        tok = self.peek()
         if tok is None or (expected is not None and tok != expected):
             raise ExprError(f"expected {expected!r}, got {tok!r}")
-        pos[0] += 1
+        self.pos += 1
         return tok
 
-    def atom():
-        tok = peek()
+    def atom(self):
+        tok = self.peek()
         if tok == "(":
-            take()
-            node = expr()
-            take(")")
+            self.take()
+            node = self.expr()
+            self.take(")")
             return node
         if tok == "sqrt":
-            take()
-            take("(")
-            node = expr()
-            take(")")
+            self.take()
+            self.take("(")
+            node = self.expr()
+            self.take(")")
             return ("sqrt", node)
         if tok is not None and tok.isdigit():
-            take()
+            self.take()
             return ("int", int(tok))
         if tok is not None and re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
-            take()
+            self.take()
             return ("var", tok)
         raise ExprError(f"unexpected token {tok!r}")
 
-    def factor():
-        if peek() == "-":
-            take()
-            return ("neg", factor())
-        node = atom()
-        if peek() == "^":
-            take()
-            exp = take()
+    def factor(self):
+        if self.peek() == "-":
+            self.take()
+            return ("neg", self.factor())
+        node = self.atom()
+        if self.peek() == "^":
+            self.take()
+            exp = self.take()
             if not exp.isdigit():
                 raise ExprError("integer exponent required")
             node = ("pow", node, int(exp))
         return node
 
-    def term():
-        node = factor()
-        while peek() in ("*", "/"):
-            op = take()
-            node = ("mul" if op == "*" else "div", node, factor())
+    def term(self):
+        node = self.factor()
+        while self.peek() in ("*", "/"):
+            op = self.take()
+            node = ("mul" if op == "*" else "div", node, self.factor())
         return node
 
-    def expr():
-        node = term()
-        while peek() in ("+", "-"):
-            op = take()
-            node = ("add" if op == "+" else "sub", node, term())
+    def expr(self):
+        node = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            node = ("add" if op == "+" else "sub", node, self.term())
         return node
-
-    root = expr()
-    if pos[0] != len(tokens):
-        raise ExprError(f"trailing tokens: {tokens[pos[0]:]}")
-    return root
 
 
 def evaluate(text: str, field: Field, env=None) -> FieldElement:

@@ -440,3 +440,19 @@ def test_the_constructor_is_the_one_coercing_boundary(field):
     assert A.multiply(A.basis_vector(0), A.basis_vector(1)) == \
         tuple(map(field.wrap, A.table[0][1]))
     assert Algebra.from_json(json.loads(A.dumps())) == A
+
+
+@pytest.mark.parametrize("field", [QQ, F5, GaussianRationalField()],
+                         ids=["Q", "F5", "Qi"])
+def test_multiply_coerces_plain_vectors(field):
+    A = Algebra(field, 3, BOUNDARY_TABLE)
+    x, y = (1, -2, 3), (2, 0, -1)
+    as_raw = [[field.raw(field(c)) for c in v] for v in (x, y)]
+    as_elements = [[field(c) for c in v] for v in (x, y)]
+    want = tuple(map(field.wrap, A.multiply_raw(*as_raw)))
+    assert A.multiply(x, y) == A.multiply(*as_raw) == \
+        A.multiply(*as_elements) == want
+    # a row of the raw table is itself a vector multiply accepts
+    row = A.table[0][0]
+    assert A.multiply(row, row) == tuple(map(field.wrap,
+                                             A.multiply_raw(row, row)))

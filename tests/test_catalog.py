@@ -5,11 +5,12 @@ from itertools import product
 
 import pytest
 
+from novikov.algebra import Algebra
 from novikov.catalog import (CatalogEntry, CatalogError, InadmissibleSample,
                              PREDICATES, _evaluate, census, class_coordinates,
                              load_catalog, membership_checks, verify_entry)
-from novikov.cohomology import Cocycle, DependentClasses
-from novikov.exprs import ExprError, SqrtNotInField
+from novikov.cohomology import Cocycle, DependentClasses, in_Ts
+from novikov.exprs import Expr, ExprError, SqrtNotInField
 from novikov.fields import QQ, DivisionByZero, PrimeField
 from novikov.linalg import Matrix
 
@@ -159,9 +160,10 @@ def test_data_dir_override(cat, tmp_path, monkeypatch):
 
 # ----------------------------------------------------------------------
 # specialization against the construction it replaced: the exclusions
-# tested by their own loop, every coefficient evaluated once for the
-# admissibility test and again for the form, and each component summed
-# with Matrix.zero and Matrix.__add__
+# tested by their own loop, the base table and generator forms evaluated
+# from the record's raw data for every sample, every coefficient
+# evaluated once for the admissibility test and again for the form, and
+# each component summed with Matrix.zero and Matrix.__add__
 
 def _reference_exclusion_holds(excl, field, env):
     if "nonzero" in excl:
@@ -189,13 +191,30 @@ def _reference_admissible(entry, field, env):
         return False
 
 
+def _reference_base(rec, field, env):
+    """A fresh base algebra and list of generator forms at env."""
+    n = rec.dim
+    table = {}
+    for i, j, k, c in rec.table_raw:
+        table[(i - 1, j - 1, k - 1)] = Expr(c).evaluate(field, env)
+    A = Algebra(field, n, table)
+    if rec.nablas_raw is None:
+        raise CatalogError(f"{rec.key} has no trusted generator list")
+    nablas = []
+    for nab in rec.nablas_raw:
+        m = [[field.zero()] * n for _ in range(n)]
+        for i, j, c in nab:
+            m[i - 1][j - 1] = Expr(c).evaluate(field, env)
+        nablas.append(Matrix(field, m))
+    return A, nablas
+
+
 def _reference_specialize(entry, field, sample, strict=True):
     env = entry.sample_env(field, sample)
     if strict and not _reference_admissible(entry, field, env):
         raise InadmissibleSample(f"{entry.label} at {sample!r}")
-    benv = entry.base_env(field, env)
-    A = entry.base.algebra(field, benv)
-    nablas = entry.base.nabla_matrices(field, benv)
+    A, nablas = _reference_base(entry.base, field,
+                                entry.base_env(field, env))
     comps = []
     for comp in entry.cocycle_raw:
         m = Matrix.zero(field, A.dim, A.dim)
@@ -264,3 +283,105 @@ def test_strict_specialize_evaluates_each_expression_once(cat, monkeypatch):
     loose = entry.specialize(QQ, sample, strict=False)
     assert sorted(calls) == ["base_env", "coefficients"]
     assert strict[0] == loose[0] and strict[1] == loose[1]
+
+
+# ----------------------------------------------------------------------
+# one shared specialization per (field, base parameter values)
+
+def test_equal_base_tuples_share_one_specialization(cat):
+    # N_104 (alpha = 1) and N_105 (alpha = -1) on M4_14a; N_011 and N_012
+    # on one parameter-free base, at different samples
+    for labels in (("N_104", "N_104"), ("N_011", "N_012")):
+        a, b = (cat.entry(label) for label in labels)
+        A, _ = a.specialize(QQ, a.default_samples()[0])
+        B, _ = b.specialize(QQ, b.default_samples()[-1])
+        assert A is B
+    rec = cat.bases["M4_14a"]
+    for field in (QQ, F5):
+        one = rec.algebra(field, {"alpha": field(1)})
+        assert rec.algebra(field, {"alpha": field(1)}) is one
+        assert rec.nabla_matrices(field, {"alpha": field(1)}) is \
+            rec.nabla_matrices(field, {"alpha": field(1)})
+        assert isinstance(rec.nabla_matrices(field, {"alpha": field(1)}),
+                          tuple)
+        minus_one = rec.algebra(field, {"alpha": field(-1)})
+        assert minus_one is not one and minus_one != one
+    assert rec.algebra(QQ, {"alpha": QQ(1)}) is not \
+        rec.algebra(F5, {"alpha": F5(1)})
+    q, f5 = (cat.entry("N_001").specialize(field, ())[0]
+             for field in (QQ, F5))
+    assert q is not f5 and q.field == QQ and f5.field == F5
+    # every catalog load starts with no specializations
+    fresh = load_catalog().bases["M4_14a"]
+    assert fresh.algebra(QQ, {"alpha": QQ(1)}) is not \
+        rec.algebra(QQ, {"alpha": QQ(1)})
+    assert fresh.algebra(QQ, {"alpha": QQ(1)}) == \
+        rec.algebra(QQ, {"alpha": QQ(1)})
+
+
+def test_specialization_errors_keep_nothing(cat):
+    rec = load_catalog().bases["N4_06a"]    # a form divides by alpha
+    for _ in range(2):
+        with pytest.raises(DivisionByZero):
+            rec.algebra(QQ, {"alpha": QQ(0)})
+    assert rec._specializations == {}
+    A = rec.algebra(QQ, {"alpha": QQ(2)})
+    assert A is rec.algebra(QQ, {"alpha": QQ(2)}) == \
+        _reference_base(rec, QQ, {"alpha": QQ(2)})[0]
+
+
+# ----------------------------------------------------------------------
+# find_sample against the version that tested admissibility before a
+# strict specialize tested it again
+
+def _reference_find_sample(entry, field, require_ts=False):
+    candidates = list(entry.default_samples())
+    if isinstance(field, PrimeField) and entry.params:
+        candidates += list(product(range(field.p), repeat=len(entry.params)))
+    for cand in candidates:
+        try:
+            env = entry.sample_env(field, cand)
+        except (SqrtNotInField, DivisionByZero, ExprError):
+            continue
+        if not entry.admissible(field, env):
+            continue
+        if require_ts:
+            A, theta = entry.specialize(field, cand)
+            try:
+                if not in_Ts(A, [theta]):
+                    continue
+            except DependentClasses:
+                continue
+        return cand
+    return None
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), F5],
+                         ids=["Q", "F3", "F5"])
+def test_find_sample_matches_reference(cat, field):
+    for label in ("N_001", "N_011", "N_012", "N_064", "N_070", "N_074",
+                  "N_095", "N_104", "N_111", "N_122", "N_160", "N_200"):
+        entry = cat.entry(label)
+        for require_ts in (False, True):
+            assert entry.find_sample(field, require_ts) == \
+                _reference_find_sample(entry, field, require_ts), \
+                (label, require_ts)
+
+
+def test_find_sample_tests_admissibility_once(cat, monkeypatch):
+    """With require_ts, the strict `specialize` of each candidate is its
+    only admissibility test (the default samples are chosen over Q)."""
+    calls = []
+    for name in ("admissible", "_admitted", "specialize"):
+        def counted(self, field, *args, _name=name,
+                    _original=getattr(CatalogEntry, name), **kwargs):
+            if field == F5:
+                calls.append(_name)
+            return _original(self, field, *args, **kwargs)
+        monkeypatch.setattr(CatalogEntry, name, counted)
+    entry = cat.entry("N_074")      # no sample in T_s over F_5
+    assert entry.find_sample(F5, require_ts=True) is None
+    assert calls.count("admissible") == 0
+    # one test per candidate: the default samples, then every tuple
+    tried = len(entry.default_samples()) + 5 ** len(entry.params)
+    assert calls.count("_admitted") == calls.count("specialize") == tried

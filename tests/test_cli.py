@@ -1,8 +1,12 @@
 """Command-line interface: exit codes, JSON reports, idempotent fmt."""
 
+import contextlib
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from novikov.algebra import Algebra
 from novikov.cli import main
@@ -332,3 +336,120 @@ def test_extend_rejects_malformed_cocycle(alg_file, tmp_path, capsys,
     assert main(["extend", "--algebra", alg_file, "--cocycle",
                  str(coc)]) == 2
     _one_line_error(capsys, "coc.json", words)
+
+
+# ----------------------------------------------------------------------
+# fuzzed algebra and cocycle documents: each carries at least one defect,
+# and every command that loads them must exit 2 with one line on stderr.
+# Valid dimensions stay small: `Algebra` allocates dim^3 cells (and a
+# cocycle s * dim^2) before any entry is checked.
+
+_BAD_SIZE = [-1, -8, 1.5, 2.0, True, False, "3", None, [3], {}]
+_BAD_INDEX = [0, -1, 9, 1.0, True, False, "1", None, [1]]
+_BAD_SCALAR = [0.5, 1.0, True, False, None, [1], {"c": 1}, "1/0", "x", "",
+               "1/", "2//3"]
+_BAD_FIELD = ["", "r", "fp:4", "fp:1", "fp:0", "fp:-3", "fp:x", "qsqrt:",
+              "qsqrt:4", "qsqrt:1", 5, None, 2.5, True, ["q"]]
+_BAD_LIST = [{}, "t", 3, None, [3], [[1, 1, 2]], [None]]
+
+
+def _entries(data, names, bounds):
+    return [dict(zip(names, [data.draw(st.integers(1, b)) for b in bounds]),
+                 c=data.draw(st.sampled_from(["1", "-2", "1/3", 3])))
+            for _ in range(data.draw(st.integers(0, 4)))]
+
+
+def _break(data, doc, size, names, listed, required):
+    """`doc` with one or two defects, each one of the bad values above
+    put in one place."""
+    doc = json.loads(json.dumps(doc))
+    defects = [("size", v) for v in _BAD_SIZE] + \
+        [("missing", k) for k in required] + \
+        [("list", v) for v in _BAD_LIST] + \
+        [("shape", v) for v in ([], "doc", 3, None, True)] + \
+        [("index", v) for v in _BAD_INDEX] + \
+        [("scalar", v) for v in _BAD_SCALAR] + [("duplicate", None)]
+    if "field" in doc:
+        defects += [("field", v) for v in _BAD_FIELD]
+    for kind, value in data.draw(st.lists(st.sampled_from(defects),
+                                          min_size=1, max_size=2)):
+        if not isinstance(doc, dict):
+            break
+        entries = doc.get(listed)
+        if kind in ("size", "field", "list"):
+            doc[size if kind == "size" else
+                "field" if kind == "field" else listed] = value
+        elif kind == "missing":
+            doc.pop(value, None)
+        elif kind == "shape":
+            doc = value
+        elif kind == "duplicate":
+            doc[listed] = [{**{n: 1 for n in names}, "c": "1"}] * 2
+        elif isinstance(entries, list) and \
+                all(isinstance(e, dict) for e in entries):
+            if not entries:
+                entries.append({**{n: 1 for n in names}, "c": "1"})
+            e = data.draw(st.sampled_from(entries))
+            if kind == "index":
+                e[data.draw(st.sampled_from(names))] = value
+            else:
+                e["c"] = value
+    return doc
+
+
+def _algebra_doc(data):
+    dim = data.draw(st.integers(1, 4))
+    field = data.draw(st.sampled_from(["q", "fp:5", "qi"]))
+    return {"dim": dim, "field": field,
+            "table": _entries(data, "ijk", (dim,) * 3)}
+
+
+def _broken_algebra(data):
+    return _break(data, _algebra_doc(data), "dim", "ijk", "table",
+                  ["dim", "field", "table"])
+
+
+def _run_exits_2(tmp, argv, docs):
+    paths = []
+    for t, doc in enumerate(docs):
+        path = f"{tmp}/doc{t}.json"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        paths.append(path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([a if not isinstance(a, int) else paths[a]
+                     for a in argv])
+    lines = err.getvalue().splitlines()
+    assert code == 2, (docs, out.getvalue(), lines)
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert out.getvalue() == ""
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_fuzzed_algebra_documents_exit_2(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        valid = _algebra_doc(data)
+        broken = _broken_algebra(data)
+        pair = data.draw(st.permutations([valid, broken]))
+        _run_exits_2(tmp, ["iso", 0, 1], pair)
+        extra = data.draw(st.lists(st.sampled_from([valid, broken]),
+                                   max_size=2))
+        _run_exits_2(tmp, ["separate"] + list(range(len(extra) + 2)),
+                     pair + extra)
+        _run_exits_2(tmp, ["extend", "--algebra", 0, "--cocycle", 1],
+                     [broken, {"s": 1, "entries": []}])
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_fuzzed_cocycle_documents_exit_2(data):
+    base = A.to_json()
+    s = data.draw(st.integers(1, 2))
+    doc = {"base": base, "s": s,
+           "entries": _entries(data, "tij", (s, A.dim, A.dim))}
+    broken = _break(data, doc, "s", "tij", "entries", ["s", "entries"])
+    with tempfile.TemporaryDirectory() as tmp:
+        _run_exits_2(tmp, ["extend", "--algebra", 0, "--cocycle", 1],
+                     [base, broken])

@@ -374,7 +374,7 @@ def test_class_coordinates_match_reference(cat):
             # a combination of the classes plus a coboundary
             b2 = coboundary_space(A).basis
             flat = [sum((f * x for f, x in zip(
-                [field(rng.randint(-3, 3)) for _ in nabs + list(b2)], col)),
+                [field(rng.randint(-3, 3)) for _ in (*nabs, *b2)], col)),
                 field.zero()) for col in zip(*(
                     [flatten(m) for m in nabs] + list(b2)))]
             inside = Cocycle(A, [[flat[i * A.dim:(i + 1) * A.dim]

@@ -1,5 +1,6 @@
 """Expression grammar: parsing, precedence, evaluation, failure modes."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -65,3 +66,23 @@ def test_tokenizer():
         ["a1", "*", "(", "b_2", "-", "3", ")", "^", "2"]
     with pytest.raises(ExprError):
         tokenize("1 @ 2")
+
+
+def test_parse_and_evaluate_leave_no_reference_cycles():
+    F5 = PrimeField(5)
+    texts = ["(2-alpha)/alpha", "-alpha^2+3*b", "sqrt(4)*a-1/2"]
+    env = {"alpha": 3, "a": 2, "b": 7}
+
+    def run(n):
+        for t in range(n):
+            for field in (QQ, F5):
+                Expr(texts[t % len(texts)]).evaluate(field, env)
+
+    run(3)                                   # warm-up: compiled patterns
+    gc.collect()
+    gc.disable()
+    try:
+        run(50)                              # 100 parses and evaluations
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -11,7 +11,9 @@ Two runs, five times each:
                   on the 44 bases at their first admissible parameters,
                   40 trials per base instead of 500, alternating random
                   Z^2 elements and random matrices as the test does.
-Every repeat builds its algebras anew, so nothing cached on an algebra
+Every repeat loads the catalog anew, so each base is specialized once
+per (field, base parameter values) in every repeat, as in one
+`verify-catalog` run, and nothing cached on a base or an algebra
 carries over from one repeat to the next.  The record appended to
 BENCH_membership.json (next to `tools/`) holds, per run, the median,
 minimum and spread (quartile distance over median) of the five times in
