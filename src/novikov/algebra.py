@@ -432,14 +432,20 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+#: the largest `dim` or `s` a JSON document may give, checked before any
+#: table is allocated: dim^3 <= 10^6 cells (the catalog has dim <= 5)
+MAX_SIZE = 100
+
+
 def check_size(doc, name):
-    """doc[name], for a JSON object doc, which must be a non-negative
-    integer; ValueError otherwise."""
+    """doc[name], for a JSON object doc, which must be an integer in
+    0..MAX_SIZE; ValueError otherwise."""
     if not isinstance(doc, dict):
         raise ValueError("the document is not a JSON object")
     value = doc[name]
-    if not _is_int(value) or value < 0:
-        raise ValueError(f"{name} = {value!r} is not a non-negative integer")
+    if not _is_int(value) or not 0 <= value <= MAX_SIZE:
+        raise ValueError(f"{name} = {value!r} is not an integer in "
+                         f"0..{MAX_SIZE}")
     return value
 
 

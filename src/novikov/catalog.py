@@ -30,7 +30,7 @@ import os
 
 from .algebra import Algebra
 from .cohomology import (Cocycle, DependentClasses, coboundary_space,
-                         flatten_raw, form_sum, in_Ts)
+                         flatten, form_sum, in_Ts)
 from .exprs import Expr, ExprError, SqrtNotInField
 from .extensions import central_extension
 from .fields import DivisionByZero, Field, QQ, PrimeField
@@ -105,8 +105,8 @@ class BaseRecord:
         return self._specialization(field, env or {})[0]
 
     def nabla_matrices(self, field: Field, env=None):
-        """The listed generator forms at `env`, as a tuple of matrices
-        shared like `algebra`."""
+        """The listed generator forms at `env`, as a tuple of raw n x n
+        forms (`cohomology.form_sum`'s convention) shared like `algebra`."""
         if self.nablas_raw is None:
             raise CatalogError(f"{self.key} has no trusted generator list")
         return self._specialization(field, env or {})[1]
@@ -123,21 +123,21 @@ class BaseRecord:
             A = Algebra(field, n, {
                 (i - 1, j - 1, k - 1): _evaluate(c, field, env)
                 for i, j, k, c in self.table_raw})
-            forms = None
+            forms, raw = None, field.raw
             if self.nablas_raw is not None:
                 forms = []
                 for nab in self.nablas_raw:
-                    m = [[field.zero()] * n for _ in range(n)]
+                    m = [[raw(field.zero())] * n for _ in range(n)]
                     for i, j, c in nab:
-                        m[i - 1][j - 1] = _evaluate(c, field, env)
-                    forms.append(Matrix(field, m))
+                        m[i - 1][j - 1] = raw(_evaluate(c, field, env))
+                    forms.append(tuple(map(tuple, m)))
                 forms = tuple(forms)
             spec = self._specializations[key] = (A, forms)
         return spec
 
     def nabla_cocycles(self, field: Field, env=None, check=True):
         A = self.algebra(field, env)
-        return A, [Cocycle(A, [m], check=check)
+        return A, [Cocycle.from_raw(A, [m], check=check)
                    for m in self.nabla_matrices(field, env)]
 
     def automorphism(self, field: Field, env) -> Matrix:
@@ -284,8 +284,9 @@ class CatalogEntry:
         nablas = self.base.nabla_matrices(field, benv)
         coefficients = admitted[1] if strict else \
             self.coefficients(field, env)
-        return A, Cocycle(A, [form_sum(A, [(c, nablas[t]) for t, c in comp])
-                              for comp in coefficients])
+        return A, Cocycle.from_raw(A, [
+            form_sum(A, [(c, nablas[t]) for t, c in comp])
+            for comp in coefficients])
 
     def extension(self, field: Field, sample, strict=True) -> Algebra:
         A, theta = self.specialize(field, sample, strict=strict)
@@ -395,8 +396,8 @@ def class_coordinates(A: Algebra, theta: Cocycle, nabla_mats):
     dependent modulo B^2 or a component is outside their span."""
     f = A.field
     solved = solve_in_basis(
-        [flatten_raw(m) for m in nabla_mats] + coboundary_space(A)._rows,
-        [flatten_raw(m) for m in theta.components], f.modulus)
+        [flatten(m) for m in nabla_mats] + coboundary_space(A)._rows,
+        [flatten(m) for m in theta.components], f.modulus)
     if solved is None:
         raise CatalogError("printed classes dependent modulo coboundaries")
     coords, residual = solved

@@ -3,13 +3,16 @@
 Bilinear forms on A are coordinatized in the Delta_ij basis
 (Delta_ij(e_l, e_m) = delta_il delta_jm), ordered lexicographically by
 (i, j); a form is an n^2-vector, row-major.  A Cocycle with s components
-is s such forms; it describes a map A x A -> F^s.
+is s such forms; it describes a map A x A -> F^s.  Forms are n x n
+tuples of raw scalars (`Field.raw`), like the planes of `Algebra.table`.
 
 Z^2 is the kernel of the cocycle equations, written once as the rows of
 `cocycle_equations`; the same rows check a Cocycle.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .algebra import (Algebra, check_entries, check_index, check_scalar,
                       check_size)
@@ -31,65 +34,55 @@ class DependentClasses(Exception):
 
 class Cocycle:
     """s bilinear forms on `base`, each satisfying the cocycle equations
-    (unless constructed with check=False for negative tests)."""
+    (unless constructed with check=False for negative tests).
+    `components[t][i][j]` is theta_t(e_i, e_j) on raw scalars: the
+    constructor coerces Matrices and nested sequences of ints, strings
+    and field elements, `from_raw` takes raw forms as they are."""
 
     __slots__ = ("base", "s", "components", "checked")
 
     def __init__(self, base: Algebra, components, check: bool = True):
+        f, n = base.field, base.dim
+        forms = [[[f.raw(f(x)) for x in row] for row in
+                  (m.entries if isinstance(m, Matrix) else m)]
+                 for m in components]
+        if any(len(m) != n or any(len(row) != n for row in m) for m in forms):
+            raise FieldMismatch("component shape != base dim")
+        self._set(base, forms, check)
+
+    @staticmethod
+    def from_raw(base: Algebra, forms, check: bool = True):
+        """The cocycle with the raw n x n forms `forms` (Fractions over
+        Q, residues in [0, p) over F_p), taken as they are."""
+        theta = Cocycle.__new__(Cocycle)
+        theta._set(base, forms, check)
+        return theta
+
+    def _set(self, base, forms, check):
         self.base = base
-        comps = []
-        for m in components:
-            if not isinstance(m, Matrix):
-                m = Matrix(base.field, m)
-            if m.rows != base.dim or m.cols != base.dim:
-                raise FieldMismatch("component shape != base dim")
-            comps.append(m)
-        self.components = tuple(comps)
-        self.s = len(comps)
+        self.components = tuple(tuple(map(tuple, m)) for m in forms)
+        self.s = len(self.components)
         self.checked = check
         if check:
             p, equations = base.field.modulus, cocycle_equations(base)
             for t, m in enumerate(self.components):
-                v = flatten_raw(m)
-                for eq in equations:
-                    value = sum(c * v[col] for col, c in eq)
-                    if p is not None:
-                        value %= p
-                    if value:
-                        raise NotACocycle(f"component {t + 1} violates "
-                                          "the cocycle equations")
-
-    def evaluate(self, x, y):
-        """theta(x, y) as an s-tuple of scalars."""
-        out = []
-        for m in self.components:
-            acc = self.base.field.zero()
-            for i, xi in enumerate(x):
-                if not xi:
-                    continue
-                for j, yj in enumerate(y):
-                    if yj and m[i, j]:
-                        acc = acc + xi * yj * m[i, j]
-            out.append(acc)
-        return tuple(out)
+                v = flatten(m)
+                values = (sum(c * v[col] for col, c in eq) for eq in equations)
+                if any(values if p is None else (x % p for x in values)):
+                    raise NotACocycle(f"component {t + 1} violates "
+                                      "the cocycle equations")
 
     def annihilator(self) -> Subspace:
         """{x in A : theta(x, A) = theta(A, x) = 0 for all components}."""
-        f, n = self.base.field, self.base.dim
-        rows = []
-        for m in self.components:
-            raw = m._raw()
-            rows += raw + [list(col) for col in zip(*raw)]
-        return Subspace.kernel(f, n, rows)
+        rows = [row for m in self.components for row in (*m, *zip(*m))]
+        return Subspace.kernel(self.base.field, self.base.dim, rows)
 
     def to_json(self):
-        entries = []
-        for t, m in enumerate(self.components):
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    if m[i, j]:
-                        entries.append({"t": t + 1, "i": i + 1, "j": j + 1,
-                                        "c": repr(m[i, j])})
+        wrap = self.base.field.wrap
+        entries = [{"t": t + 1, "i": i + 1, "j": j + 1, "c": repr(wrap(c))}
+                   for t, m in enumerate(self.components)
+                   for i, row in enumerate(m) for j, c in enumerate(row)
+                   if c]
         return {"base": self.base.to_json(), "s": self.s, "entries": entries}
 
     @staticmethod
@@ -97,21 +90,19 @@ class Cocycle:
         s = check_size(doc, "s")
         if base is None:
             base = Algebra.from_json(doc["base"])
-        f = base.field
-        n = base.dim
-        z = f.zero()
-        comps = [[[z] * n for _ in range(n)] for _ in range(s)]
-        seen = set()
+        f, n = base.field, base.dim
+        values = {}
         for e in check_entries(doc, "entries"):
             key = (check_index(e, "t", s), check_index(e, "i", n),
                    check_index(e, "j", n))
-            if key in seen:
+            if key in values:
                 raise ValueError("duplicate entry (t, i, j) = "
                                  f"({e['t']}, {e['i']}, {e['j']})")
-            seen.add(key)
-            t, i, j = key
-            comps[t][i][j] = check_scalar(e, f)
-        return Cocycle(base, comps, check=check)
+            values[key] = f.raw(check_scalar(e, f))
+        zero = f.raw(f.zero())
+        return Cocycle.from_raw(base, [[[values.get((t, i, j), zero)
+                                         for j in range(n)] for i in range(n)]
+                                       for t in range(s)], check=check)
 
     def __eq__(self, other):
         return (isinstance(other, Cocycle) and self.base == other.base
@@ -121,19 +112,9 @@ class Cocycle:
         return f"Cocycle(s={self.s} on dim-{self.base.dim} base)"
 
 
-def flatten(m: Matrix):
-    return tuple(m[i, j] for i in range(m.rows) for j in range(m.cols))
-
-
-def flatten_raw(m: Matrix):
-    """`flatten` on raw scalars (`Field.raw`)."""
-    return [x for row in m._raw() for x in row]
-
-
-def unflatten(base: Algebra, vec) -> Matrix:
-    n = base.dim
-    return Matrix(base.field, [[vec[i * n + j] for j in range(n)]
-                               for i in range(n)])
+def flatten(m):
+    """The raw n x n form m as an n^2-vector, row-major."""
+    return [x for row in m for x in row]
 
 
 def cocycle_equations(A: Algebra):
@@ -194,21 +175,34 @@ def cocycle_space(A: Algebra) -> Subspace:
     return A._memo("cocycle_space", compute)
 
 
-def form_sum(A: Algebra, terms) -> Matrix:
-    """The bilinear form sum(c * m) over the (coefficient, form) pairs
-    in `terms` (FieldElement coefficients, n x n Matrix forms), added up
-    on raw scalars in one pass."""
-    f, n = A.field, A.dim
-    raw = f.raw
-    acc = [[raw(f.zero())] * n for _ in range(n)]
+def form_sum(A: Algebra, terms):
+    """The raw bilinear form sum(c * m) over the (coefficient, form) pairs
+    in `terms` (FieldElement coefficients, raw n x n forms), added up in
+    one pass and reduced mod p over F_p."""
+    f, n, p = A.field, A.dim, A.field.modulus
+    acc = [[f.raw(f.zero())] * n for _ in range(n)]
     for c, m in terms:
-        c = raw(c)
+        c = f.raw(c)
         if c:
-            for out, row in zip(acc, m.entries):
+            for out, row in zip(acc, m):
                 for j, x in enumerate(row):
                     if x:
-                        out[j] = out[j] + c * raw(x)
-    return Matrix(f, [[f.wrap(x) for x in row] for row in acc])
+                        out[j] = out[j] + c * x
+    if p is not None:
+        acc = [[x % p for x in row] for row in acc]
+    return tuple(map(tuple, acc))
+
+
+def congruence(m, phi, p):
+    """The raw form phi^T m phi, (x, y) -> m(phi x, phi y), of the raw
+    n x n form m and the raw rows of an n x n matrix phi, reduced mod p
+    unless p (`Field.modulus`) is None."""
+    cols = list(zip(*phi))
+    # mph holds the columns of m phi; entry (a, b) is cols[a] . mph[b]
+    mph = list(zip(*[[sum(map(mul, row, c)) for c in cols] for row in m]))
+    if p is None:
+        return tuple(tuple(sum(map(mul, a, b)) for b in mph) for a in cols)
+    return tuple(tuple(sum(map(mul, a, b)) % p for b in mph) for a in cols)
 
 
 def coboundary_space(A: Algebra) -> Subspace:
@@ -220,23 +214,22 @@ def coboundary_space(A: Algebra) -> Subspace:
         for t in range(n)])
 
 
-def coboundary_of(A: Algebra, f_coeffs) -> Matrix:
-    """delta f for the functional f = sum_t f_coeffs[t] e_t^*."""
-    n = A.dim
-    return Matrix(A.field, [
-        [sum((f_coeffs[t] * A.table[i][j][t] for t in range(n)),
-             A.field.zero()) for j in range(n)]
-        for i in range(n)
-    ])
+def coboundary_of(A: Algebra, f_coeffs):
+    """delta f for the functional f = sum_t f_coeffs[t] e_t^*, as a raw
+    form: the structure tensor's dual-basis slices summed by `form_sum`."""
+    f = A.field
+    return form_sum(A, [(f(c), [[row[t] for row in plane]
+                                for plane in A.table])
+                        for t, c in enumerate(f_coeffs)])
 
 
 def h2_basis(A: Algebra):
     """(representative Cocycles, dim H^2); representatives complete B^2
     inside Z^2, chosen deterministically from the RREF basis of Z^2."""
-    z2 = cocycle_space(A)
-    b2 = coboundary_space(A)
-    reps = z2.quotient_basis(b2)
-    return [Cocycle(A, [unflatten(A, v)], check=False) for v in reps], len(reps)
+    n = A.dim
+    reps = cocycle_space(A).quotient_basis(coboundary_space(A))
+    return [Cocycle.from_raw(A, [[v[i * n:(i + 1) * n] for i in range(n)]],
+                             check=False) for v in reps], len(reps)
 
 
 def h2_dimension(A: Algebra) -> int:
@@ -259,11 +252,11 @@ def h2_symmetric_dimension(A: Algebra) -> int:
 
 
 def classes_independent(A: Algebra, thetas) -> bool:
-    """Are the classes of the forms (n x n Matrices, or single-component
+    """Are the classes of the forms (raw n x n forms, or single-component
     cocycles) independent in H^2?  One rank test on raw rows: rank(B^2
     basis + flattened forms) = dim B^2 + their number."""
     rows = coboundary_space(A)._rows + [
-        flatten_raw(th.components[0] if isinstance(th, Cocycle) else th)
+        flatten(th.components[0] if isinstance(th, Cocycle) else th)
         for th in thetas]
     return eliminate(rows, A.field.modulus)[1] == len(rows)
 
@@ -271,10 +264,9 @@ def classes_independent(A: Algebra, thetas) -> bool:
 def in_Ts(A: Algebra, thetas) -> bool:
     """T_s membership: classes independent in H^2 and the joint cocycle
     annihilator meets Ann(A) trivially."""
-    comps = []
-    for th in thetas:
-        comps.extend(th.components if isinstance(th, Cocycle) else [th])
+    comps = [m for th in thetas
+             for m in (th.components if isinstance(th, Cocycle) else [th])]
     if not classes_independent(A, comps):
         raise DependentClasses("classes linearly dependent in H^2")
-    joint = Cocycle(A, comps, check=False)
+    joint = Cocycle.from_raw(A, comps, check=False)
     return joint.annihilator().intersect(A.annihilator()).dim == 0

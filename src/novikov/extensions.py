@@ -28,9 +28,8 @@ def central_extension(A: Algebra, theta: Cocycle) -> Algebra:
     n, s, f = A.dim, theta.s, A.field
     if theta.base.field != f:
         raise FieldMismatch(f"{theta.base.field} vs {f}")
-    forms = [m._raw() for m in theta.components]
     zero = (f.raw(f.zero()),) * (n + s)
-    table = [[row + tuple(m[i][j] for m in forms)
+    table = [[row + tuple(m[i][j] for m in theta.components)
               for j, row in enumerate(plane)] + [zero] * s
              for i, plane in enumerate(A.table)]
     return Algebra.from_raw(f, n + s, table + [[zero] * (n + s)] * s)
@@ -39,8 +38,8 @@ def central_extension(A: Algebra, theta: Cocycle) -> Algebra:
 def extension_is_novikov_iff(A: Algebra, theta: Cocycle):
     """(is_novikov(A_theta), theta in Z^2) — equal for Novikov A."""
     ext = central_extension(A, theta)
-    zspace = cocycle_space(A)
-    in_z2 = all(zspace.member(flatten(m)) for m in theta.components)
+    in_z2 = cocycle_space(A).contains(Subspace.from_raw(
+        A.field, A.dim ** 2, [flatten(m) for m in theta.components]))
     return ext.is_novikov(), in_z2
 
 
@@ -74,10 +73,9 @@ def reconstruct(B: Algebra):
         raise ZeroAnnihilator("no central subspace to strip")
     base = B.quotient(ann)
     free = [j for j in range(B.dim) if j not in ann._pivots]
-    table, wrap = B.table, B.field.wrap
-    return base, Cocycle(base, [[[wrap(table[i][j][c]) for j in free]
-                                 for i in free] for c in ann._pivots],
-                         check=False)
+    return base, Cocycle.from_raw(base, [[[B.table[i][j][c] for j in free]
+                                          for i in free] for c in ann._pivots],
+                                  check=False)
 
 
 def reconstruction_basis_change(B: Algebra) -> Matrix:

@@ -1,19 +1,19 @@
 """Exact field arithmetic: Q, Q(i), Q(sqrt d), and prime fields F_p.
 
-Scalars at the library's boundary and in a Matrix or a Cocycle are
+Scalars at the library's boundary and in a Matrix (a linear map) are
 FieldElements tied to a Field instance.  Elements are immutable and
 kept in canonical form after every operation (fractions in lowest
 terms with positive denominator, F_p residues in [0, p)).  Elements of
 different field instances never mix; mixing raises FieldMismatch.
 
-Stored data (`Algebra.table`, `Subspace._rows`) and hot loops
-(elimination, the structure-constant product, the isomorphism search)
-use each field's raw view instead: `Field.raw(x)` is a value with
-native `+ - *` (the Fraction over Q, the int residue over F_p, the
-FieldElement itself over Q(i) and Q(sqrt d)), `Field.wrap(r)` turns a
-raw value back into a FieldElement, and `Field.modulus` is p over F_p
-(raw results are reduced mod p and inverted with `pow(x, -1, p)`) and
-None elsewhere.
+Stored data (`Algebra.table`, `Subspace._rows`, `Cocycle.components`)
+and hot loops (elimination, the structure-constant product, the
+isomorphism search) use each field's raw view instead: `Field.raw(x)`
+is a value with native `+ - *` (the Fraction over Q, the int residue
+over F_p, the FieldElement itself over Q(i) and Q(sqrt d)),
+`Field.wrap(r)` turns a raw value back into a FieldElement, and
+`Field.modulus` is p over F_p (raw results are reduced mod p and
+inverted with `pow(x, -1, p)`) and None elsewhere.
 
 Text encodings (used in all JSON formats):
     Q          "a/b"            (or "a" when b == 1)

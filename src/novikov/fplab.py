@@ -34,12 +34,13 @@ from itertools import product as iproduct
 
 from .algebra import Algebra
 from .catalog import Catalog
-from .cohomology import Cocycle, coboundary_space, form_sum, h2_basis, in_Ts
+from .cohomology import (Cocycle, coboundary_space, congruence, flatten,
+                         form_sum, h2_basis, in_Ts)
 from .exprs import ExprError, SqrtNotInField
 from .extensions import central_extension
 from .fields import DivisionByZero, PrimeField
 from .invariants import element_census, fingerprint
-from .linalg import Matrix, eliminate, solve_in_basis
+from .linalg import eliminate, solve_in_basis
 from .morphisms import enumerate_aut_fp, iso_search
 
 
@@ -83,11 +84,11 @@ def induced_h2_matrices(A: Algebra, reps, auts):
     representatives followed by a basis of B^2, gives a left inverse of
     S (the coordinates) and the equations of Z^2 = span(S) (the residual
     rows).  Each image phi^T theta phi is then read off on ints mod p."""
-    n, d, p = A.dim, len(reps), A.field.modulus
-    mats = [r.components[0]._raw() for r in reps]
+    width, d, p = A.dim ** 2, len(reps), A.field.modulus
+    mats = [r.components[0] for r in reps]
     solved = solve_in_basis(
-        [[m[i][j] for i in range(n) for j in range(n)] for m in mats] +
-        coboundary_space(A)._rows, Matrix.identity(A.field, n * n)._raw(), p)
+        [flatten(m) for m in mats] + coboundary_space(A)._rows,
+        [[int(i == j) for j in range(width)] for i in range(width)], p)
     if solved is None:
         raise ValueError("representatives are not independent modulo B^2")
     coords, equations = solved[0][:d], solved[1]
@@ -96,10 +97,7 @@ def induced_h2_matrices(A: Algebra, reps, auts):
         ph = phi._raw()
         columns = []
         for m in mats:
-            mph = [[sum(m[i][k] * ph[k][b] for k in range(n))
-                    for b in range(n)] for i in range(n)]
-            image = [sum(ph[i][a] * mph[i][b] for i in range(n))
-                     for a in range(n) for b in range(n)]
+            image = flatten(congruence(m, ph, p))
             if any(sum(e * x for e, x in zip(eq, image)) % p
                    for eq in equations):
                 raise RuntimeError("automorphism left the cocycle space")
@@ -174,8 +172,9 @@ def run_procedure_fp_report(A: Algebra, s: int, budget: int = 50_000_000):
     roots = _orbit_representatives(points, actions, p)
 
     def cocycle_at(pt):
-        return Cocycle(A, [form_sum(A, [(f(c), m) for c, m in zip(row, mats)])
-                           for row in pt], check=False)
+        return Cocycle.from_raw(A, [
+            form_sum(A, [(f(c), m) for c, m in zip(row, mats)])
+            for row in pt], check=False)
 
     admissible = []
     for root in roots:

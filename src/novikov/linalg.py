@@ -9,8 +9,10 @@ The row reduction itself is `eliminate` and `reduce`, which work on
 raw scalars (`Field.raw`; residues mod p when p is given) for every
 field.  Every `Subspace` is built from raw rows by `Subspace.from_raw`,
 which eliminates them once and keeps only the raw RREF basis; every
-vector written in a basis goes through `solve_in_basis`.  `Matrix`
-still holds FieldElements and converts at its boundary.
+vector written in a basis goes through `solve_in_basis`.  `Matrix`, the
+type of linear maps (automorphisms, basis changes, witnesses), holds
+FieldElements and converts at its boundary; bilinear forms are raw
+(`cohomology`).
 """
 
 from __future__ import annotations
@@ -339,14 +341,14 @@ class Subspace:
             for v in null_space(S._rows, n, zero, one, f.modulus)])
 
     def quotient_basis(self, sub: "Subspace"):
-        """Coset representatives completing `sub` inside self (self >= sub):
-        the pivot columns past sub's of one elimination of [sub | self]."""
+        """Coset representatives completing `sub` inside self (self >= sub),
+        as raw rows: the rows of self at the pivot columns past sub's of
+        one elimination of [sub | self]."""
         self._check(sub)
         k = len(sub._rows)
         _, _, pivots = eliminate([list(r) for r in zip(
             *sub._rows, *self._rows)], self.field.modulus)
-        wrap = self.field.wrap
-        return [tuple(map(wrap, self._rows[c - k])) for c in pivots if c >= k]
+        return [self._rows[c - k] for c in pivots if c >= k]
 
     def coordinate_complement(self):
         """Lexicographically-first coordinate complement of self."""

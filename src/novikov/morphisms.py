@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import combinations, product as iproduct
 
 from .algebra import Algebra
-from .cohomology import Cocycle
+from .cohomology import Cocycle, congruence
 from .fields import FieldMismatch, PrimeField
 from .linalg import (Matrix, Subspace, eliminate, null_space, reduce,
                      solve_in_basis)
@@ -78,9 +78,10 @@ def act_on_cocycle(A: Algebra, phi: Matrix, theta: Cocycle) -> Cocycle:
     """(phi theta)(x, y) = theta(phi x, phi y); coordinates phi^T M phi."""
     if not is_isomorphism(A, A, phi):
         raise NotAutomorphism("the map is not an automorphism of the base")
-    pt = phi.transpose()
-    return Cocycle(A, [pt * m * phi for m in theta.components],
-                   check=theta.checked)
+    ph, p = phi._raw(), A.field.modulus
+    return Cocycle.from_raw(A, [congruence(m, ph, p)
+                                for m in theta.components],
+                            check=theta.checked)
 
 
 def derivation_algebra(A: Algebra):

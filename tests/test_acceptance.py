@@ -132,7 +132,7 @@ def _flagged_checks(cat, spec):
     nabs = rec.nabla_matrices(QQ, benv)
     m = Matrix.zero(QQ, A.dim, A.dim)
     for idx, expr in spec["cocycle"][0].items():
-        m = m + nabs[int(idx) - 1] * _evaluate(expr, QQ, {})
+        m = m + Matrix(QQ, nabs[int(idx) - 1]) * _evaluate(expr, QQ, {})
     return membership_checks(A, Cocycle(A, [m]))
 
 
@@ -189,7 +189,7 @@ def test_criterion_5_transformation_formulas(cat):
                 env2[f"a{i}"] = a
             m = Matrix.zero(QQ, A.dim, A.dim)
             for a, nab in zip(alphas, nabs):
-                m = m + nab * a
+                m = m + Matrix(QQ, nab) * a
             theta = Cocycle(A, [m], check=False)
             got = class_coordinates(A, act_on_cocycle(A, phi, theta), nabs)[0]
             want = tuple(_evaluate(e, QQ, env2) for e in rec.aut_action)

@@ -126,7 +126,7 @@ def test_class_coordinates_roundtrip(cat):
     coeffs = [QQ(c) for c in (3, 0, -2, 1, 0, 5)]
     m = Matrix.zero(QQ, A.dim, A.dim)
     for c, nab in zip(coeffs, nabs):
-        m = m + nab * c
+        m = m + Matrix(QQ, nab) * c
     theta = Cocycle(A, [m], check=False)
     got = class_coordinates(A, theta, nabs)
     assert list(got[0]) == coeffs

@@ -284,6 +284,9 @@ def _table(*triples, c="1"):
     ({"dim": 2, "field": "q", "table": _table((1, "1", 2))}, "j = '1'"),
     ({"dim": -1, "field": "q", "table": []}, "dim = -1"),
     ({"dim": 2.5, "field": "q", "table": []}, "dim = 2.5"),
+    # this one used to allocate 10^15 cells and exhaust memory
+    ({"dim": 10 ** 5, "field": "q", "table": _table((1, 1, 2))},
+     "dim = 100000 is not an integer in 0..100"),
     # each of these used to raise a traceback and exit 1
     ({"dim": 2, "field": "q", "table": _table((1, 1, 2), c="1/0")},
      "divides by zero"),
@@ -303,7 +306,7 @@ def _table(*triples, c="1"):
     ({"dim": 2, "field": "q", "table": _table((1, 1, 2), c=True)},
      "c = True"),
 ], ids=["zero-index", "index-past-dim", "duplicate-triple",
-        "string-index", "negative-dim", "fractional-dim",
+        "string-index", "negative-dim", "fractional-dim", "huge-dim",
         "division-by-zero", "integer-field", "top-level-list",
         "entry-not-object", "null-table", "null-coefficient",
         "list-coefficient", "float-coefficient", "float-coefficient-fp5",
@@ -341,10 +344,11 @@ def test_extend_rejects_malformed_cocycle(alg_file, tmp_path, capsys,
 # ----------------------------------------------------------------------
 # fuzzed algebra and cocycle documents: each carries at least one defect,
 # and every command that loads them must exit 2 with one line on stderr.
-# Valid dimensions stay small: `Algebra` allocates dim^3 cells (and a
-# cocycle s * dim^2) before any entry is checked.
+# A size of 10^5 or 10^9 is past `algebra.MAX_SIZE` and is refused
+# before any table is allocated.
 
-_BAD_SIZE = [-1, -8, 1.5, 2.0, True, False, "3", None, [3], {}]
+_BAD_SIZE = [-1, -8, 1.5, 2.0, True, False, "3", None, [3], {}, 10 ** 5,
+             10 ** 9]
 _BAD_INDEX = [0, -1, 9, 1.0, True, False, "1", None, [1]]
 _BAD_SCALAR = [0.5, 1.0, True, False, None, [1], {"c": 1}, "1/0", "x", "",
                "1/", "2//3"]

@@ -10,8 +10,9 @@ from novikov.cohomology import (Cocycle, DependentClasses, NotACocycle,
                                 coboundary_of, coboundary_space,
                                 cocycle_equations, cocycle_space, flatten,
                                 form_sum, h2_basis, h2_dimension,
-                                h2_symmetric_dimension, in_Ts, unflatten)
-from novikov.fields import QQ, GaussianRationalField, PrimeField
+                                h2_symmetric_dimension, in_Ts)
+from novikov.fields import (QQ, GaussianRationalField, PrimeField,
+                            QuadraticField)
 from novikov.fplab import specialized_tables_fp
 from novikov.linalg import Matrix, Subspace
 
@@ -60,10 +61,8 @@ def test_cocycle_validation():
     assert theta.s == 1 and not theta.checked
 
 
-def test_cocycle_evaluate_and_annihilator():
+def test_cocycle_annihilator():
     theta = Cocycle(A, [_delta(0, 0)])
-    x = (QQ(2), QQ(0), QQ(0))
-    assert theta.evaluate(x, x) == (QQ(4),)
     # e2, e3 annihilate Delta_11
     assert theta.annihilator().dim == 2
 
@@ -75,11 +74,32 @@ def test_cocycle_json_roundtrip():
     back = Cocycle.from_json(doc)
     assert back.components == theta.components
     assert back.base == A
+    # over Q, Q(i), Q(sqrt 2) and F_5: the coercing constructor, from a
+    # Matrix, nested ints or strings, stores the raw forms that from_raw
+    # takes, and to_json/from_json gives the same cocycle back
+    for f in (QQ, QI, QuadraticField(2), F5):
+        B = Algebra(f, 3, {(0, 0, 1): f(1), (0, 1, 2): f(1)})
+        ints = [[3 * i - j for j in range(3)] for i in range(3)]
+        want = Cocycle.from_raw(B, [[[f.raw(f(x)) for x in row]
+                                     for row in ints]], check=False)
+        for form in (Matrix(f, ints), ints,
+                     [[repr(f(x)) for x in row] for row in ints]):
+            assert Cocycle(B, [form], check=False) == want
+        reps = [r.components[0] for r in h2_basis(B)[0]]
+        theta = Cocycle.from_raw(B, [form_sum(B, [(f(2), reps[0]),
+                                                  (f(-3), reps[-1])]),
+                                     reps[-1]])
+        assert Cocycle(B, [Matrix(f, m) for m in theta.components]) == theta
+        assert Cocycle.from_json(theta.to_json()) == theta
 
 
 def test_flatten_unflatten():
-    m = Matrix(QQ, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    assert unflatten(A, flatten(m)) == m
+    # flatten is row-major; rows of n entries give the form back, as
+    # h2_basis reads its representatives
+    m = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
+    flat = flatten(m)
+    assert flat == list(range(1, 10))
+    assert tuple(tuple(flat[i * 3:(i + 1) * 3]) for i in range(3)) == m
 
 
 def test_symmetric_h2():
@@ -178,7 +198,7 @@ def _random_form(A, rng, in_z2):
                 for t in range(n * n)]
     else:
         flat = [f(rng.randint(-2, 2)) for _ in range(n * n)]
-    return unflatten(A, flat)
+    return [[f.raw(x) for x in flat[i * n:(i + 1) * n]] for i in range(n)]
 
 
 @pytest.mark.parametrize("field", [QQ, QI, F5, PrimeField(2), PrimeField(3)],
@@ -193,7 +213,7 @@ def test_cocycle_check_matches_reference(cat, field):
             want = _reference_is_cocycle(A, m)
             verdicts.add(want)
             try:
-                Cocycle(A, [m], check=True)
+                Cocycle.from_raw(A, [m], check=True)
                 got = True
             except NotACocycle as e:
                 assert str(e) == ("component 1 violates the cocycle "
@@ -252,7 +272,13 @@ def test_form_sum_matches_matrix_sum():
             want = Matrix.zero(field, 3, 3)
             for c, m in terms:
                 want = want + m * c
-            assert form_sum(B, terms) == want
+            got = form_sum(B, [(c, m._raw()) for c, m in terms])
+            assert Matrix(field, got) == want
+    # over F_5 the sums reach p and come out reduced: 4*4 + 3*2 = 22,
+    # 4*3 = 12, 3*4 = 12 and 4*1 + 3*4 = 16
+    B = Algebra(F5, 2, {})
+    assert form_sum(B, [(F5(4), ((4, 3), (0, 1))),
+                        (F5(3), ((2, 0), (4, 4)))]) == ((2, 2), (2, 1))
 
 
 @pytest.mark.parametrize("entries, s, words", [

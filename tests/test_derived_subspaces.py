@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from novikov.algebra import Algebra
 from novikov.catalog import CatalogError, class_coordinates
 from novikov.cohomology import (Cocycle, coboundary_space, cocycle_space,
-                                flatten, h2_basis)
+                                flatten, form_sum, h2_basis)
 from novikov.exprs import ExprError, SqrtNotInField
 from novikov.extensions import (central_extension, reconstruct,
                                 reconstruction_basis_change)
@@ -98,8 +98,8 @@ def _reference_cocycle_annihilator(theta):
     rows = []
     for m in theta.components:
         for j in range(n):
-            rows.append([m[i, j] for i in range(n)])
-            rows.append([m[j, i] for i in range(n)])
+            rows.append([m[i][j] for i in range(n)])
+            rows.append([m[j][i] for i in range(n)])
     return Matrix(theta.base.field, rows).kernel()
 
 
@@ -396,7 +396,7 @@ def test_class_coordinates_reject_dependent_classes(cat):
     A = rec.algebra(QQ)
     nab = rec.nabla_matrices(QQ)[0]
     theta = Cocycle(A, [nab], check=False)
-    for classes in ([nab, nab], [nab, nab * QQ(2)]):
+    for classes in ([nab, nab], [nab, form_sum(A, [(QQ(2), nab)])]):
         assert _reference_class_coordinates(A, theta, classes) == \
             [(QQ(1), QQ(0))]
         with pytest.raises(CatalogError, match="dependent"):

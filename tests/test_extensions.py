@@ -3,13 +3,14 @@
 import pytest
 
 from novikov.algebra import Algebra
-from novikov.cohomology import Cocycle, coboundary_of, h2_basis
+from novikov.cohomology import Cocycle, coboundary_of, form_sum, h2_basis
 from novikov.extensions import (ZeroAnnihilator, central_extension,
                                 extension_annihilator_law,
                                 extension_is_novikov_iff,
                                 extension_is_split, reconstruct,
                                 reconstruction_basis_change)
-from novikov.fields import QQ, FieldMismatch, PrimeField
+from novikov.fields import (QQ, FieldMismatch, GaussianRationalField,
+                            PrimeField, QuadraticField)
 from novikov.linalg import Matrix
 
 F5 = PrimeField(5)
@@ -91,6 +92,18 @@ def test_reconstruct_roundtrip():
     rebuilt = central_extension(base, theta2)
     P = reconstruction_basis_change(B)
     assert B.change_basis(P) == rebuilt
+    # over Q, Q(i), Q(sqrt 2) and F_5, on raw forms with entries such as
+    # 1/2 (3 over F_5)
+    for f in (QQ, GaussianRationalField(), QuadraticField(2), F5):
+        A3 = Algebra(f, 3, {(0, 0, 1): f(1), (0, 1, 2): f(1)})
+        reps = [r.components[0] for r in h2_basis(A3)[0]]
+        theta = Cocycle.from_raw(A3, [form_sum(A3, [(f(1) / 2, reps[0]),
+                                                    (f(3), reps[-1])])])
+        B = central_extension(A3, theta)
+        base, theta2 = reconstruct(B)
+        assert theta2 == Cocycle.from_raw(base, theta2.components)
+        assert central_extension(base, theta2) == \
+            B.change_basis(reconstruction_basis_change(B))
 
 
 def test_reconstruct_needs_annihilator():

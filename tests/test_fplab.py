@@ -159,7 +159,8 @@ def _reference_induced_h2_matrices(A, reps, auts):
         pt = phi.transpose()
         columns = []
         for m in mats:
-            sol = stack.solve(list(flatten(pt * m * phi)))
+            image = pt * Matrix(f, m) * phi
+            sol = stack.solve([x for row in image.entries for x in row])
             if sol is None:
                 raise RuntimeError("automorphism left the cocycle space")
             columns.append([c.data for c in sol[:d]])
