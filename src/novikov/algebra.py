@@ -157,7 +157,8 @@ class Algebra:
         types in order of first appearance, and ids[i] (2-byte unsigned
         integers) is the position in `types` of the type of the element
         whose base-p digits, first coordinate most significant, are i
-        (so elements are listed in `product` order)."""
+        (so elements are listed in `product` order).  ValueError when
+        p^dim exceeds `MAX_ELEMENTS`."""
         return self._memo("local_types", self._local_types)
 
     def local_type(self, x):
@@ -176,6 +177,9 @@ class Algebra:
         n, p = self.dim, self.field.modulus
         if p is None:
             raise ValueError("local types need a prime field")
+        if p ** n > MAX_ELEMENTS:
+            raise ValueError(f"{p}^{n} elements are too many to list "
+                             f"local types (at most {MAX_ELEMENTS})")
         table = self.table
         levels = [null_space(P._rows, n, 0, 1, p)
                   for P in self.power_filtration()[1:]]
@@ -435,6 +439,10 @@ def _is_int(value):
 #: the largest `dim` or `s` a JSON document may give, checked before any
 #: table is allocated: dim^3 <= 10^6 cells (the catalog has dim <= 5)
 MAX_SIZE = 100
+
+#: the most elements (p^dim) whose local types `Algebra.local_types`
+#: lists, checked before the walk
+MAX_ELEMENTS = 10 ** 6
 
 
 def check_size(doc, name):

@@ -315,6 +315,19 @@ class _QuadraticArithmetic(Field):
     def is_zero(self, a):
         return a.data == (0, 0)
 
+    def parse(self, text):
+        """"a+b*g" in the subclass's notation for g (`_re`), or a plain
+        rational "a" or "a/b", meaning a+0*g."""
+        t = text.strip().replace(" ", "")
+        if re.fullmatch(_FRAC_RE, t):
+            return self.from_rational(Fraction(t))
+        m = self._re.match(t)
+        if not m:
+            raise ValueError(f"bad {self._literal} literal: {text!r}")
+        if m.lastindex == 3 and int(m.group(3)) != self.d:
+            raise FieldMismatch(f"sqrt({m.group(3)}) literal in Q(sqrt {self.d})")
+        return FieldElement(self, (Fraction(m.group(1)), Fraction(m.group(2))))
+
     def try_sqrt(self, a):
         # (x + y g)^2 = p + q g: either y=0 / x=0 shortcut or x^2 solves
         # t^2 - p t + d q^2 / 4 = 0 over Q.
@@ -358,12 +371,7 @@ class GaussianRationalField(_QuadraticArithmetic):
         return f"{_fmt_frac(p)}+{_fmt_frac(q)}*i"
 
     _re = re.compile(rf"^({_FRAC_RE})\+({_FRAC_RE})\*i$")
-
-    def parse(self, text):
-        m = self._re.match(text.strip().replace(" ", ""))
-        if not m:
-            raise ValueError(f"bad Q(i) literal: {text!r}")
-        return FieldElement(self, (Fraction(m.group(1)), Fraction(m.group(2))))
+    _literal = "Q(i)"
 
     def __eq__(self, other):
         return isinstance(other, GaussianRationalField)
@@ -391,14 +399,7 @@ class QuadraticField(_QuadraticArithmetic):
         return f"{_fmt_frac(p)}+{_fmt_frac(q)}*sqrt({self.d})"
 
     _re = re.compile(rf"^({_FRAC_RE})\+({_FRAC_RE})\*sqrt\((\d+)\)$")
-
-    def parse(self, text):
-        m = self._re.match(text.strip().replace(" ", ""))
-        if not m:
-            raise ValueError(f"bad Q(sqrt d) literal: {text!r}")
-        if int(m.group(3)) != self.d:
-            raise FieldMismatch(f"sqrt({m.group(3)}) literal in Q(sqrt {self.d})")
-        return FieldElement(self, (Fraction(m.group(1)), Fraction(m.group(2))))
+    _literal = "Q(sqrt d)"
 
     def __eq__(self, other):
         return isinstance(other, QuadraticField) and other.d == self.d

@@ -21,6 +21,12 @@ representative is the last image to appear for the first time (the
 point itself if it is fixed).  Orbits are listed sorted by
 representative.
 
+The orbit stage runs on raw rows (residues mod p) throughout: the
+automorphisms come from the search unwrapped (`morphisms.aut_rows_fp`),
+their action on H^2 is read off sparse coordinate functionals without
+forming the image forms (`induced_h2_matrices`), and a point's image
+under an action is a sum of the action's columns.
+
 Orbit counts over F_p are p-specific and are never claimed to equal
 characteristic-zero counts; the value of a run is the bidirectional
 cross-check against specializations of the catalog, with specialization
@@ -31,17 +37,18 @@ in F_p) listed rather than silently dropped.
 from __future__ import annotations
 
 from itertools import product as iproduct
+from operator import add
 
 from .algebra import Algebra
 from .catalog import Catalog
-from .cohomology import (Cocycle, coboundary_space, congruence, flatten,
-                         form_sum, h2_basis, in_Ts)
+from .cohomology import (Cocycle, coboundary_space, flatten, form_sum,
+                         h2_basis, in_Ts)
 from .exprs import ExprError, SqrtNotInField
 from .extensions import central_extension
 from .fields import DivisionByZero, PrimeField
 from .invariants import element_census, fingerprint
 from .linalg import eliminate, solve_in_basis
-from .morphisms import enumerate_aut_fp, iso_search
+from .morphisms import aut_rows_fp, iso_search
 
 
 def grassmannian_points(dim: int, s: int, p: int):
@@ -70,6 +77,17 @@ def grassmannian_points(dim: int, s: int, p: int):
 
 
 def _canonical(rows, p):
+    """The reduced row-echelon basis of independent rows of residues mod
+    p: one row is scaled by the inverse of its first nonzero entry, more
+    go through `eliminate`."""
+    if len(rows) == 1:
+        row = rows[0]
+        lead = next((x for x in row if x), 0)
+        if lead == 1:
+            return (tuple(row),)
+        if lead:
+            inv = pow(lead, -1, p)
+            return (tuple(x * inv % p for x in row),)
     rref, rank, _ = eliminate(rows, p)
     if rank != len(rows):
         raise ValueError("rows not independent")
@@ -77,34 +95,47 @@ def _canonical(rows, p):
 
 
 def induced_h2_matrices(A: Algebra, reps, auts):
-    """For each automorphism, the d x d integer matrix of its action on
-    H^2 coordinates in the basis `reps` (single-component cocycles).
+    """For each automorphism, given by its raw rows (residues mod p),
+    the d x d integer matrix of its action on H^2 coordinates in the
+    basis `reps` (single-component cocycles): entry (i, j) is
+    coordinate i of the image of class j.
 
     One `solve_in_basis` of the unit forms in the basis S, the flattened
     representatives followed by a basis of B^2, gives a left inverse of
     S (the coordinates) and the equations of Z^2 = span(S) (the residual
-    rows).  Each image phi^T theta phi is then read off on ints mod p."""
-    width, d, p = A.dim ** 2, len(reps), A.field.modulus
+    rows).  These functionals are kept sparse, as (a, b, R_ab) triples,
+    and so is each representative m, as (i, j, m_ij) triples.  A
+    functional R takes the value sum R_ab m_ij phi_ia phi_jb on the
+    image phi^T m phi, mod p, so the image itself is never formed; every
+    nonzero equation is evaluated on every image."""
+    n, d, p = A.dim, len(reps), A.field.modulus
     mats = [r.components[0] for r in reps]
     solved = solve_in_basis(
         [flatten(m) for m in mats] + coboundary_space(A)._rows,
-        [[int(i == j) for j in range(width)] for i in range(width)], p)
+        [[int(i == j) for j in range(n * n)] for i in range(n * n)], p)
     if solved is None:
         raise ValueError("representatives are not independent modulo B^2")
-    coords, equations = solved[0][:d], solved[1]
+    coords, equations = solved[0][:d], [e for e in solved[1] if any(e)]
+    functionals = [[(k // n, k % n, c) for k, c in enumerate(row) if c]
+                   for row in coords + equations]
+    # per representative: (functional, R_ab m_ij, flat ia, flat jb)
+    plans = [[(t, r * c % p, i * n + a, j * n + b)
+              for t, R in enumerate(functionals) for a, b, r in R
+              for i, row in enumerate(m) for j, c in enumerate(row) if c]
+             for m in mats]
     out = []
     for phi in auts:
-        ph = phi._raw()
+        flat = [x for row in phi for x in row]
         columns = []
-        for m in mats:
-            image = flatten(congruence(m, ph, p))
-            if any(sum(e * x for e, x in zip(eq, image)) % p
-                   for eq in equations):
+        for plan in plans:
+            acc = [0] * len(functionals)
+            for t, k, u, v in plan:
+                acc[t] += k * flat[u] * flat[v]
+            if any(x % p for x in acc[d:]):
                 raise RuntimeError("automorphism left the cocycle space")
-            columns.append([sum(t * x for t, x in zip(row, image)) % p
-                            for row in coords])
-        # columns[i] = coordinates of the image of basis class i
-        out.append([[columns[j][i] for j in range(d)] for i in range(d)])
+            columns.append([x % p for x in acc[:d]])
+        # columns[j] = coordinates of the image of basis class j
+        out.append([list(row) for row in zip(*columns)])
     return out
 
 
@@ -113,7 +144,10 @@ def _orbit_representatives(points, actions, p):
     group) on the canonical `points`, sorted.  Each orbit is generated
     from its first point in the order of `points`; its representative is
     the last image of that point to appear for the first time, or the
-    point itself when it is fixed."""
+    point itself when it is fixed.  A point row's image under M is the
+    sum of M's columns at the row's nonzero entries, each scaled by its
+    entry unless that is 1."""
+    columns = [list(zip(*M)) for M in actions]
     seen = set()
     roots = []
     for pt in points:
@@ -121,14 +155,23 @@ def _orbit_representatives(points, actions, p):
             continue
         seen.add(pt)
         root = pt
-        for M in actions:
-            image = _canonical([[sum(a * b for a, b in zip(row, r)) % p
-                                 for row in M] for r in pt], p)
+        terms = [[(j, c) for j, c in enumerate(row) if c] for row in pt]
+        for cols in columns:
+            image = _canonical([_combine(cols, t, p) for t in terms], p)
             if image not in seen:
                 seen.add(image)
                 root = image
         roots.append(root)
     return sorted(roots)
+
+
+def _combine(cols, terms, p):
+    """The sum of c * cols[j] over the (j, c) terms, mod p."""
+    acc = None
+    for j, c in terms:
+        col = cols[j] if c == 1 else [c * x for x in cols[j]]
+        acc = col if acc is None else map(add, acc, col)
+    return [x % p for x in acc]
 
 
 def _isomorphic(B: Algebra, C: Algebra, counts, budget):
@@ -163,7 +206,7 @@ def run_procedure_fp_report(A: Algebra, s: int, budget: int = 50_000_000):
     f = A.field
     reps, d = h2_basis(A)
     mats = [r.components[0] for r in reps]
-    auts = enumerate_aut_fp(A, budget=budget)
+    auts = aut_rows_fp(A, budget=budget)
     # distinct actions, each at its first occurrence
     actions = list(dict.fromkeys(
         tuple(map(tuple, M)) for M in induced_h2_matrices(A, reps, auts)))

@@ -10,9 +10,10 @@ raw scalars (`Field.raw`; residues mod p when p is given) for every
 field.  Every `Subspace` is built from raw rows by `Subspace.from_raw`,
 which eliminates them once and keeps only the raw RREF basis; every
 vector written in a basis goes through `solve_in_basis`.  `Matrix`, the
-type of linear maps (automorphisms, basis changes, witnesses), holds
-FieldElements and converts at its boundary; bilinear forms are raw
-(`cohomology`).
+public type of linear maps (automorphisms, basis changes, witnesses),
+holds FieldElements and converts at its boundary; the isomorphism
+search and the F_p orbit stage (`fplab`) keep automorphisms as raw rows,
+and bilinear forms are raw (`cohomology`).
 """
 
 from __future__ import annotations

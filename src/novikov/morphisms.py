@@ -26,14 +26,16 @@ search is a proof of non-isomorphism.  Over Q the candidates are
 height-bounded vectors enumerated sparsest-first; a failed search is
 only a negative heuristic and is reported as such.  Over every field
 the search keeps images as tuples of raw scalars (`Field.raw`) and
-multiplies them with `Algebra.multiply_raw`; only witnesses are
-converted back to field elements.
+multiplies them with `Algebra.multiply_raw`.  Witnesses stay raw
+rows too (`aut_rows_fp` returns them so); `iso_search` and
+`enumerate_aut_fp` wrap them into Matrices at the boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product as iproduct
+from operator import mul
 
 from .algebra import Algebra
 from .cohomology import Cocycle, congruence
@@ -57,7 +59,12 @@ def is_homomorphism(A: Algebra, B: Algebra, phi: Matrix):
         raise ValueError("map shape does not match the algebras")
     if not phi.field == A.field == B.field:
         raise FieldMismatch(f"{phi.field} map from {A.field} to {B.field}")
-    m, p = phi._raw(), B.field.modulus
+    return _homomorphism_raw(A, B, phi._raw())
+
+
+def _homomorphism_raw(A: Algebra, B: Algebra, m):
+    """`is_homomorphism` for the raw rows m of a B.dim x A.dim map."""
+    p = B.field.modulus
     cols = [tuple(row[i] for row in m) for i in range(A.dim)]
     for i in range(A.dim):
         for j in range(A.dim):
@@ -335,8 +342,8 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
     get every relation check and the independence check, so the
     witnesses and their order are those of visiting the whole pool.
 
-    Returns a list of witnesses (all of them when find_all, else at most
-    one)."""
+    Returns a list of witnesses as raw rows (all of them when find_all,
+    else at most one)."""
     wb = WordBasis(A)
     g = wb.n_generators
     f = A.field
@@ -372,13 +379,15 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
                     out[k] = out[k] + c * w
         return tuple(out) if p is None else tuple(x % p for x in out)
 
+    inverse_cols = list(zip(*wb.inverse))
+
     def witness():
-        """The linear map sending each word's vector to its image: the
-        image matrix times the inverse of the word matrix, on raw
-        scalars."""
-        return Matrix(f, [[f.wrap(sum((images[t][r] * wb.inverse[t][c]
-                                       for t in range(n)), zero))
-                           for c in range(n)] for r in range(n)])
+        """The raw rows of the linear map sending each word's vector to
+        its image: the image matrix times the inverse of the word
+        matrix."""
+        rows = [[sum(map(mul, r, c), zero) for c in inverse_cols]
+                for r in zip(*images)]
+        return rows if p is None else [[x % p for x in r] for r in rows]
 
     def candidates(level):
         """The pool points that solve the level's affine relations and
@@ -453,7 +462,8 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
                     # and independence was checked, so phi is already an
                     # isomorphism; re-verify only on the heuristic path
                     phi = witness()
-                    if exhaustive or is_isomorphism(A, B, phi):
+                    if exhaustive or (eliminate(phi, p)[1] == n and
+                                      _homomorphism_raw(A, B, phi)[0]):
                         results.append(phi)
                         if not find_all:
                             return True
@@ -491,7 +501,7 @@ def iso_search(A: Algebra, B: Algebra, budget: int = 5_000_000,
     if A.table == B.table:
         return Matrix.identity(A.field, A.dim)
     found = _search(A, B, budget, height, find_all=False)
-    return found[0] if found else None
+    return _matrix(A.field, found[0]) if found else None
 
 
 def enumerate_aut_fp(A: Algebra, budget: int = 50_000_000):
@@ -501,6 +511,16 @@ def enumerate_aut_fp(A: Algebra, budget: int = 50_000_000):
     relations linear in it that are independent of the earlier images
     modulo A^2 and have the generator's local type, and the budget
     counts these tries."""
+    return [_matrix(A.field, rows) for rows in aut_rows_fp(A, budget)]
+
+
+def aut_rows_fp(A: Algebra, budget: int = 50_000_000):
+    """`enumerate_aut_fp` as raw rows (residues mod p), unwrapped."""
     if not isinstance(A.field, PrimeField):
         raise ValueError("exhaustive enumeration needs a prime field")
     return _search(A, A, budget, 0, find_all=True)
+
+
+def _matrix(field, rows):
+    """The Matrix of the raw rows `rows`."""
+    return Matrix(field, [map(field.wrap, row) for row in rows])

@@ -3,11 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import novikov
 from novikov.algebra import Algebra
 from novikov.cli import main
 from novikov.fields import QQ, PrimeField
@@ -103,6 +108,43 @@ def test_separate(tmp_path, capsys):
     assert main(["separate", str(px), str(pz)]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert len(rep["groups"]) == 2
+
+
+def _limited_cli(argv):
+    """The CLI in a child process with 1 GB of address space and a 60 s
+    timeout: (exit code, stdout, stderr)."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        novikov.__file__)))
+    done = subprocess.run([sys.executable, "-m", "novikov.cli"] + argv,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=limit,
+                          env={**os.environ, "PYTHONPATH": src})
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_local_types_refuse_a_huge_field(tmp_path):
+    # over F_(2^31 - 1) the local types of a 3-dimensional algebra would
+    # walk p^3 elements: iso and separate ran for minutes; pairs that
+    # fingerprints split are still decided
+    def write(name, c, table=True):
+        path = tmp_path / name
+        path.write_text(json.dumps({
+            "dim": 3, "field": "fp:2147483647",
+            "table": _table((1, 1, 2), c=c) + _table((1, 2, 3))
+            if table else []}))
+        return str(path)
+    x, y, z = write("x.json", "1"), write("y.json", "2"), \
+        write("z.json", "1", table=False)
+    for argv in (["iso", x, y], ["separate", x, y]):
+        code, out, err = _limited_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "2147483647^3 elements are too many" in err
+    code, out, _ = _limited_cli(["separate", x, z])
+    assert code == 0
+    assert json.loads(out)["proven_distinct"] == [[x, z, "fingerprint"]]
 
 
 @pytest.mark.parametrize("first", [0, 1])

@@ -173,3 +173,12 @@ def test_element_text_encodings():
         F7.parse("3 mod 5")
     with pytest.raises(FieldMismatch):
         QS2.parse("1+1*sqrt(3)")
+
+
+@pytest.mark.parametrize("field, gen", [(QI, "i"), (QS2, "sqrt(2)")],
+                         ids=repr)
+@pytest.mark.parametrize("text", ["1", "0", "1/2", "-3", "+2/6", " 5 "])
+def test_quadratic_fields_parse_plain_rationals(field, gen, text):
+    # "a" and "a/b" used to raise "bad ... literal"
+    full = f"{text.strip()}+0*{gen}"
+    assert field(text) == field(full) == field(Fraction(text.strip()))

@@ -155,7 +155,8 @@ def _reference_induced_h2_matrices(A, reps, auts):
     stack = Matrix(f, cols).transpose()
     d = len(reps)
     out = []
-    for phi in auts:
+    for rows in auts:
+        phi = Matrix(f, rows)
         pt = phi.transpose()
         columns = []
         for m in mats:
@@ -185,13 +186,10 @@ def _catalog_base(key, p):
     return make
 
 
-def _monomial(key, p, perm, scales):
+def _rebased(key, p, rows):
     def make(cat):
         A = cat.bases[key].algebra(PrimeField(p), {})
-        n = A.dim
-        return A.change_basis(Matrix(A.field, [
-            [scales[i] if perm[i] == j else 0 for j in range(n)]
-            for i in range(n)]))
+        return A.change_basis(Matrix(A.field, rows))
     return make
 
 
@@ -203,8 +201,12 @@ ORBIT_CASES = {
     "N3s_01/F3": (_catalog_base("N3s_01", 3), 1),
     "N3s_04z/F3": (_catalog_base("N3s_04z", 3), 1),
     "M4_01/F2": (_catalog_base("M4_01", 2), 1),
-    "N3s_01/F3-monomial": (_monomial("N3s_01", 3, (2, 0, 1), (2, 1, 2)), 1),
+    "N3s_01/F3-monomial": (
+        _rebased("N3s_01", 3, [[0, 0, 2], [1, 0, 0], [0, 2, 0]]), 1),
     "N3s_04z/F3-s2": (_catalog_base("N3s_04z", 3), 2),
+    # a general basis change: dense H^2 functionals and representatives
+    "N3s_04z/F3-unitriangular": (
+        _rebased("N3s_04z", 3, [[1, 1, 1], [0, 1, 2], [0, 0, 1]]), 1),
     "zero2/F2": (_zero(2, 2), 1),
     "zero2/F3": (_zero(2, 3), 1),
     "zero2/F5": (_zero(2, 5), 1),
@@ -224,7 +226,7 @@ def test_orbit_stage_matches_reference(cat, case):
     A = make(cat)
     p = A.field.p
     reps, d = h2_basis(A)
-    auts = enumerate_aut_fp(A)
+    auts = [phi._raw() for phi in enumerate_aut_fp(A)]
     actions = _reference_induced_h2_matrices(A, reps, auts)
     assert fplab.induced_h2_matrices(A, reps, auts) == actions
 
@@ -297,7 +299,7 @@ def test_induced_h2_matrices_rejects_non_automorphism():
     for induced in (fplab.induced_h2_matrices,
                     _reference_induced_h2_matrices):
         with pytest.raises(RuntimeError, match="left the cocycle space"):
-            induced(A, reps, [Matrix.identity(F3, 2), phi])
+            induced(A, reps, [Matrix.identity(F3, 2)._raw(), phi._raw()])
 
 
 # ----------------------------------------------------------------------

@@ -3,17 +3,16 @@
     PYTHONPATH=src python3 tools/bench_fp_orbits.py --label after
 
 Runs `fplab.run_procedure_fp_report` on M4_01 over F_2 at s = 1, on
-N3s_01 over F_3 at s = 1 and s = 2 and on N3s_04z over F_3 at s = 2,
-five times each (`--repeats` sets another count, at least 2, for a
-version whose slowest row takes minutes).  The record appended to
-BENCH_fp_orbits.json (next to `tools/`) holds, per run, the median,
-minimum and spread (quartile distance over median) of the
-times in raw and in host-speed reference seconds (`benchclock`), the
+N3s_01 over F_3 at s = 1 and s = 2, on N3s_04z over F_3 at s = 2 and on
+M4_01 over F_3 at s = 1, five times each (`--repeats` sets another
+count, at least 2, for a version whose slowest row takes minutes).  The
+record appended to BENCH_fp_orbits.json (next to `tools/`) holds, per
+run, the median, minimum and spread (quartile distance over median) of
+the times in raw and in host-speed reference seconds (`benchclock`), the
 report's counts and a digest of its classes and class points, plus the
 git commit of the checkout the package was imported from and the Python
-version.  Point PYTHONPATH at another
-checkout's `src` to measure that version; equal digests mean equal
-reports.
+version.  Point PYTHONPATH at another checkout's `src` to measure that
+version; equal digests mean equal reports.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from novikov.fplab import run_procedure_fp_report
 from benchclock import append_record, provenance, summary, timed
 
 RUNS = (("M4_01", 2, 1), ("N3s_01", 3, 1), ("N3s_01", 3, 2),
-        ("N3s_04z", 3, 2))
+        ("N3s_04z", 3, 2), ("M4_01", 3, 1))
 COUNTS = ("h2_dim", "aut_order", "points", "distinct_actions", "orbits",
           "admissible_orbits", "merged", "census_splits", "dedupe_searches")
 OUT = os.path.join(os.path.dirname(os.path.dirname(
