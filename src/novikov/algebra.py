@@ -3,15 +3,19 @@
 An Algebra is a bilinear product on field^n given by a tensor c[i][j][k]
 with e_i e_j = sum_k c[i][j][k] e_k (0-based internally; the JSON format
 and printed tables are 1-based).  Every product is one loop over the
-nonzero structure constants on raw scalars (`multiply_raw`).  Identity
-checks run on basis triples only, which suffices by multilinearity.
+nonzero structure constants on raw scalars (`multiply_raw`, on integers
+over Q).  Identity checks run on basis triples only, which suffices by
+multilinearity, and read the triple products off the same constants.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
+from math import lcm
 
-from .fields import DivisionByZero, Field, field_from_tag, field_tag
+from .fields import (DivisionByZero, Field, RationalField, field_from_tag,
+                     field_tag)
 from .linalg import (DimensionMismatch, Matrix, SingularMatrix, Subspace,
                      eliminate, null_space, reduce, solve_in_basis)
 
@@ -74,19 +78,39 @@ class Algebra:
 
     def multiply_raw(self, x, y):
         """`multiply` on raw coefficient vectors (`Field.raw`), read off
-        the nonzero structure constants and reduced mod p once."""
-        nz, zero, p = self._memo("nz", self._sparse)
-        out = [zero] * self.dim
+        the nonzero structure constants, reduced mod p once.  Over Q the
+        x_i, y_j that meet a nonzero product are scaled by the lcm of their
+        denominators and summed as integers against the scaled table."""
+        nz, zero, p, scaled = self._memo("nz", self._sparse)
         ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if xi:
-                row = nz[i]
-                for j, yj in ys:
-                    if row[j]:
-                        coef = xi * yj
-                        for k, c in row[j]:
-                            out[k] = out[k] + coef * c
-        return tuple(out) if p is None else tuple(v % p for v in out)
+        if scaled is None:
+            out = [zero] * self.dim
+            for i, xi in enumerate(x):
+                if xi:
+                    row = nz[i]
+                    for j, yj in ys:
+                        if row[j]:
+                            coef = xi * yj
+                            for k, c in row[j]:
+                                out[k] = out[k] + coef * c
+            return tuple(out) if p is None else tuple(v % p for v in out)
+        ints, d = scaled
+        hits = [(a, b, row[j]) for a, row in zip(x, ints) if a
+                for j, b in ys if row[j]]
+        if not hits:
+            return (zero,) * self.dim
+        da = lcm(*[a.denominator for a, _, _ in hits])
+        db = lcm(*[b.denominator for _, b, _ in hits])
+        out = [0] * self.dim
+        for a, b, terms in hits:
+            coef = a.numerator * (da // a.denominator) * \
+                b.numerator * (db // b.denominator)
+            for k, c in terms:
+                out[k] += coef * c
+        d *= da * db
+        if d == 1:
+            return tuple(Fraction(v) if v else zero for v in out)
+        return tuple(Fraction(v, d) if v else zero for v in out)
 
     def basis_vector(self, i: int):
         z, o = self.field.zero(), self.field.one()
@@ -109,11 +133,19 @@ class Algebra:
         return self._memo("nz", self._sparse)[0]
 
     def _sparse(self):
-        """(`nonzero_products`, the raw zero, the modulus)."""
+        """(`nonzero_products`, the raw zero, the modulus, and over Q the
+        integer table of `multiply_raw`: nz with every constant times D,
+        and D, the lcm of the denominators; None over other fields)."""
         f = self.field
-        return tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c)
-                           for row in plane) for plane in self.table), \
-            f.raw(f.zero()), f.modulus
+        nz = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c)
+                         for row in plane) for plane in self.table)
+        if not isinstance(f, RationalField):
+            return nz, f.raw(f.zero()), f.modulus, None
+        d = lcm(*[c.denominator for plane in nz for terms in plane
+                  for _, c in terms])
+        return nz, f.raw(f.zero()), None, (tuple(tuple(tuple(
+            (k, c.numerator * (d // c.denominator)) for k, c in terms)
+            for terms in plane) for plane in nz), d)
 
     def _units(self):
         """The basis vectors on raw scalars, computed once."""
@@ -121,29 +153,25 @@ class Algebra:
             tuple(e) for e in Subspace.full(self.field, self.dim)._rows])
 
     def _left_products(self):
-        """L[i][j][k] = (e_i e_j) e_k, on raw scalars."""
+        """L[i][j][k] = (e_i e_j) e_k, the sum over (l, c) in nz[i][j] of
+        c nz[l][k], on raw scalars."""
         def compute():
-            nz, zero, _ = self._memo("nz", self._sparse)
-            table, e, zeros = self.table, self._units(), (zero,) * self.dim
-            return _triples(self.dim, lambda i, j, k: self.multiply_raw(
-                table[i][j], e[k]) if nz[i][j] else zeros)
+            nz, zero, p, _ = self._memo("nz", self._sparse)
+            zeros = (zero,) * self.dim
+            return _triples(self.dim, lambda i, j, k: combine(
+                zeros, [(c, nz[l][k]) for l, c in nz[i][j]], p)
+                if nz[i][j] else zeros)
         return self._memo("left", compute)
 
     def _associators(self):
-        """D[i][j][k] = (e_i e_j) e_k - e_i (e_j e_k), on raw scalars."""
+        """D[i][j][k] = (e_i e_j) e_k - e_i (e_j e_k), where e_i (e_j e_k)
+        is the sum over (l, c) in nz[j][k] of c nz[i][l]."""
         def compute():
-            nz, table, e = self.nonzero_products(), self.table, self._units()
-            L, p = self._left_products(), self.field.modulus
-
-            def associator(i, j, k):
-                if not nz[j][k]:
-                    return L[i][j][k]
-                d = list(L[i][j][k])
-                for m, b in enumerate(self.multiply_raw(e[i], table[j][k])):
-                    if b:
-                        d[m] = d[m] - b
-                return tuple(d) if p is None else tuple(v % p for v in d)
-            return _triples(self.dim, associator)
+            nz, _, p, _ = self._memo("nz", self._sparse)
+            L = self._left_products()
+            return _triples(self.dim, lambda i, j, k: combine(
+                L[i][j][k], [(-c, nz[i][l]) for l, c in nz[j][k]], p)
+                if nz[j][k] else L[i][j][k])
         return self._memo("associators", compute)
 
     def local_types(self):
@@ -312,7 +340,7 @@ class Algebra:
     def _operator_kernel(self, left: bool, right: bool) -> Subspace:
         """{x : x A = 0 (left) and A x = 0 (right)}: the kernel of the
         nonzero rows of the stacked multiplication operators."""
-        nz, zero, _ = self._memo("nz", self._sparse)
+        nz, zero, _, _ = self._memo("nz", self._sparse)
         rows = {}
         for a, plane in enumerate(nz):
             for b, terms in enumerate(plane):
@@ -494,6 +522,17 @@ def _index(x, p):
     for c in x:
         i = i * p + c
     return i
+
+
+def combine(start, terms, p):
+    """start plus the sum of c row over the (c, row) terms, each row a
+    raw vector given by its nonzero (m, v) pairs; a tuple, reduced mod p
+    when p is set."""
+    out = list(start)
+    for c, row in terms:
+        for m, v in row:
+            out[m] = out[m] + c * v
+    return tuple(out) if p is None else tuple(v % p for v in out)
 
 
 def _triples(n, f):

@@ -152,7 +152,9 @@ def cmd_iso(args):
         _emit({"verdict": "budget_exceeded"}, args)
         return 1
     if w is not None:
-        assert is_isomorphism(A, B, w)
+        if not is_isomorphism(A, B, w):
+            print("error: the witness is not an isomorphism", file=sys.stderr)
+            return 1
         _emit({"verdict": "isomorphic",
                "witness": [[repr(x) for x in row] for row in w.entries]},
               args)

@@ -26,9 +26,11 @@ search is a proof of non-isomorphism.  Over Q the candidates are
 height-bounded vectors enumerated sparsest-first; a failed search is
 only a negative heuristic and is reported as such.  Over every field
 the search keeps images as tuples of raw scalars (`Field.raw`) and
-multiplies them with `Algebra.multiply_raw`.  Witnesses stay raw
-rows too (`aut_rows_fp` returns them so); `iso_search` and
-`enumerate_aut_fp` wrap them into Matrices at the boundary.
+multiplies them with `Algebra.multiply_raw` (on integers over Q).
+Witnesses stay raw rows too (`aut_rows_fp` returns them so);
+`iso_search` and `enumerate_aut_fp` wrap them into Matrices at the
+boundary.  The homomorphism check reads phi(e_i e_j) off A's sparse
+table as a combination of the images phi(e_k).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from fractions import Fraction
 from itertools import combinations, product as iproduct
 from operator import mul
 
-from .algebra import Algebra
+from .algebra import Algebra, combine
 from .cohomology import Cocycle, congruence
 from .fields import FieldMismatch, PrimeField
 from .linalg import (Matrix, Subspace, eliminate, null_space, reduce,
@@ -64,14 +66,15 @@ def is_homomorphism(A: Algebra, B: Algebra, phi: Matrix):
 
 def _homomorphism_raw(A: Algebra, B: Algebra, m):
     """`is_homomorphism` for the raw rows m of a B.dim x A.dim map."""
-    p = B.field.modulus
+    nz, p = A.nonzero_products(), B.field.modulus
+    zeros = (B.field.raw(B.field.zero()),) * B.dim
     cols = [tuple(row[i] for row in m) for i in range(A.dim)]
+    # phi(e_i e_j) is the sum over (k, c) in nz[i][j] of c phi(e_k)
+    images = [[(r, a) for r, a in enumerate(col) if a] for col in cols]
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = [sum(a * c for a, c in zip(row, A.table[i][j])) for row in m]
-            if p is not None:
-                lhs = [x % p for x in lhs]
-            if tuple(lhs) != B.multiply_raw(cols[i], cols[j]):
+            if combine(zeros, [(c, images[k]) for k, c in nz[i][j]],
+                       p) != B.multiply_raw(cols[i], cols[j]):
                 return False, (i, j)
     return True, None
 

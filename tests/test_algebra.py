@@ -337,6 +337,70 @@ def test_multiply_matches_reference():
                     A, [f.raw(a) for a in x], [f.raw(b) for b in y])
 
 
+def _rational(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+
+
+def test_rational_products_match_reference():
+    # over Q multiply_raw sums on integers scaled by the lcm of the
+    # denominators; each coordinate must come back as the exact
+    # Fraction (an int would compare equal and pass unnoticed)
+    rng = random.Random(17)
+    for case in range(120):
+        n = rng.randint(1, 5)
+        integral = case % 4 == 0
+        draw = (lambda: Fraction(rng.randint(-5, 5))) if integral else \
+            (lambda: _rational(rng))
+        A = Algebra(QQ, n, {(i, j, k): draw() for i in range(n)
+                            for j in range(n) for k in range(n)})
+        units = [tuple(Fraction(int(i == k)) for k in range(n))
+                 for i in range(n)]
+        vectors = [tuple(_rational(rng) for _ in range(n)) for _ in range(3)]
+        vectors += [tuple(Fraction(rng.randint(-5, 5)) for _ in range(n)),
+                    (Fraction(0),) * n] + units
+        for x in vectors:
+            for y in vectors:
+                got = A.multiply_raw(x, y)
+                want = _reference_multiply(A, tuple(map(QQ.wrap, x)),
+                                           tuple(map(QQ.wrap, y)))
+                assert got == tuple(map(QQ.raw, want)), (A, x, y)
+                assert all(type(c) is Fraction for c in got), got
+    # the table's own rows times rationals, and a sparse table
+    B = Algebra(QQ, 3, BOUNDARY_TABLE)
+    x = (Fraction(1, 3), Fraction(-2, 5), Fraction(3, 4))
+    for y in B.table[0] + (x,):
+        got = B.multiply_raw(x, y)
+        assert got == tuple(map(QQ.raw, _reference_multiply(
+            B, tuple(map(QQ.wrap, x)), tuple(map(QQ.wrap, y)))))
+        assert all(type(c) is Fraction for c in got)
+
+
+def _reference_left_products(A):
+    """L[i][j][k] = (e_i e_j) e_k by two products."""
+    mul, e, n = A.multiply_raw, A._units(), A.dim
+    return [[[mul(mul(e[i], e[j]), e[k]) for k in range(n)]
+             for j in range(n)] for i in range(n)]
+
+
+def _reference_associators(A):
+    """D[i][j][k] = (e_i e_j) e_k - e_i (e_j e_k) by four products."""
+    mul, e, n, p = A.multiply_raw, A._units(), A.dim, A.field.modulus
+
+    def sub(u, v):
+        d = [a - b for a, b in zip(u, v)]
+        return tuple(d) if p is None else tuple(a % p for a in d)
+    return [[[sub(mul(mul(e[i], e[j]), e[k]), mul(e[i], mul(e[j], e[k])))
+              for k in range(n)] for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("field", [QQ, QI, QS2, F5],
+                         ids=["Q", "Q(i)", "Q(sqrt2)", "F_5"])
+def test_triple_products_match_their_definitions(cat, field):
+    for A in _identity_cases(cat, field, seed="triples " + str(field)):
+        assert A._left_products() == _reference_left_products(A), A
+        assert A._associators() == _reference_associators(A), A
+
+
 def _assert_derived_match_reference(A):
     powers = A.power_filtration()
     assert powers == _reference_filtration(A)

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import novikov
+from novikov import cli
 from novikov.algebra import Algebra
 from novikov.cli import main
 from novikov.fields import QQ, PrimeField
+from novikov.linalg import Matrix
 
 F5 = PrimeField(5)
 
@@ -82,6 +84,43 @@ def test_iso_exit_codes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "isomorphic"
     assert main(["iso", str(px), str(pz)]) == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "proven_distinct"
+
+
+def _no_isomorphism(A, B, **options):
+    """A stand-in for iso_search: x -> 2x is invertible, but not
+    multiplicative on A (e1 e1 = e2 would go to 4 e2, not 2 e2)."""
+    return Matrix.identity(A.field, A.dim) * A.field(2)
+
+
+def test_iso_refuses_a_witness_that_is_no_isomorphism(tmp_path, capsys,
+                                                      monkeypatch):
+    pa = tmp_path / "a.json"
+    pa.write_text(A.dumps())
+    monkeypatch.setattr(cli, "iso_search", _no_isomorphism)
+    assert main(["iso", str(pa), str(pa)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_iso_refuses_a_bad_witness_under_python_O(tmp_path):
+    # the check is no assert: python -O keeps it
+    pa = tmp_path / "a.json"
+    pa.write_text(A.dumps())
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        novikov.__file__)))
+    code = ("import sys\n"
+            "from novikov import cli\n"
+            "from novikov.linalg import Matrix\n"
+            "cli.iso_search = lambda A, B, **options: "
+            "Matrix.identity(A.field, A.dim) * A.field(2)\n"
+            f"sys.exit(cli.main(['iso', {str(pa)!r}, {str(pa)!r}]))\n")
+    done = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])

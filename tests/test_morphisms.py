@@ -20,7 +20,8 @@ from novikov.morphisms import (BudgetExceeded, NotAutomorphism, WordBasis,
                                is_homomorphism, is_isomorphism, iso_search)
 
 from conftest import first_admissible_env
-from test_algebra import _reference_fp_multiply
+from test_algebra import (QI, QS2, _identity_cases, _reference_fp_multiply,
+                          _reference_multiply, _scalar)
 from test_linalg import _reference_fp_reduce, _reference_fp_rref
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
@@ -46,6 +47,48 @@ def test_isomorphism_check():
     phi = Matrix(QQ, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
     assert is_isomorphism(A, A, phi)
     assert not is_isomorphism(A, A, Matrix.zero(QQ, 3, 3))
+
+
+def _reference_homomorphism(A, B, phi):
+    """`is_homomorphism` by dense FieldElement products: phi applied to
+    the table row of e_i e_j against phi(e_i) phi(e_j)."""
+    wrap = A.field.wrap
+    for i in range(A.dim):
+        for j in range(A.dim):
+            lhs = phi.apply([wrap(c) for c in A.table[i][j]])
+            if lhs != _reference_multiply(B, phi.col(i), phi.col(j)):
+                return False, (i, j)
+    return True, None
+
+
+@pytest.mark.parametrize("field", [QQ, QI, QS2, F5],
+                         ids=["Q", "Q(i)", "Q(sqrt2)", "F_5"])
+def test_homomorphism_check_matches_dense_reference(cat, field):
+    # P is a homomorphism from A.change_basis(P) to A; moving one or two
+    # of its entries usually breaks it, and the first failing pair
+    # (i, j) must be the reference's
+    rng = random.Random("homomorphism " + str(field))
+    verdicts = []
+    for A in _identity_cases(cat, field, seed="maps " + str(field)):
+        n = A.dim
+        while True:
+            P = Matrix(field, [[_scalar(field, rng, -1, 1) for _ in range(n)]
+                               for _ in range(n)])
+            if P.is_invertible():
+                break
+        B = A.change_basis(P)
+        assert is_homomorphism(B, A, P) == (True, None)
+        for moved in (1, 2):
+            rows = [list(r) for r in P.entries]
+            for _ in range(moved):
+                i, j = rng.randrange(n), rng.randrange(n)
+                rows[i][j] = rows[i][j] + _scalar(field, rng)
+            Q = Matrix(field, rows)
+            got = is_homomorphism(B, A, Q)
+            assert got == _reference_homomorphism(B, A, Q), (A, Q)
+            verdicts.append(got)
+    assert any(ok for ok, _ in verdicts)
+    assert len({w for ok, w in verdicts if not ok}) >= 3
 
 
 def test_act_on_cocycle_is_congruence():
