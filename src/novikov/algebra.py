@@ -14,8 +14,8 @@ import json
 from fractions import Fraction
 from math import lcm
 
-from .fields import (DivisionByZero, Field, RationalField, field_from_tag,
-                     field_tag)
+from .fields import (DivisionByZero, Field, FieldMismatch, RationalField,
+                     field_from_tag, field_tag)
 from .linalg import (DimensionMismatch, Matrix, SingularMatrix, Subspace,
                      eliminate, null_space, reduce, solve_in_basis)
 
@@ -403,12 +403,16 @@ class Algebra:
         """Same product expressed in the basis f_i = sum_j P[j][i] e_j
         (columns of P are the new basis vectors)."""
         n, f = self.dim, self.field
+        if P.field != f:
+            # P's raw rows would be read as scalars of the wrong field
+            raise FieldMismatch(f"a basis change over {P.field} of an "
+                                f"algebra over {f}")
         if P.rows != P.cols:
             raise SingularMatrix("basis change by a singular matrix")
         if P.rows != n:
             raise DimensionMismatch(f"a {P.rows}x{P.cols} basis change "
                                     f"of a {n}-dimensional algebra")
-        cols = P.transpose()._raw()
+        cols = list(zip(*P._rows))
         solved = solve_in_basis(cols, [self.multiply_raw(u, v) for u in cols
                                        for v in cols], f.modulus)
         if solved is None:

@@ -145,6 +145,10 @@ def cmd_iso(args):
     B = _load_algebra(args.b)
     if A.field != B.field:
         raise InputError("the two algebras live over different fields")
+    if fingerprint(A) != fingerprint(B):
+        # unequal invariants prove it on every field
+        _emit({"verdict": "proven_distinct"}, args)
+        return 1
     exhaustive = isinstance(A.field, PrimeField)
     try:
         w = iso_search(A, B, budget=args.budget, height=args.height)

@@ -12,12 +12,10 @@ Z^2 is the kernel of the cocycle equations, written once as the rows of
 
 from __future__ import annotations
 
-from operator import mul
-
 from .algebra import (Algebra, check_entries, check_index, check_scalar,
                       check_size)
 from .fields import FieldMismatch
-from .linalg import Matrix, Subspace, eliminate
+from .linalg import Matrix, Subspace, eliminate, matmul
 
 
 class NotACocycle(Exception):
@@ -197,12 +195,7 @@ def congruence(m, phi, p):
     """The raw form phi^T m phi, (x, y) -> m(phi x, phi y), of the raw
     n x n form m and the raw rows of an n x n matrix phi, reduced mod p
     unless p (`Field.modulus`) is None."""
-    cols = list(zip(*phi))
-    # mph holds the columns of m phi; entry (a, b) is cols[a] . mph[b]
-    mph = list(zip(*[[sum(map(mul, row, c)) for c in cols] for row in m]))
-    if p is None:
-        return tuple(tuple(sum(map(mul, a, b)) for b in mph) for a in cols)
-    return tuple(tuple(sum(map(mul, a, b)) % p for b in mph) for a in cols)
+    return matmul(zip(*phi), matmul(m, phi, p), p)
 
 
 def coboundary_space(A: Algebra) -> Subspace:

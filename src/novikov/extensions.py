@@ -82,5 +82,5 @@ def reconstruction_basis_change(B: Algebra) -> Matrix:
     """The basis change aligning B with central_extension(*reconstruct(B)):
     columns are the complement representatives followed by Ann(B) basis."""
     ann = B.annihilator()
-    return Matrix(B.field, ann.coordinate_complement()._rows +
-                  ann._rows).transpose()
+    return Matrix.from_raw(B.field, ann.coordinate_complement()._rows +
+                           ann._rows).transpose()

@@ -1,14 +1,15 @@
 """Exact field arithmetic: Q, Q(i), Q(sqrt d), and prime fields F_p.
 
-Scalars at the library's boundary and in a Matrix (a linear map) are
-FieldElements tied to a Field instance.  Elements are immutable and
-kept in canonical form after every operation (fractions in lowest
-terms with positive denominator, F_p residues in [0, p)).  Elements of
-different field instances never mix; mixing raises FieldMismatch.
+Scalars at the library's boundary are FieldElements tied to a Field
+instance.  Elements are immutable and kept in canonical form after
+every operation (fractions in lowest terms with positive denominator,
+F_p residues in [0, p)).  Elements of different field instances never
+mix; mixing raises FieldMismatch.
 
-Stored data (`Algebra.table`, `Subspace._rows`, `Cocycle.components`)
-and hot loops (elimination, the structure-constant product, the
-isomorphism search) use each field's raw view instead: `Field.raw(x)`
+Stored data (`Algebra.table`, `Subspace._rows`, `Matrix._rows`,
+`Cocycle.components`) and hot loops (elimination, the matrix and
+structure-constant products, the isomorphism search) use each field's
+raw view instead: `Field.raw(x)`
 is a value with native `+ - *` (the Fraction over Q, the int residue
 over F_p, the FieldElement itself over Q(i) and Q(sqrt d)),
 `Field.wrap(r)` turns a raw value back into a FieldElement, and

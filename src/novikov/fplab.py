@@ -22,10 +22,11 @@ point itself if it is fixed).  Orbits are listed sorted by
 representative.
 
 The orbit stage runs on raw rows (residues mod p) throughout: the
-automorphisms come from the search unwrapped (`morphisms.aut_rows_fp`),
-their action on H^2 is read off sparse coordinate functionals without
-forming the image forms (`induced_h2_matrices`), and a point's image
-under an action is a sum of the action's columns.
+automorphisms are the Matrices of `morphisms.enumerate_aut_fp`, whose
+raw rows are read as they are; their action on H^2 is read off sparse
+coordinate functionals without forming the image forms
+(`induced_h2_matrices`), and a point's image under an action is a sum
+of the action's columns.
 
 Orbit counts over F_p are p-specific and are never claimed to equal
 characteristic-zero counts; the value of a run is the bidirectional
@@ -48,7 +49,7 @@ from .extensions import central_extension
 from .fields import DivisionByZero, PrimeField
 from .invariants import element_census, fingerprint
 from .linalg import eliminate, solve_in_basis
-from .morphisms import aut_rows_fp, iso_search
+from .morphisms import enumerate_aut_fp, iso_search
 
 
 def grassmannian_points(dim: int, s: int, p: int):
@@ -95,7 +96,7 @@ def _canonical(rows, p):
 
 
 def induced_h2_matrices(A: Algebra, reps, auts):
-    """For each automorphism, given by its raw rows (residues mod p),
+    """For each automorphism (a Matrix over F_p, read by its raw rows),
     the d x d integer matrix of its action on H^2 coordinates in the
     basis `reps` (single-component cocycles): entry (i, j) is
     coordinate i of the image of class j.
@@ -125,7 +126,7 @@ def induced_h2_matrices(A: Algebra, reps, auts):
              for m in mats]
     out = []
     for phi in auts:
-        flat = [x for row in phi for x in row]
+        flat = [x for row in phi._rows for x in row]
         columns = []
         for plan in plans:
             acc = [0] * len(functionals)
@@ -206,12 +207,12 @@ def run_procedure_fp_report(A: Algebra, s: int, budget: int = 50_000_000):
     f = A.field
     reps, d = h2_basis(A)
     mats = [r.components[0] for r in reps]
-    auts = aut_rows_fp(A, budget=budget)
+    auts = enumerate_aut_fp(A, budget=budget)
     # distinct actions, each at its first occurrence
     actions = list(dict.fromkeys(
         tuple(map(tuple, M)) for M in induced_h2_matrices(A, reps, auts)))
 
-    points = [_canonical(pt, p) for pt in grassmannian_points(d, s, p)]
+    points = grassmannian_points(d, s, p)
     roots = _orbit_representatives(points, actions, p)
 
     def cocycle_at(pt):

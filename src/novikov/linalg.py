@@ -1,22 +1,24 @@
 """Dense exact linear algebra over any of the supported fields.
 
-Matrices are immutable row-major tuples of FieldElement.  Subspaces are
-stored by their unique RREF basis, so equal subspaces compare equal
-structurally.  Plain Gaussian elimination with the first nonzero pivot
-in column order; exact fields make this correct and deterministic.
+Everything is stored on raw scalars (`Field.raw`; residues mod p when p
+is given).  Subspaces are stored by their unique RREF basis, so equal
+subspaces compare equal structurally.  Plain Gaussian elimination with
+the first nonzero pivot in column order; exact fields make this correct
+and deterministic.
 
-The row reduction itself is `eliminate` and `reduce`, which work on
-raw scalars (`Field.raw`; residues mod p when p is given) for every
-field.  Every `Subspace` is built from raw rows by `Subspace.from_raw`,
-which eliminates them once and keeps only the raw RREF basis; every
-vector written in a basis goes through `solve_in_basis`.  `Matrix`, the
-public type of linear maps (automorphisms, basis changes, witnesses),
-holds FieldElements and converts at its boundary; the isomorphism
-search and the F_p orbit stage (`fplab`) keep automorphisms as raw rows,
-and bilinear forms are raw (`cohomology`).
+The row reduction itself is `eliminate` and `reduce`, and the one matrix
+product is `matmul`.  Every `Subspace` is built from raw rows by
+`Subspace.from_raw`, which eliminates them once and keeps only the raw
+RREF basis; every vector written in a basis goes through
+`solve_in_basis`.  `Matrix`, the public type of linear maps
+(automorphisms, basis changes, witnesses), keeps its raw rows too
+(`Matrix.from_raw` takes them as they are) and gives field elements on
+the way out; bilinear forms are raw n x n tuples (`cohomology`).
 """
 
 from __future__ import annotations
+
+from operator import add, mul, sub
 
 from .fields import Field
 
@@ -114,54 +116,76 @@ class SingularMatrix(Exception):
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "entries")
+    """A linear map (automorphism, basis change, witness), stored by its
+    raw rows (`_rows`: `Field.raw` scalars, residues in [0, p) over
+    F_p), like `Subspace`.  The constructor coerces ints, strings and
+    field elements; `from_raw` takes raw rows as they are.  `entries`,
+    indexing, `row`, `col` and `repr` give field elements."""
+
+    __slots__ = ("field", "rows", "cols", "_rows")
 
     def __init__(self, field: Field, entries):
-        self.field = field
-        self.entries = tuple(tuple(field(x) for x in row) for row in entries)
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        for row in self.entries:
+        raw = field.raw
+        self._set(field, [[raw(field(x)) for x in row] for row in entries])
+        for row in self._rows:
             if len(row) != self.cols:
                 raise DimensionMismatch("ragged rows")
 
     @staticmethod
+    def from_raw(field, rows):
+        """The matrix with the raw rows `rows` (Fractions over Q, residues
+        in [0, p) over F_p), taken as they are."""
+        M = Matrix.__new__(Matrix)
+        M._set(field, rows)
+        return M
+
+    def _set(self, field, rows):
+        self.field = field
+        self._rows = tuple(map(tuple, rows))
+        self.rows = len(self._rows)
+        self.cols = len(self._rows[0]) if self.rows else 0
+
+    @staticmethod
     def zero(field, rows, cols):
-        z = field.zero()
-        return Matrix(field, [[z] * cols for _ in range(rows)])
+        z = field.raw(field.zero())
+        return Matrix.from_raw(field, [[z] * cols for _ in range(rows)])
 
     @staticmethod
     def identity(field, n):
-        z, o = field.zero(), field.one()
-        return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        z, o = field.raw(field.zero()), field.raw(field.one())
+        return Matrix.from_raw(field, [[o if i == j else z for j in range(n)]
+                                       for i in range(n)])
+
+    @property
+    def entries(self):
+        wrap = self.field.wrap
+        return tuple(tuple(map(wrap, row)) for row in self._rows)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return self.field.wrap(self._rows[i][j])
 
     def row(self, i):
-        return self.entries[i]
+        return tuple(map(self.field.wrap, self._rows[i]))
 
     def col(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple(self.field.wrap(row[j]) for row in self._rows)
 
     def transpose(self):
-        return Matrix(self.field, [self.col(j) for j in range(self.cols)])
+        return Matrix.from_raw(self.field, zip(*self._rows))
 
     def __mul__(self, other):
+        f, p = self.field, self.field.modulus
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.cols} vs {other.rows}")
-            ot = other.transpose()
-            return Matrix(self.field, [
-                [_dot(r, c, self.field) for c in ot.entries] for r in self.entries
-            ])
+            return Matrix.from_raw(f, matmul(self._rows, other._rows, p))
         try:
-            c = self.field(other)
+            c = f.raw(f(other))
         except Exception:
             return NotImplemented
-        return Matrix(self.field, [[a * c for a in row]
-                                   for row in self.entries])
+        return Matrix.from_raw(f, [[a * c if p is None else a * c % p
+                                    for a in row] for row in self._rows])
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -170,94 +194,85 @@ class Matrix:
         """Matrix-vector product (vec as a sequence of scalars)."""
         if len(vec) != self.cols:
             raise DimensionMismatch(f"{self.cols} vs {len(vec)}")
-        return tuple(_dot(r, vec, self.field) for r in self.entries)
+        f = self.field
+        if not self.cols:
+            return (f.zero(),) * self.rows
+        column = matmul(self._rows, [[f.raw(f(x))] for x in vec], f.modulus)
+        return tuple(f.wrap(x) for x, in column)
 
     def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("shape")
-        return Matrix(self.field, [
-            [a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        ])
+        return self._entrywise(other, add)
 
     def __sub__(self, other):
+        return self._entrywise(other, sub)
+
+    def _entrywise(self, other, op):
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("shape")
-        return Matrix(self.field, [
-            [a - b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        ])
+        p = self.field.modulus
+        return Matrix.from_raw(self.field, [
+            [op(a, b) if p is None else op(a, b) % p for a, b in zip(r, s)]
+            for r, s in zip(self._rows, other._rows)])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
-                and self.entries == other.entries)
+                and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.field, self.entries))
+        return hash((self.field, self._rows))
 
     def __repr__(self):
         body = "; ".join(" ".join(repr(x) for x in row) for row in self.entries)
         return f"Matrix[{body}]"
 
-    def _raw(self):
-        raw = self.field.raw
-        return [[raw(x) for x in row] for row in self.entries]
-
-    def _eliminate(self):
-        """`eliminate` on the raw entries: (raw rows, rank, pivots)."""
-        return eliminate(self._raw(), self.field.modulus)
-
-    def _wrapped(self, rows):
-        wrap = self.field.wrap
-        return [[wrap(x) for x in row] for row in rows]
-
     def rref(self):
         """(reduced row echelon form, rank)."""
-        m, rank, _ = self._eliminate()
-        return Matrix(self.field, self._wrapped(m)) if m else self, rank
+        m, rank, _ = eliminate(self._rows, self.field.modulus)
+        return Matrix.from_raw(self.field, m) if m else self, rank
 
     def rank(self):
-        return self._eliminate()[1]
+        return eliminate(self._rows, self.field.modulus)[1]
 
     def kernel(self) -> "Subspace":
         """Right null space {v : M v = 0}."""
-        return Subspace.kernel(self.field, self.cols, self._raw())
+        return Subspace.kernel(self.field, self.cols, self._rows)
 
     def solve(self, rhs):
         """One solution x of M x = rhs, or None if inconsistent."""
         if len(rhs) != self.rows:
             raise DimensionMismatch("rhs length")
-        aug = Matrix(self.field, [
-            list(self.entries[i]) + [rhs[i]] for i in range(self.rows)
-        ])
-        red, _, pivots = aug._eliminate()
-        z = self.field.zero()
-        x = [z] * self.cols
+        f = self.field
+        red, _, pivots = eliminate([row + (f.raw(f(b)),) for row, b
+                                    in zip(self._rows, rhs)], f.modulus)
+        x = [f.zero()] * self.cols
         for r, piv in enumerate(pivots):
             if piv == self.cols:
                 return None  # 0 = 1 row
-            x[piv] = self.field.wrap(red[r][self.cols])
+            x[piv] = f.wrap(red[r][self.cols])
         return tuple(x)
 
     def inverse(self):
         if self.rows != self.cols:
             raise SingularMatrix("not square")
         solved = solve_in_basis(
-            self.transpose()._raw(),
-            Matrix.identity(self.field, self.rows)._raw(), self.field.modulus)
+            list(zip(*self._rows)),
+            Matrix.identity(self.field, self.rows)._rows, self.field.modulus)
         if solved is None:
             raise SingularMatrix("singular")
-        return Matrix(self.field, self._wrapped(solved[0]))
+        return Matrix.from_raw(self.field, solved[0])
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
 
 
-def _dot(a, b, field):
-    acc = field.zero()
-    for x, y in zip(a, b):
-        acc = acc + x * y
-    return acc
+def matmul(a, b, p=None):
+    """The product of the raw matrices a and b (given by their rows, of
+    `Field.raw` scalars), as a tuple of rows, reduced mod p unless p
+    (`Field.modulus`) is None."""
+    cols = list(zip(*b))
+    if p is None:
+        return tuple(tuple(sum(map(mul, row, c)) for c in cols) for row in a)
+    return tuple(tuple(sum(map(mul, row, c)) % p for c in cols) for row in a)
 
 
 class Subspace:

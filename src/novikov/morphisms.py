@@ -27,23 +27,22 @@ height-bounded vectors enumerated sparsest-first; a failed search is
 only a negative heuristic and is reported as such.  Over every field
 the search keeps images as tuples of raw scalars (`Field.raw`) and
 multiplies them with `Algebra.multiply_raw` (on integers over Q).
-Witnesses stay raw rows too (`aut_rows_fp` returns them so);
-`iso_search` and `enumerate_aut_fp` wrap them into Matrices at the
-boundary.  The homomorphism check reads phi(e_i e_j) off A's sparse
-table as a combination of the images phi(e_k).
+Each witness is a `Matrix` made from raw rows (`Matrix.from_raw`): the
+image rows times the inverse word matrix, one `linalg.matmul`.  The
+homomorphism check reads phi(e_i e_j) off A's sparse table as a
+combination of the images phi(e_k).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product as iproduct
-from operator import mul
 
 from .algebra import Algebra, combine
 from .cohomology import Cocycle, congruence
 from .fields import FieldMismatch, PrimeField
-from .linalg import (Matrix, Subspace, eliminate, null_space, reduce,
-                     solve_in_basis)
+from .linalg import (Matrix, Subspace, eliminate, matmul, null_space,
+                     reduce, solve_in_basis)
 
 
 class NotAutomorphism(Exception):
@@ -61,14 +60,9 @@ def is_homomorphism(A: Algebra, B: Algebra, phi: Matrix):
         raise ValueError("map shape does not match the algebras")
     if not phi.field == A.field == B.field:
         raise FieldMismatch(f"{phi.field} map from {A.field} to {B.field}")
-    return _homomorphism_raw(A, B, phi._raw())
-
-
-def _homomorphism_raw(A: Algebra, B: Algebra, m):
-    """`is_homomorphism` for the raw rows m of a B.dim x A.dim map."""
     nz, p = A.nonzero_products(), B.field.modulus
     zeros = (B.field.raw(B.field.zero()),) * B.dim
-    cols = [tuple(row[i] for row in m) for i in range(A.dim)]
+    cols = list(zip(*phi._rows))
     # phi(e_i e_j) is the sum over (k, c) in nz[i][j] of c phi(e_k)
     images = [[(r, a) for r, a in enumerate(col) if a] for col in cols]
     for i in range(A.dim):
@@ -88,7 +82,7 @@ def act_on_cocycle(A: Algebra, phi: Matrix, theta: Cocycle) -> Cocycle:
     """(phi theta)(x, y) = theta(phi x, phi y); coordinates phi^T M phi."""
     if not is_isomorphism(A, A, phi):
         raise NotAutomorphism("the map is not an automorphism of the base")
-    ph, p = phi._raw(), A.field.modulus
+    ph, p = phi._rows, A.field.modulus
     return Cocycle.from_raw(A, [congruence(m, ph, p)
                                 for m in theta.components],
                             check=theta.checked)
@@ -345,8 +339,8 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
     get every relation check and the independence check, so the
     witnesses and their order are those of visiting the whole pool.
 
-    Returns a list of witnesses as raw rows (all of them when find_all,
-    else at most one)."""
+    Returns a list of witness Matrices (all of them when find_all, else
+    at most one)."""
     wb = WordBasis(A)
     g = wb.n_generators
     f = A.field
@@ -381,16 +375,6 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
                 if w:
                     out[k] = out[k] + c * w
         return tuple(out) if p is None else tuple(x % p for x in out)
-
-    inverse_cols = list(zip(*wb.inverse))
-
-    def witness():
-        """The raw rows of the linear map sending each word's vector to
-        its image: the image matrix times the inverse of the word
-        matrix."""
-        rows = [[sum(map(mul, r, c), zero) for c in inverse_cols]
-                for r in zip(*images)]
-        return rows if p is None else [[x % p for x in r] for r in rows]
 
     def candidates(level):
         """The pool points that solve the level's affine relations and
@@ -461,12 +445,15 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
                 ok = eliminate(avail, p)[1] == len(avail)
             if ok:
                 if level + 1 == g:
-                    # the scheduled relations cover every word-basis pair
-                    # and independence was checked, so phi is already an
-                    # isomorphism; re-verify only on the heuristic path
-                    phi = witness()
-                    if exhaustive or (eliminate(phi, p)[1] == n and
-                                      _homomorphism_raw(A, B, phi)[0]):
+                    # the linear map sending each word's vector to its
+                    # image: the image matrix times the inverse of the
+                    # word matrix.  The scheduled relations cover every
+                    # word-basis pair and independence was checked, so
+                    # phi is already an isomorphism; re-verify only on
+                    # the heuristic path
+                    phi = Matrix.from_raw(f, matmul(zip(*images),
+                                                    wb.inverse, p))
+                    if exhaustive or is_isomorphism(A, B, phi):
                         results.append(phi)
                         if not find_all:
                             return True
@@ -504,7 +491,7 @@ def iso_search(A: Algebra, B: Algebra, budget: int = 5_000_000,
     if A.table == B.table:
         return Matrix.identity(A.field, A.dim)
     found = _search(A, B, budget, height, find_all=False)
-    return _matrix(A.field, found[0]) if found else None
+    return found[0] if found else None
 
 
 def enumerate_aut_fp(A: Algebra, budget: int = 50_000_000):
@@ -514,16 +501,6 @@ def enumerate_aut_fp(A: Algebra, budget: int = 50_000_000):
     relations linear in it that are independent of the earlier images
     modulo A^2 and have the generator's local type, and the budget
     counts these tries."""
-    return [_matrix(A.field, rows) for rows in aut_rows_fp(A, budget)]
-
-
-def aut_rows_fp(A: Algebra, budget: int = 50_000_000):
-    """`enumerate_aut_fp` as raw rows (residues mod p), unwrapped."""
     if not isinstance(A.field, PrimeField):
         raise ValueError("exhaustive enumeration needs a prime field")
     return _search(A, A, budget, 0, find_all=True)
-
-
-def _matrix(field, rows):
-    """The Matrix of the raw rows `rows`."""
-    return Matrix(field, [map(field.wrap, row) for row in rows])

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from novikov.algebra import Algebra, NotAnIdeal
-from novikov.fields import (QQ, GaussianRationalField, PrimeField,
-                            QuadraticField)
+from novikov.fields import (QQ, FieldMismatch, GaussianRationalField,
+                            PrimeField, QuadraticField)
 from novikov.linalg import (DimensionMismatch, Matrix, SingularMatrix,
                             Subspace)
 
@@ -98,6 +98,10 @@ def test_change_basis_identity_and_errors():
     assert A3.change_basis(Matrix.identity(QQ, 3)) == A3
     with pytest.raises(SingularMatrix):
         A3.change_basis(Matrix.zero(QQ, 3, 3))
+    # an F_5 matrix of a Q algebra: its residues are no rationals
+    with pytest.raises(FieldMismatch):
+        A3.change_basis(Matrix(PrimeField(5), [[1, 0, 0], [0, 2, 0],
+                                               [0, 0, 1]]))
 
 
 def test_change_basis_rejects_a_basis_of_the_wrong_size():

@@ -84,6 +84,12 @@ def test_iso_exit_codes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "isomorphic"
     assert main(["iso", str(px), str(pz)]) == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "proven_distinct"
+    # over Q unequal fingerprints are a proof too, not a failed search
+    qx, qz = tmp_path / "qx.json", tmp_path / "qz.json"
+    qx.write_text(Algebra(QQ, 2, {(0, 0, 1): QQ(1)}).dumps())
+    qz.write_text(Algebra(QQ, 2, {}).dumps())
+    assert main(["iso", str(qx), str(qz)]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "proven_distinct"
 
 
 def _no_isomorphism(A, B, **options):

@@ -272,7 +272,7 @@ def test_form_sum_matches_matrix_sum():
             want = Matrix.zero(field, 3, 3)
             for c, m in terms:
                 want = want + m * c
-            got = form_sum(B, [(c, m._raw()) for c, m in terms])
+            got = form_sum(B, [(c, m._rows) for c, m in terms])
             assert Matrix(field, got) == want
     # over F_5 the sums reach p and come out reduced: 4*4 + 3*2 = 22,
     # 4*3 = 12, 3*4 = 12 and 4*1 + 3*4 = 16

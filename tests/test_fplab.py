@@ -39,6 +39,9 @@ def test_grassmannian_point_counts(dim, s, p):
     assert len(set(pts)) == len(pts)
     for pt in pts:
         assert len(pt) == s and all(len(row) == dim for row in pt)
+        # already in reduced row-echelon form: the procedure uses the
+        # points without canonicalizing them
+        assert fplab._canonical(pt, p) == pt
 
 
 def test_grassmannian_degenerate_cases():
@@ -155,8 +158,7 @@ def _reference_induced_h2_matrices(A, reps, auts):
     stack = Matrix(f, cols).transpose()
     d = len(reps)
     out = []
-    for rows in auts:
-        phi = Matrix(f, rows)
+    for phi in auts:
         pt = phi.transpose()
         columns = []
         for m in mats:
@@ -226,7 +228,7 @@ def test_orbit_stage_matches_reference(cat, case):
     A = make(cat)
     p = A.field.p
     reps, d = h2_basis(A)
-    auts = [phi._raw() for phi in enumerate_aut_fp(A)]
+    auts = enumerate_aut_fp(A)
     actions = _reference_induced_h2_matrices(A, reps, auts)
     assert fplab.induced_h2_matrices(A, reps, auts) == actions
 
@@ -299,7 +301,7 @@ def test_induced_h2_matrices_rejects_non_automorphism():
     for induced in (fplab.induced_h2_matrices,
                     _reference_induced_h2_matrices):
         with pytest.raises(RuntimeError, match="left the cocycle space"):
-            induced(A, reps, [Matrix.identity(F3, 2)._raw(), phi._raw()])
+            induced(A, reps, [Matrix.identity(F3, 2), phi])
 
 
 # ----------------------------------------------------------------------

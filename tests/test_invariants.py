@@ -146,7 +146,7 @@ def test_local_types_are_basis_independent_over_fp(cat, p, extension,
     assume(P.is_invertible())
     B = A.change_basis(P)
     assert element_census(B) == element_census(A)
-    rows = P._raw()
+    rows = P._rows
     for y in product(range(p), repeat=n):
         x = tuple(sum(a * b for a, b in zip(row, y)) % p for row in rows)
         assert B.local_type(y) == A.local_type(x)

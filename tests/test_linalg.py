@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from novikov.algebra import Algebra
 from novikov.fields import (QQ, GaussianRationalField, PrimeField,
                             QuadraticField)
 from novikov.linalg import (DimensionMismatch, Matrix, SingularMatrix,
                             Subspace, eliminate, reduce)
+from novikov.morphisms import iso_search
 
 F2, F5 = PrimeField(2), PrimeField(5)
 QI, QS2 = GaussianRationalField(), QuadraticField(2)
@@ -191,7 +193,7 @@ def test_kernel_and_inverse_match_rref_reference(field):
 
 def _reference_eliminate(field, rows):
     """Gauss-Jordan elimination in FieldElement arithmetic, as
-    `Matrix._eliminate` did before it ran on raw scalars."""
+    `Matrix.rref` did before it ran on raw scalars."""
     m = [list(row) for row in rows]
     height, width = len(m), len(m[0]) if m else 0
     rank = 0
@@ -295,7 +297,9 @@ def test_eliminate_and_reduce_match_reference(field):
         if p is not None:
             assert ([tuple(r) for r in got[:rank]], rank, pivots) \
                 == _reference_fp_rref(raw_rows, p)
-        assert Matrix(field, rows)._eliminate() == (got, rank, pivots)
+        m = Matrix(field, rows)
+        assert m._rows == tuple(map(tuple, raw_rows))
+        assert m.rref() == (Matrix.from_raw(field, got), rank)
         basis = want[0][:rank]
         for _ in range(4):
             vec = _random_rows(rng, field, 1, len(rows[0]))[0]
@@ -388,3 +392,105 @@ def test_subspaces_from_different_spanning_sets(field):
         assert S.basis == tuple(tuple(map(field.wrap, row))
                                 for row in S._rows)
     assert spans[0] != Subspace(field, 3, [u])
+
+
+# ----------------------------------------------------------------------
+# Matrix on raw rows against FieldElement arithmetic, on every field
+
+def _reference_product(a, b, zero):
+    """The rows of a times b, in FieldElement arithmetic."""
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), zero)
+                       for col in zip(*b)) for row in a)
+
+
+def _reference_solve(field, a, rhs):
+    """One solution of a x = rhs read off the reference reduction of
+    [a | rhs], the free unknowns zero; None when inconsistent."""
+    k = len(a[0])
+    red, _, pivots = _reference_eliminate(
+        field, [list(row) + [b] for row, b in zip(a, rhs)])
+    if k in pivots:
+        return None
+    x = [field.zero()] * k
+    for r, j in enumerate(pivots):
+        x[j] = red[r][k]
+    return tuple(x)
+
+
+def _reference_matrix_inverse(field, a):
+    """The right half of the reference reduction of [a | I], or None
+    when a is singular."""
+    n = len(a)
+    one, zero = field.one(), field.zero()
+    red, _, pivots = _reference_eliminate(field, [
+        list(row) + [one if i == j else zero for j in range(n)]
+        for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in red)
+
+
+def _all_fractions(*matrices):
+    return all(type(x) is Fraction for M in matrices
+               for row in M._rows for x in row)
+
+
+@pytest.mark.parametrize("field", [QQ, QI, QS2, F5], ids=repr)
+def test_matrix_matches_field_element_arithmetic(field):
+    rng = random.Random(f"matrix:{field!r}")
+    zero = field.zero()
+    inverted = singular = inconsistent = 0
+    for _ in range(80):
+        n, k = rng.randint(1, 4), rng.randint(1, 4)
+        a, c = (_random_rows(rng, field, n, k) for _ in range(2))
+        b = _random_rows(rng, field, k, rng.randint(1, 4))
+        sq = _random_rows(rng, field, n, n)
+        A, B, C, S = (Matrix(field, m) for m in (a, b, c, sq))
+        s = rng.choice([field(3), field(-1)]
+                       + _random_rows(rng, field, 1, 3)[0])
+        assert (A * B).entries == _reference_product(a, b, zero)
+        scaled = tuple(tuple(x * s for x in row) for row in a)
+        assert (A * s).entries == (s * A).entries == scaled
+        assert (A + C).entries == tuple(tuple(x + y for x, y in zip(r, t))
+                                        for r, t in zip(a, c))
+        assert (A - C).entries == tuple(tuple(x - y for x, y in zip(r, t))
+                                        for r, t in zip(a, c))
+        vec = _random_rows(rng, field, 1, k)[0]
+        assert A.apply(vec) == tuple(
+            x for x, in _reference_product(a, [[y] for y in vec], zero))
+        assert A.transpose().entries == tuple(zip(*a))
+        red, rank, _ = _reference_eliminate(field, a)
+        assert A.rref() == (Matrix(field, red), rank)
+        rhs = A.apply(vec) if rng.random() < 0.5 else \
+            _random_rows(rng, field, 1, n)[0]
+        want = _reference_solve(field, a, rhs)
+        inconsistent += want is None
+        assert A.solve(rhs) == want
+        want = _reference_matrix_inverse(field, sq)
+        if want is None:
+            singular += 1
+            with pytest.raises(SingularMatrix):
+                S.inverse()
+        else:
+            inverted += 1
+            assert S.inverse().entries == want
+        if field is QQ:
+            assert _all_fractions(A, A * B, A * s, A + C, A - C,
+                                  A.transpose(), A.rref()[0],
+                                  *([S.inverse()] if want else []))
+    assert inverted and singular and inconsistent
+
+
+def test_matrix_equality_is_on_raw_rows():
+    for field, entry, raw in ((F5, -1, 4), (QQ, "1/2", Fraction(1, 2))):
+        m = Matrix(field, [[entry]])
+        assert m == Matrix.from_raw(field, [[raw]])
+        assert hash(m) == hash(Matrix.from_raw(field, [[raw]]))
+        assert m.entries == ((field(entry),),) and m[0, 0] == field(raw)
+
+
+def test_q_witness_is_on_fractions():
+    A = Algebra(QQ, 3, {(0, 0, 1): 1, (0, 1, 2): 1})
+    P = Matrix(QQ, [[1, 1, 0], [0, 2, 0], [1, 0, 3]])
+    w = iso_search(A, A.change_basis(P))
+    assert w is not None and _all_fractions(w, P, Matrix.identity(QQ, 3))
