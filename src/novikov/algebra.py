@@ -501,7 +501,8 @@ def check_entries(doc, name):
 
 def check_scalar(entry, field):
     """entry["c"], a string literal or an integer, as an element of
-    field; ValueError otherwise (a float or a bool, or division by 0)."""
+    field; ValueError otherwise (a float or a bool, division by 0, or
+    a literal of another field)."""
     value = entry["c"]
     if not isinstance(value, str) and not _is_int(value):
         raise ValueError(f"c = {value!r} is not a string or an integer")

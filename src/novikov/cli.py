@@ -5,12 +5,15 @@ Subcommands:
     h2              second cohomology of one algebra
     extend          build a central extension from algebra + cocycle
     reconstruct     strip the annihilator, recover (base, cocycle)
-    iso             search for an isomorphism between two algebras
+    iso             decide whether two algebras are isomorphic
     separate        partition a list of algebras up to isomorphism
     verify-catalog  run the membership predicates over catalog entries
     census          entry count and parameter-arity histogram
     orbits-fp       run the extension procedure over a prime field
     fmt             canonicalize a JSON file (idempotent)
+
+`iso`, `separate` and `orbits-fp` settle each pair of algebras with one
+decision, `invariants.decide`, so they agree on its verdict.
 
 Exit codes: 0 success / verified, 1 verification failure, 2 input error.
 All machine-readable output is canonical JSON (sorted keys); pass
@@ -29,8 +32,8 @@ from .cohomology import Cocycle, NotACocycle, h2_basis
 from .exprs import ExprError
 from .extensions import ZeroAnnihilator, central_extension, reconstruct
 from .fields import PrimeField, field_from_tag
-from .invariants import fingerprint, separate
-from .morphisms import BudgetExceeded, is_isomorphism, iso_search
+from .invariants import decide, fingerprint, separate
+from .morphisms import is_isomorphism
 from .fplab import (crosscheck, run_procedure_fp_report,
                     specialized_entries_fp)
 
@@ -143,19 +146,8 @@ def cmd_reconstruct(args):
 def cmd_iso(args):
     A = _load_algebra(args.a)
     B = _load_algebra(args.b)
-    if A.field != B.field:
-        raise InputError("the two algebras live over different fields")
-    if fingerprint(A) != fingerprint(B):
-        # unequal invariants prove it on every field
-        _emit({"verdict": "proven_distinct"}, args)
-        return 1
-    exhaustive = isinstance(A.field, PrimeField)
-    try:
-        w = iso_search(A, B, budget=args.budget, height=args.height)
-    except BudgetExceeded:
-        _emit({"verdict": "budget_exceeded"}, args)
-        return 1
-    if w is not None:
+    verdict, reason, w = decide(A, B, budget=args.budget, height=args.height)
+    if verdict == "isomorphic":
         if not is_isomorphism(A, B, w):
             print("error: the witness is not an isomorphism", file=sys.stderr)
             return 1
@@ -163,8 +155,9 @@ def cmd_iso(args):
                "witness": [[repr(x) for x in row] for row in w.entries]},
               args)
         return 0
-    _emit({"verdict": "proven_distinct" if exhaustive
-           else "not_found_heuristic"}, args)
+    # an undecided pair reports its reason
+    _emit({"verdict": "proven_distinct" if verdict == "distinct"
+           else reason}, args)
     return 1
 
 

@@ -4,7 +4,7 @@ Scalars at the library's boundary are FieldElements tied to a Field
 instance.  Elements are immutable and kept in canonical form after
 every operation (fractions in lowest terms with positive denominator,
 F_p residues in [0, p)).  Elements of different field instances never
-mix; mixing raises FieldMismatch.
+mix; mixing raises FieldMismatch, a ValueError.
 
 Stored data (`Algebra.table`, `Subspace._rows`, `Matrix._rows`,
 `Cocycle.components`) and hot loops (elimination, the matrix and
@@ -30,7 +30,7 @@ import math
 import re
 
 
-class FieldMismatch(Exception):
+class FieldMismatch(ValueError):
     pass
 
 

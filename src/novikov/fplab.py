@@ -7,13 +7,14 @@ row-echelon form, act with the distinct H^2 matrices of the (fully
 enumerated) automorphism group, keep the admissible orbits, build one
 extension per orbit and deduplicate by exhaustive isomorphism search.
 
-Both the dedupe and the cross-check compare only algebras with equal
-fingerprints, and settle such a pair by proof: unequal element censuses
-(`invariants.element_census`, the multiset of local types of the p^n
-elements) prove it non-isomorphic without a search, and otherwise the
-exhaustive search decides.  The reports count both kinds of
-settlement, `census_splits` and `dedupe_searches`; they are counts, not
-times, so the reports stay byte-stable.
+Both the dedupe and the cross-check settle each pair with
+`invariants.decide`, where every verdict is a proof: unequal
+fingerprints, then unequal element censuses (the multiset of local
+types of the p^n elements), prove it non-isomorphic without a search,
+and otherwise the exhaustive search decides; a spent budget raises
+BudgetExceeded.  The reports count the pairs settled by census,
+`census_splits`, and by search, `dedupe_searches`; they are counts,
+not times, so the reports stay byte-stable.
 
 Each orbit is generated once, from its first point in Grassmannian
 order, by mapping that point under every distinct action; its
@@ -47,9 +48,9 @@ from .cohomology import (Cocycle, coboundary_space, flatten, form_sum,
 from .exprs import ExprError, SqrtNotInField
 from .extensions import central_extension
 from .fields import DivisionByZero, PrimeField
-from .invariants import element_census, fingerprint
+from .invariants import decide
 from .linalg import eliminate, solve_in_basis
-from .morphisms import enumerate_aut_fp, iso_search
+from .morphisms import BudgetExceeded, enumerate_aut_fp, iso_search
 
 
 def grassmannian_points(dim: int, s: int, p: int):
@@ -176,15 +177,18 @@ def _combine(cols, terms, p):
 
 
 def _isomorphic(B: Algebra, C: Algebra, counts, budget):
-    """Is B isomorphic to C, for algebras over F_p with equal
-    fingerprints?  Unequal element censuses prove not (counted in
-    counts["census_splits"]); otherwise the exhaustive search decides
-    (counted in counts["dedupe_searches"])."""
-    if element_census(B) != element_census(C):
-        counts["census_splits"] += 1
-        return False
-    counts["dedupe_searches"] += 1
-    return iso_search(B, C, budget=budget) is not None
+    """Is B isomorphic to C, for algebras over F_p?  `decide` answers;
+    a census settlement is counted in counts["census_splits"] and a
+    search in counts["dedupe_searches"]."""
+    verdict, reason, _ = decide(B, C, budget)
+    if reason == "budget_exceeded":
+        raise BudgetExceeded(f"search budget {budget} exhausted")
+    if verdict == "undecided":
+        raise ValueError(f"no proof over {B.field} ({reason})")
+    if reason != "fingerprint":
+        counts["census_splits" if reason == "census"
+               else "dedupe_searches"] += 1
+    return verdict == "isomorphic"
 
 
 def run_procedure_fp(A: Algebra, s: int, budget: int = 50_000_000):
@@ -229,23 +233,15 @@ def run_procedure_fp_report(A: Algebra, s: int, budget: int = 50_000_000):
     built = [(root, central_extension(A, theta))
              for root, theta in admissible]
 
-    # deduplicate: fingerprint screen, then census screen and
-    # exhaustive search
-    groups = {}
-    for root, B in built:
-        groups.setdefault(fingerprint(B), []).append((root, B))
+    # deduplicate, in representative order
     classes = []
     merged = 0
     counts = {"census_splits": 0, "dedupe_searches": 0}
-    for members in groups.values():
-        kept = []
-        for root, B in members:
-            if any(_isomorphic(B, C, counts, budget) for _, C in kept):
-                merged += 1
-                continue
-            kept.append((root, B))
-        classes.extend(kept)
-    classes.sort(key=lambda rb: rb[0])
+    for root, B in built:
+        if any(_isomorphic(B, C, counts, budget) for _, C in classes):
+            merged += 1
+        else:
+            classes.append((root, B))
     return {
         "p": p,
         "s": s,
@@ -329,20 +325,15 @@ def crosscheck(classes, pool, budget: int = 50_000_000):
     Returns {"matches", "unmatched_classes", "unmatched_pool",
     "census_splits", "dedupe_searches"} where matches maps class index
     -> sorted pool names isomorphic to it, and the counts are those of
-    the same-fingerprint pairs settled by census and by search.
+    the pairs settled by census and by search.
     """
-    fps_pool = [(name, fingerprint(B), B) for name, B in pool]
     matches = {}
     matched_names = set()
     unmatched_classes = []
     counts = {"census_splits": 0, "dedupe_searches": 0}
     for idx, C in enumerate(classes):
-        fc = fingerprint(C)
-        hits = []
-        for name, fb, B in fps_pool:
-            if fb == fc and _isomorphic(C, B, counts, budget):
-                hits.append(name)
-                matched_names.add(name)
+        hits = [name for name, B in pool if _isomorphic(C, B, counts, budget)]
+        matched_names.update(hits)
         if hits:
             matches[idx] = sorted(hits)
         else:

@@ -1,4 +1,4 @@
-"""Isomorphism-invariant fingerprints and the separation report.
+"""Isomorphism-invariant fingerprints and the one isomorphism decision.
 
 A Fingerprint collects basis-independent numbers cheap enough to
 compute for every algebra; unequal fingerprints prove non-isomorphism.
@@ -6,10 +6,16 @@ Over F_p the element census, the multiset of the local types of all p^n
 elements (`Algebra.local_types`), is a finer invariant, and unequal
 censuses prove non-isomorphism too; it is never used over Q, which has
 no finite set of elements to count.
-`separate` groups algebras by fingerprint and, inside a group over F_p,
-settles pairs by census, then by exhaustive search.  Over Q the search
-is heuristic, so unresolved pairs are reported as "undecided", never as
-distinct.
+
+`decide` settles a pair for `iso`, `separate` and the F_p dedupe and
+cross-check.  Its verdicts and reasons, in the order tried:
+    distinct    fingerprint          on every field
+    distinct    census               F_p only
+    isomorphic  witness              the search found an isomorphism
+    distinct    exhaustive_search    F_p only: the search found none
+    undecided   not_found_heuristic  other fields: the search found none
+    undecided   budget_exceeded      the search ran out of budget
+A failed search is a proof over F_p and only a heuristic elsewhere.
 """
 
 from __future__ import annotations
@@ -70,6 +76,30 @@ def element_census(A: Algebra):
     return A._memo("element_census", compute)
 
 
+def decide(A: Algebra, B: Algebra, budget: int = 5_000_000,
+           height: int = 3):
+    """(verdict, reason, witness) for A and B, as in the module
+    docstring; the witness is an isomorphism A -> B (a Matrix) for
+    "isomorphic" and None otherwise.  ValueError when the algebras live
+    over different fields."""
+    if A.field != B.field:
+        raise ValueError("the algebras live over different fields")
+    if fingerprint(A) != fingerprint(B):
+        return "distinct", "fingerprint", None
+    exhaustive = isinstance(A.field, PrimeField)
+    if exhaustive and element_census(A) != element_census(B):
+        return "distinct", "census", None
+    try:
+        w = iso_search(A, B, budget=budget, height=height)
+    except BudgetExceeded:
+        return "undecided", "budget_exceeded", None
+    if w is not None:
+        return "isomorphic", "witness", w
+    if exhaustive:
+        return "distinct", "exhaustive_search", None
+    return "undecided", "not_found_heuristic", None
+
+
 def separate(named_algebras, budget: int = 5_000_000, height: int = 3):
     """Partition report for [(name, Algebra), ...].
 
@@ -77,44 +107,28 @@ def separate(named_algebras, budget: int = 5_000_000, height: int = 3):
       groups: fingerprint-equivalence classes (distinct groups are
               proven non-isomorphic),
       proven_isomorphic: pairs with a verified witness,
-      proven_distinct: (a, b, reason) for the pairs separated by
-              "fingerprint", plus — over F_p only — by "census" or
-              where the "exhaustive_search" failed,
-      undecided: same-fingerprint pairs the heuristic search could not
-              settle (only possible over non-prime fields).
+      proven_distinct: (a, b, reason) for the pairs `decide` proves
+              distinct, the reason being "fingerprint", "census" or
+              "exhaustive_search",
+      undecided: the pairs `decide` leaves undecided.
     ValueError when the algebras live over different fields.
     """
     items = list(named_algebras)
     if len({alg.field for _, alg in items}) > 1:
         raise ValueError("the algebras live over different fields")
-    fps = {name: fingerprint(alg) for name, alg in items}
     groups = {}
     for name, alg in items:
-        groups.setdefault(fps[name], []).append(name)
-    algs = dict(items)
+        groups.setdefault(fingerprint(alg), []).append(name)
     proven_iso = []
     proven_distinct = []
     undecided = []
-    names = [name for name, _ in items]
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            if fps[a] != fps[b]:
-                proven_distinct.append((a, b, "fingerprint"))
-                continue
-            exhaustive = isinstance(algs[a].field, PrimeField)
-            if exhaustive and \
-                    element_census(algs[a]) != element_census(algs[b]):
-                proven_distinct.append((a, b, "census"))
-                continue
-            try:
-                w = iso_search(algs[a], algs[b], budget=budget, height=height)
-            except BudgetExceeded:
-                w = None
-                exhaustive = False
-            if w is not None:
+    for i, (a, A) in enumerate(items):
+        for b, B in items[i + 1:]:
+            verdict, reason, _ = decide(A, B, budget, height)
+            if verdict == "isomorphic":
                 proven_iso.append((a, b))
-            elif exhaustive:
-                proven_distinct.append((a, b, "exhaustive_search"))
+            elif verdict == "distinct":
+                proven_distinct.append((a, b, reason))
             else:
                 undecided.append((a, b))
     return {

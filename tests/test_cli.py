@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON reports, idempotent fmt."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -13,13 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import novikov
-from novikov import cli
+from novikov import invariants
 from novikov.algebra import Algebra
 from novikov.cli import main
 from novikov.fields import QQ, PrimeField
 from novikov.linalg import Matrix
 
-F5 = PrimeField(5)
+import test_invariants
+
+F3, F5 = PrimeField(3), PrimeField(5)
 
 A = Algebra(QQ, 3, {(0, 0, 1): QQ(1), (0, 1, 2): QQ(1)})
 
@@ -90,6 +93,14 @@ def test_iso_exit_codes(tmp_path, capsys):
     qz.write_text(Algebra(QQ, 2, {}).dumps())
     assert main(["iso", str(qx), str(qz)]) == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "proven_distinct"
+    # a census-distinct pair: iso settles it by census, as separate does,
+    # before a search can spend its budget
+    cx, cy = tmp_path / "cx.json", tmp_path / "cy.json"
+    cx.write_text(test_invariants.X.dumps())
+    cy.write_text(test_invariants.Y.dumps())
+    assert main(["--field", "fp:3", "--budget", "1", "iso", str(cx),
+                 str(cy)]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "proven_distinct"
 
 
 def _no_isomorphism(A, B, **options):
@@ -102,7 +113,7 @@ def test_iso_refuses_a_witness_that_is_no_isomorphism(tmp_path, capsys,
                                                       monkeypatch):
     pa = tmp_path / "a.json"
     pa.write_text(A.dumps())
-    monkeypatch.setattr(cli, "iso_search", _no_isomorphism)
+    monkeypatch.setattr(invariants, "iso_search", _no_isomorphism)
     assert main(["iso", str(pa), str(pa)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -116,9 +127,9 @@ def test_iso_refuses_a_bad_witness_under_python_O(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         novikov.__file__)))
     code = ("import sys\n"
-            "from novikov import cli\n"
+            "from novikov import cli, invariants\n"
             "from novikov.linalg import Matrix\n"
-            "cli.iso_search = lambda A, B, **options: "
+            "invariants.iso_search = lambda A, B, **options: "
             "Matrix.identity(A.field, A.dim) * A.field(2)\n"
             f"sys.exit(cli.main(['iso', {str(pa)!r}, {str(pa)!r}]))\n")
     done = subprocess.run([sys.executable, "-O", "-c", code],
@@ -247,6 +258,18 @@ def test_orbits_fp_reports_dedupe_counters(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert (rep["merged"], rep["census_splits"], rep["dedupe_searches"]) \
         == (0, 3, 0)
+
+
+def test_orbits_fp_report_is_byte_stable(capsys):
+    # the whole canonical report of M4_01 over F_2 cross-checked against
+    # N_001..N_012: 20 classes, 5 of them unmatched (exit 1), 2 + 3
+    # pairs settled by census and 1 + 17 by search
+    labels = ",".join("N_%03d" % i for i in range(1, 13))
+    assert main(["--field", "fp:2", "orbits-fp", "--base", "M4_01",
+                 "--crosscheck-labels", labels]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "3cc9f00a8b75ee39ae28fd005c5df2b0073392ca3368e77c71c311f8a9c8737c"
 
 
 def test_orbits_fp_needs_prime_field(capsys):
@@ -392,12 +415,19 @@ def _table(*triples, c="1"):
      "c = 0.5"),
     ({"dim": 2, "field": "q", "table": _table((1, 1, 2), c=True)},
      "c = True"),
+    # literals of another field used to raise a traceback and exit 1
+    ({"dim": 2, "field": "fp:3", "table": _table((1, 1, 2), c="1 mod 5")},
+     "mod 5 literal in F_3"),
+    ({"dim": 2, "field": "qsqrt:2",
+      "table": _table((1, 1, 2), c="1+1*sqrt(3)")},
+     "sqrt(3) literal in Q(sqrt 2)"),
 ], ids=["zero-index", "index-past-dim", "duplicate-triple",
         "string-index", "negative-dim", "fractional-dim", "huge-dim",
         "division-by-zero", "integer-field", "top-level-list",
         "entry-not-object", "null-table", "null-coefficient",
         "list-coefficient", "float-coefficient", "float-coefficient-fp5",
-        "bool-coefficient"])
+        "bool-coefficient", "fp-literal-of-other-p",
+        "sqrt-literal-of-other-d"])
 def test_check_rejects_malformed_algebra(tmp_path, capsys, doc, words):
     p = tmp_path / "alg.json"
     p.write_text(json.dumps(doc))
@@ -406,24 +436,29 @@ def test_check_rejects_malformed_algebra(tmp_path, capsys, doc, words):
         _one_line_error(capsys, "alg.json", words)
 
 
-@pytest.mark.parametrize("entries, words", [
-    ([{"t": 1, "i": 4, "j": 1, "c": "1"}], "i = 4"),
-    ([{"t": 2, "i": 1, "j": 1, "c": "1"}], "t = 2"),
-    ([{"t": 1, "i": 1, "j": 1, "c": "1"}, {"t": 1, "i": 1, "j": 1, "c": "0"}],
-     "duplicate"),
-    ([{"t": 1, "i": 1, "c": "1"}], "'j'"),
-    ([{"t": 1, "i": 1, "j": 1, "c": "1/0"}], "divides by zero"),
-    ([7], "entries is not a list"),
-    ([{"t": 1, "i": 1, "j": 1, "c": 0.5}], "c = 0.5"),
+@pytest.mark.parametrize("base, entries, words", [
+    (A, [{"t": 1, "i": 4, "j": 1, "c": "1"}], "i = 4"),
+    (A, [{"t": 2, "i": 1, "j": 1, "c": "1"}], "t = 2"),
+    (A, [{"t": 1, "i": 1, "j": 1, "c": "1"},
+         {"t": 1, "i": 1, "j": 1, "c": "0"}], "duplicate"),
+    (A, [{"t": 1, "i": 1, "c": "1"}], "'j'"),
+    (A, [{"t": 1, "i": 1, "j": 1, "c": "1/0"}], "divides by zero"),
+    (A, [7], "entries is not a list"),
+    (A, [{"t": 1, "i": 1, "j": 1, "c": 0.5}], "c = 0.5"),
+    # a literal of another field used to raise a traceback and exit 1
+    (Algebra(F3, 3, {(0, 0, 1): 1, (0, 1, 2): 1}),
+     [{"t": 1, "i": 1, "j": 1, "c": "1 mod 5"}], "mod 5 literal in F_3"),
 ], ids=["index-past-dim", "component-past-s", "duplicate-triple",
         "missing-index", "division-by-zero", "entry-not-object",
-        "float-coefficient"])
-def test_extend_rejects_malformed_cocycle(alg_file, tmp_path, capsys,
-                                          entries, words):
+        "float-coefficient", "fp-literal-of-other-p"])
+def test_extend_rejects_malformed_cocycle(tmp_path, capsys, base, entries,
+                                          words):
+    alg = tmp_path / "alg.json"
+    alg.write_text(base.dumps())
     coc = tmp_path / "coc.json"
-    coc.write_text(json.dumps({"base": A.to_json(), "s": 1,
+    coc.write_text(json.dumps({"base": base.to_json(), "s": 1,
                                "entries": entries}))
-    assert main(["extend", "--algebra", alg_file, "--cocycle",
+    assert main(["extend", "--algebra", str(alg), "--cocycle",
                  str(coc)]) == 2
     _one_line_error(capsys, "coc.json", words)
 
@@ -438,7 +473,7 @@ _BAD_SIZE = [-1, -8, 1.5, 2.0, True, False, "3", None, [3], {}, 10 ** 5,
              10 ** 9]
 _BAD_INDEX = [0, -1, 9, 1.0, True, False, "1", None, [1]]
 _BAD_SCALAR = [0.5, 1.0, True, False, None, [1], {"c": 1}, "1/0", "x", "",
-               "1/", "2//3"]
+               "1/", "2//3", "1 mod 7"]
 _BAD_FIELD = ["", "r", "fp:4", "fp:1", "fp:0", "fp:-3", "fp:x", "qsqrt:",
               "qsqrt:4", "qsqrt:1", 5, None, 2.5, True, ["q"]]
 _BAD_LIST = [{}, "t", 3, None, [3], [[1, 1, 2]], [None]]

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from novikov import fplab
+from novikov import fplab, invariants
 from novikov.algebra import Algebra
 from novikov.cohomology import coboundary_space, flatten, h2_basis
 from novikov.exprs import Expr, ExprError, SqrtNotInField
@@ -15,9 +15,10 @@ from novikov.fplab import (crosscheck, grassmannian_points,
                            run_procedure_fp_report, specialized_entries_fp,
                            specialized_tables_fp)
 from novikov.linalg import Matrix
-from novikov.morphisms import enumerate_aut_fp, iso_search
+from novikov.morphisms import BudgetExceeded, enumerate_aut_fp, iso_search
 
 from test_catalog import _reference_exclusion_holds, _reference_specialize
+from test_invariants import _IDEMPOTENT_1, _IDEMPOTENT_2, _squares
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
@@ -124,6 +125,13 @@ def test_crosscheck_exhaustive_matching():
     rep = crosscheck([A], [("zero", C)])
     assert rep["unmatched_classes"] == [0]
     assert rep["unmatched_pool"] == ["zero"]
+    # a spent budget leaves a pair undecided, which over F_p is no
+    # verdict
+    with pytest.raises(BudgetExceeded):
+        crosscheck([_squares(F5, 1)], [("y", _squares(F5, 4))], budget=1)
+    # over Q a failed search is no proof either
+    with pytest.raises(ValueError, match="no proof"):
+        crosscheck([_IDEMPOTENT_1], [("y", _IDEMPOTENT_2)])
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +290,7 @@ def test_census_screen_keeps_the_report(cat, case, monkeypatch):
     make, s = ORBIT_CASES[case]
     A = make(cat)
     rep = run_procedure_fp_report(A, s)
-    monkeypatch.setattr(fplab, "element_census", lambda B: ())
+    monkeypatch.setattr(invariants, "element_census", lambda B: ())
     unscreened = run_procedure_fp_report(A, s)
     assert unscreened["census_splits"] == 0
     assert unscreened["dedupe_searches"] == \

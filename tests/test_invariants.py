@@ -10,8 +10,9 @@ from novikov import invariants
 from novikov.algebra import Algebra
 from novikov.exprs import ExprError, SqrtNotInField
 from novikov.fields import QQ, DivisionByZero, PrimeField
-from novikov.invariants import element_census, fingerprint, separate
+from novikov.invariants import decide, element_census, fingerprint, separate
 from novikov.linalg import Matrix
+from novikov.morphisms import is_isomorphism
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
@@ -89,13 +90,13 @@ def test_separate_over_q_undecided_never_distinct_without_proof():
     assert all(p[:2] != ("a", "b") for p in rep["proven_distinct"])
 
 
+# two classes of the s = 1 procedure on N3s_01 over F_3: equal
+# fingerprints, and elements of type (1, 0, 1, 4) in X only
+X = Algebra(F3, 4, {(0, 0, 1): 1, (0, 2, 3): 1, (1, 0, 3): 2, (2, 0, 3): 1})
+Y = Algebra(F3, 4, {(0, 0, 1): 1, (0, 1, 3): 1, (0, 2, 3): 2, (2, 0, 3): 2})
+
+
 def test_separate_over_fp_settles_by_census_without_search(monkeypatch):
-    # two classes of the s = 1 procedure on N3s_01 over F_3: equal
-    # fingerprints, and elements of type (1, 0, 1, 4) in X only
-    X = Algebra(F3, 4, {(0, 0, 1): 1, (0, 2, 3): 1, (1, 0, 3): 2,
-                        (2, 0, 3): 1})
-    Y = Algebra(F3, 4, {(0, 0, 1): 1, (0, 1, 3): 1, (0, 2, 3): 2,
-                        (2, 0, 3): 2})
     assert fingerprint(X) == fingerprint(Y)
     assert element_census(X) != element_census(Y)
 
@@ -105,6 +106,54 @@ def test_separate_over_fp_settles_by_census_without_search(monkeypatch):
     rep = separate([("x", X), ("y", Y)])
     assert rep["proven_distinct"] == [("x", "y", "census")]
     assert not rep["proven_isomorphic"] and not rep["undecided"]
+
+
+# two classes of the s = 1 procedure on N3s_04z over F_3 with equal
+# fingerprints and censuses (e2 e2 = e4 or 2 e4)
+U, V = (Algebra(F3, 4, {(0, 0, 3): 1, (0, 1, 2): 1, (1, 0, 3): 2,
+                        (1, 1, 3): c, (1, 2, 3): 2, (2, 1, 3): 1})
+        for c in (1, 2))
+
+
+_IDEMPOTENT_1 = Algebra(QQ, 2, {(0, 1, 0): 1, (1, 0, 0): 2, (1, 1, 1): 1})
+_IDEMPOTENT_2 = Algebra(QQ, 2, {(0, 1, 0): 2, (1, 0, 0): 3, (1, 1, 1): 2})
+
+
+def _squares(field, c):
+    """e1 e1 = e2, e3 e3 = c e4: the search for c = 1 against c = 4
+    takes more than one try."""
+    return Algebra(field, 4, {(0, 0, 1): 1, (2, 2, 3): c})
+
+
+@pytest.mark.parametrize("A, B, budget, verdict, reason", [
+    (Algebra(QQ, 2, {(0, 0, 1): 1}), Algebra(QQ, 2, {}), 5_000_000,
+     "distinct", "fingerprint"),
+    (Algebra(F5, 2, {(0, 0, 1): 1}), Algebra(F5, 2, {}), 5_000_000,
+     "distinct", "fingerprint"),
+    (X, Y, 1, "distinct", "census"),
+    (U, V, 5_000_000, "distinct", "exhaustive_search"),
+    (_squares(F5, 1), _squares(F5, 4), 5_000_000, "isomorphic", "witness"),
+    (_squares(F5, 1), _squares(F5, 4), 1, "undecided", "budget_exceeded"),
+    (_squares(QQ, 1), _squares(QQ, 4), 1, "undecided", "budget_exceeded"),
+    # not isomorphic: the one nonzero idempotent, e2 or e2 / 2, acts on
+    # e1 by 2 or 3/2 from the left; but a failed search is no proof
+    (_IDEMPOTENT_1, _IDEMPOTENT_2, 5_000_000,
+     "undecided", "not_found_heuristic"),
+], ids=["fingerprint-Q", "fingerprint-F5", "census", "exhaustive-search",
+        "witness", "budget-F5", "budget-Q", "not-found-heuristic"])
+def test_decide(A, B, budget, verdict, reason):
+    if reason != "fingerprint":
+        assert fingerprint(A) == fingerprint(B)
+    got = decide(A, B, budget=budget)
+    assert got[:2] == (verdict, reason)
+    assert (got[2] is not None) == (verdict == "isomorphic")
+    if got[2] is not None:
+        assert is_isomorphism(A, B, got[2])
+
+
+def test_decide_refuses_algebras_over_different_fields():
+    with pytest.raises(ValueError, match="different fields"):
+        decide(Algebra(QQ, 1, {}), Algebra(F3, 1, {}))
 
 
 def test_local_types_of_a_small_algebra():
