@@ -6,6 +6,8 @@ and printed tables are 1-based).  Every product is one loop over the
 nonzero structure constants on raw scalars (`multiply_raw`, on integers
 over Q).  Identity checks run on basis triples only, which suffices by
 multilinearity, and read the triple products off the same constants.
+The entry lists of JSON documents (an algebra's table, a cocycle's
+entries) are read and checked by one function, `read_entries`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import lcm
 from .fields import (DivisionByZero, Field, FieldMismatch, RationalField,
                      field_from_tag, field_tag)
 from .linalg import (DimensionMismatch, Matrix, SingularMatrix, Subspace,
-                     eliminate, null_space, reduce, solve_in_basis)
+                     combine, eliminate, null_space, reduce, solve_in_basis)
 
 
 class NotAnIdeal(Exception):
@@ -374,8 +376,7 @@ class Algebra:
     def commutator_space(self) -> Subspace:
         n, t, p = self.dim, self.table, self.field.modulus
         return Subspace.from_raw(self.field, n, [
-            [x - y if p is None else (x - y) % p
-             for x, y in zip(t[i][j], t[j][i])]
+            combine(t[i][j], [(-1, enumerate(t[j][i]))], p)
             for i in range(n) for j in range(i + 1, n)])
 
     def is_ideal(self, I: Subspace) -> bool:
@@ -433,17 +434,10 @@ class Algebra:
                 "table": triples}
 
     @staticmethod
-    def from_json(doc, field: Field | None = None) -> "Algebra":
+    def from_json(doc) -> "Algebra":
         n = check_size(doc, "dim")
-        f = field if field is not None else field_from_tag(doc["field"])
-        table = {}
-        for t in check_entries(doc, "table"):
-            key = tuple(check_index(t, name, n) for name in "ijk")
-            if key in table:
-                raise ValueError("duplicate entry (i, j, k) = "
-                                 f"({t['i']}, {t['j']}, {t['k']})")
-            table[key] = check_scalar(t, f)
-        return Algebra(f, n, table)
+        f = field_from_tag(doc["field"])
+        return Algebra(f, n, read_entries(doc, "table", "ijk", (n, n, n), f))
 
     def dumps(self):
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
@@ -489,14 +483,24 @@ def check_size(doc, name):
     return value
 
 
-def check_entries(doc, name):
-    """doc[name], which must be a list of JSON objects; ValueError
-    otherwise."""
+def read_entries(doc, name, indices, bounds, field):
+    """The entry list doc[name] of a JSON document, as {0-based index
+    tuple: scalar}: doc[name] must be a list of JSON objects, each with
+    the 1-based indices named by `indices`, index m an integer in
+    1..bounds[m] (`check_index`), and a scalar "c" (`check_scalar`), and
+    no index tuple may appear twice; ValueError otherwise."""
     entries = doc[name]
     if not isinstance(entries, list) or \
             not all(isinstance(e, dict) for e in entries):
         raise ValueError(f"{name} is not a list of JSON objects")
-    return entries
+    values = {}
+    for e in entries:
+        key = tuple(check_index(e, m, b) for m, b in zip(indices, bounds))
+        if key in values:
+            raise ValueError(f"duplicate entry ({', '.join(indices)}) = "
+                             f"({', '.join(str(e[m]) for m in indices)})")
+        values[key] = check_scalar(e, field)
+    return values
 
 
 def check_scalar(entry, field):
@@ -527,17 +531,6 @@ def _index(x, p):
     for c in x:
         i = i * p + c
     return i
-
-
-def combine(start, terms, p):
-    """start plus the sum of c row over the (c, row) terms, each row a
-    raw vector given by its nonzero (m, v) pairs; a tuple, reduced mod p
-    when p is set."""
-    out = list(start)
-    for c, row in terms:
-        for m, v in row:
-            out[m] = out[m] + c * v
-    return tuple(out) if p is None else tuple(v % p for v in out)
 
 
 def _triples(n, f):

@@ -13,7 +13,8 @@ per (field, base parameter values) and hands the same objects to every
 caller, so everything the algebra memoizes (sparse table, cocycle
 equations, Z^2, annihilator) is computed once per tuple too.  The memo
 lives on the records of one `load_catalog()` result: each load starts
-empty.
+empty.  Every walk over the parameter tuples of records over F_p is
+`tuples_fp`.
 
 Data lives in JSON files next to this module (override the directory
 with the NOVIKOV_DATA environment variable):
@@ -27,11 +28,12 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import product
 
 from .algebra import Algebra
 from .cohomology import (Cocycle, DependentClasses, coboundary_space,
                          flatten, form_sum, in_Ts)
-from .exprs import Expr, ExprError, SqrtNotInField
+from .exprs import Expr, ExprError
 from .extensions import central_extension
 from .fields import DivisionByZero, Field, QQ, PrimeField
 from .linalg import Matrix, solve_in_basis
@@ -41,6 +43,12 @@ DATA_ENV = "NOVIKOV_DATA"
 #: default parameter values tried, in order, when an entry has no
 #: curated samples; three admissible tuples are kept.
 SAMPLE_POOL = ("2", "3", "1/2", "-2", "-1", "5", "-3", "1/3")
+
+
+#: the errors of evaluating a catalog expression in a field: a division
+#: by zero (a denominator divisible by p), or an expression that does not
+#: evaluate there (`SqrtNotInField` is an `ExprError`)
+EVALUATION_ERRORS = (DivisionByZero, ExprError)
 
 
 class CatalogError(Exception):
@@ -88,15 +96,14 @@ class BaseRecord:
 
     def excluded(self, field: Field, env) -> bool:
         """Do the parameter values violate a recorded constraint?
-        Evaluation errors (SqrtNotInField, DivisionByZero, ExprError)
-        propagate."""
+        `EVALUATION_ERRORS` propagate."""
         return not all(_exclusion_holds(x, field, env)
                        for x in self.param_exclusions)
 
     def check_params(self, field: Field, env) -> bool:
         try:
             return not self.excluded(field, env)
-        except (SqrtNotInField, DivisionByZero, ExprError):
+        except EVALUATION_ERRORS:
             return False
 
     def algebra(self, field: Field, env=None) -> Algebra:
@@ -202,7 +209,7 @@ class CatalogEntry:
             if self.base.excluded(field, benv):
                 return None
             return benv, self.coefficients(field, env)
-        except (SqrtNotInField, DivisionByZero, ExprError):
+        except EVALUATION_ERRORS:
             return None
 
     def sample_env(self, field: Field, sample):
@@ -228,7 +235,7 @@ class CatalogEntry:
             cand = tuple(pool[(m + j) % len(pool)] for j in range(k))
             try:
                 env = self.sample_env(field, cand)
-            except (SqrtNotInField, DivisionByZero, ExprError):
+            except EVALUATION_ERRORS:
                 m += 1
                 continue
             if self.admissible(field, env):
@@ -243,13 +250,12 @@ class CatalogEntry:
         the search falls back to all parameter tuples over the field."""
         candidates = list(self.default_samples())
         if isinstance(field, PrimeField) and self.params:
-            from itertools import product
             candidates += list(product(range(field.p),
                                        repeat=len(self.params)))
         for cand in candidates:
             try:
                 env = self.sample_env(field, cand)
-            except (SqrtNotInField, DivisionByZero, ExprError):
+            except EVALUATION_ERRORS:
                 continue
             if not require_ts:
                 if self.admissible(field, env):
@@ -321,8 +327,8 @@ def data_dir():
         DATA_ENV, os.path.join(os.path.dirname(__file__), "data"))
 
 
-def load_catalog(directory=None) -> Catalog:
-    d = directory or data_dir()
+def load_catalog() -> Catalog:
+    d = data_dir()
     bases = {}
     bdir = os.path.join(d, "bases")
     for name in sorted(os.listdir(bdir)):
@@ -340,6 +346,27 @@ def load_catalog(directory=None) -> Catalog:
     with open(os.path.join(d, "meta.json")) as fh:
         meta = json.load(fh)
     return Catalog(bases, entries, meta)
+
+
+def tuples_fp(records, field: PrimeField, build):
+    """Every parameter tuple over F_p of each (key, record) pair, in
+    `product` order, named key[v1, ...] (the key alone when the record
+    has no parameters); the record is a `BaseRecord` or a
+    `CatalogEntry`.  Returns ([(name, build(record, values, env))] over
+    the tuples the record's exclusions admit, [(name, error text)] over
+    those whose evaluation raises one of `EVALUATION_ERRORS`), where env
+    maps the parameter names to the values."""
+    out, skips = [], []
+    for key, rec in records:
+        for values in product(range(field.p), repeat=len(rec.params)):
+            name = f"{key}{list(values)}" if values else key
+            env = {n: field(v) for n, v in zip(rec.params, values)}
+            try:
+                if not rec.excluded(field, env):
+                    out.append((name, build(rec, values, env)))
+            except EVALUATION_ERRORS as e:
+                skips.append((name, str(e)))
+    return out, skips
 
 
 def census(catalog: Catalog):

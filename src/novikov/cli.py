@@ -15,7 +15,8 @@ Subcommands:
 `iso`, `separate` and `orbits-fp` settle each pair of algebras with one
 decision, `invariants.decide`, so they agree on its verdict.
 
-Exit codes: 0 success / verified, 1 verification failure, 2 input error.
+Exit codes: 0 success / verified, 1 verification failure, 2 input error
+or a spent `--budget` in `orbits-fp`.
 All machine-readable output is canonical JSON (sorted keys); pass
 --report PATH to also write the report to a file.
 """
@@ -33,7 +34,7 @@ from .exprs import ExprError
 from .extensions import ZeroAnnihilator, central_extension, reconstruct
 from .fields import PrimeField, field_from_tag
 from .invariants import decide, fingerprint, separate
-from .morphisms import is_isomorphism
+from .morphisms import BudgetExceeded, is_isomorphism
 from .fplab import (crosscheck, run_procedure_fp_report,
                     specialized_entries_fp)
 
@@ -50,10 +51,10 @@ def _load_json(path):
         raise InputError(f"{path}: {e}")
 
 
-def _load_algebra(path, field=None):
+def _load_algebra(path):
     doc = _load_json(path)
     try:
-        return Algebra.from_json(doc, field=field)
+        return Algebra.from_json(doc)
     except (KeyError, ValueError, ExprError) as e:
         raise InputError(f"{path}: bad algebra document ({e})")
 
@@ -163,14 +164,7 @@ def cmd_iso(args):
 
 def cmd_separate(args):
     named = [(path, _load_algebra(path)) for path in args.algebras]
-    rep = separate(named, budget=args.budget, height=args.height)
-    report = {
-        "groups": rep["groups"],
-        "proven_isomorphic": [list(p) for p in rep["proven_isomorphic"]],
-        "proven_distinct": [list(p) for p in rep["proven_distinct"]],
-        "undecided": [list(p) for p in rep["undecided"]],
-    }
-    _emit(report, args)
+    _emit(separate(named, budget=args.budget, height=args.height), args)
     return 0
 
 
@@ -271,14 +265,10 @@ def cmd_orbits_fp(args):
     if labels:
         pool, skips = specialized_entries_fp(cat, field, labels)
         cc = crosscheck(rep["classes"], pool, budget=args.budget)
+        # string keys sort as text ("1", "10", "2"); int keys would not
         report["crosscheck"] = {
-            "matches": {str(k): v for k, v in cc["matches"].items()},
-            "unmatched_classes": cc["unmatched_classes"],
-            "unmatched_pool": cc["unmatched_pool"],
-            "census_splits": cc["census_splits"],
-            "dedupe_searches": cc["dedupe_searches"],
-            "skips": [list(s) for s in skips],
-        }
+            **cc, "matches": {str(k): v for k, v in cc["matches"].items()},
+            "skips": skips}
         ok = not cc["unmatched_classes"] and not cc["unmatched_pool"]
     _emit(report, args)
     return 0 if ok else 1
@@ -365,10 +355,7 @@ def main(argv=None):
     try:
         args.field = field_from_tag(args.field)
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, ExprError) as e:
+    except (InputError, ValueError, ExprError, BudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

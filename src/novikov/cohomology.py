@@ -12,10 +12,9 @@ Z^2 is the kernel of the cocycle equations, written once as the rows of
 
 from __future__ import annotations
 
-from .algebra import (Algebra, check_entries, check_index, check_scalar,
-                      check_size)
+from .algebra import Algebra, check_size, read_entries
 from .fields import FieldMismatch
-from .linalg import Matrix, Subspace, eliminate, matmul
+from .linalg import Matrix, Subspace, combine, eliminate, matmul
 
 
 class NotACocycle(Exception):
@@ -84,23 +83,14 @@ class Cocycle:
         return {"base": self.base.to_json(), "s": self.s, "entries": entries}
 
     @staticmethod
-    def from_json(doc, base: Algebra | None = None, check: bool = True):
+    def from_json(doc, base: Algebra | None = None):
         s = check_size(doc, "s")
         if base is None:
             base = Algebra.from_json(doc["base"])
-        f, n = base.field, base.dim
-        values = {}
-        for e in check_entries(doc, "entries"):
-            key = (check_index(e, "t", s), check_index(e, "i", n),
-                   check_index(e, "j", n))
-            if key in values:
-                raise ValueError("duplicate entry (t, i, j) = "
-                                 f"({e['t']}, {e['i']}, {e['j']})")
-            values[key] = f.raw(check_scalar(e, f))
-        zero = f.raw(f.zero())
-        return Cocycle.from_raw(base, [[[values.get((t, i, j), zero)
-                                         for j in range(n)] for i in range(n)]
-                                       for t in range(s)], check=check)
+        n = base.dim
+        values = read_entries(doc, "entries", "tij", (s, n, n), base.field)
+        return Cocycle(base, [[[values.get((t, i, j), 0) for j in range(n)]
+                               for i in range(n)] for t in range(s)])
 
     def __eq__(self, other):
         return (isinstance(other, Cocycle) and self.base == other.base
@@ -175,20 +165,12 @@ def cocycle_space(A: Algebra) -> Subspace:
 
 def form_sum(A: Algebra, terms):
     """The raw bilinear form sum(c * m) over the (coefficient, form) pairs
-    in `terms` (FieldElement coefficients, raw n x n forms), added up in
-    one pass and reduced mod p over F_p."""
-    f, n, p = A.field, A.dim, A.field.modulus
-    acc = [[f.raw(f.zero())] * n for _ in range(n)]
-    for c, m in terms:
-        c = f.raw(c)
-        if c:
-            for out, row in zip(acc, m):
-                for j, x in enumerate(row):
-                    if x:
-                        out[j] = out[j] + c * x
-    if p is not None:
-        acc = [[x % p for x in row] for row in acc]
-    return tuple(map(tuple, acc))
+    in `terms` (FieldElement coefficients, raw n x n forms): one
+    `linalg.combine` of the flattened forms."""
+    f, n = A.field, A.dim
+    flat = combine((f.raw(f.zero()),) * (n * n), [
+        (f.raw(c), enumerate(flatten(m))) for c, m in terms], f.modulus)
+    return tuple(flat[i * n:(i + 1) * n] for i in range(n))
 
 
 def congruence(m, phi, p):

@@ -141,7 +141,7 @@ class FieldElement:
         return self.data == other.data
 
     def __hash__(self):
-        return hash((self.field, self.data if not isinstance(self.data, tuple) else self.data))
+        return hash((self.field, self.data))
 
     def __bool__(self):
         return not self.field.is_zero(self)
@@ -306,11 +306,10 @@ class _QuadraticArithmetic(Field):
 
     def inv(self, a):
         p, q = a.data
+        # d is -1 or squarefree >= 2, so the norm vanishes only at 0
         n = p * p - q * q * self.d
         if n == 0:
-            if p == 0 and q == 0:
-                raise DivisionByZero(f"1/0 in {self!r}")
-            raise DivisionByZero("norm zero (d not squarefree?)")
+            raise DivisionByZero(f"1/0 in {self!r}")
         return FieldElement(self, (p / n, -q / n))
 
     def is_zero(self, a):

@@ -27,7 +27,9 @@ automorphisms are the Matrices of `morphisms.enumerate_aut_fp`, whose
 raw rows are read as they are; their action on H^2 is read off sparse
 coordinate functionals without forming the image forms
 (`induced_h2_matrices`), and a point's image under an action is a sum
-of the action's columns.
+of the action's sparse columns (`linalg.combine`).  The catalog is
+specialized over F_p by the catalog's one tuple walk,
+`catalog.tuples_fp`.
 
 Orbit counts over F_p are p-specific and are never claimed to equal
 characteristic-zero counts; the value of a run is the bidirectional
@@ -38,18 +40,16 @@ in F_p) listed rather than silently dropped.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
-from operator import add
+from itertools import combinations, product
 
 from .algebra import Algebra
-from .catalog import Catalog
+from .catalog import Catalog, tuples_fp
 from .cohomology import (Cocycle, coboundary_space, flatten, form_sum,
                          h2_basis, in_Ts)
-from .exprs import ExprError, SqrtNotInField
 from .extensions import central_extension
-from .fields import DivisionByZero, PrimeField
+from .fields import PrimeField
 from .invariants import decide
-from .linalg import eliminate, solve_in_basis
+from .linalg import combine, eliminate, solve_in_basis
 from .morphisms import BudgetExceeded, enumerate_aut_fp, iso_search
 
 
@@ -59,7 +59,6 @@ def grassmannian_points(dim: int, s: int, p: int):
     if not 0 < s <= dim:
         return []
     points = []
-    from itertools import combinations
     for pivots in combinations(range(dim), s):
         # free positions: row r, columns right of its pivot that are
         # not pivots of later rows
@@ -68,7 +67,7 @@ def grassmannian_points(dim: int, s: int, p: int):
             for c in range(pivots[r] + 1, dim):
                 if c not in pivots:
                     free.append((r, c))
-        for vals in iproduct(range(p), repeat=len(free)):
+        for vals in product(range(p), repeat=len(free)):
             rows = [[0] * dim for _ in range(s)]
             for r in range(s):
                 rows[r][pivots[r]] = 1
@@ -148,8 +147,10 @@ def _orbit_representatives(points, actions, p):
     the last image of that point to appear for the first time, or the
     point itself when it is fixed.  A point row's image under M is the
     sum of M's columns at the row's nonzero entries, each scaled by its
-    entry unless that is 1."""
-    columns = [list(zip(*M)) for M in actions]
+    entry (`linalg.combine` of M's sparse columns)."""
+    zeros = (0,) * len(actions[0])
+    columns = [[[(i, x) for i, x in enumerate(col) if x] for col in zip(*M)]
+               for M in actions]
     seen = set()
     roots = []
     for pt in points:
@@ -159,21 +160,13 @@ def _orbit_representatives(points, actions, p):
         root = pt
         terms = [[(j, c) for j, c in enumerate(row) if c] for row in pt]
         for cols in columns:
-            image = _canonical([_combine(cols, t, p) for t in terms], p)
+            image = _canonical([combine(zeros, [(c, cols[j]) for j, c in t],
+                                        p) for t in terms], p)
             if image not in seen:
                 seen.add(image)
                 root = image
         roots.append(root)
     return sorted(roots)
-
-
-def _combine(cols, terms, p):
-    """The sum of c * cols[j] over the (j, c) terms, mod p."""
-    acc = None
-    for j, c in terms:
-        col = cols[j] if c == 1 else [c * x for x in cols[j]]
-        acc = col if acc is None else map(add, acc, col)
-    return [x % p for x in acc]
 
 
 def _isomorphic(B: Algebra, C: Algebra, counts, budget):
@@ -265,42 +258,20 @@ def specialized_tables_fp(catalog: Catalog, field: PrimeField, dim: int):
     """All printed base tables of the given dimension, at every
     parameter value over F_p that passes the recorded constraints.
     Returns ([(name, Algebra)], [(name, reason)] skips)."""
-    out, skips = [], []
-    for key, rec in sorted(catalog.bases.items()):
-        if rec.dim != dim:
-            continue
-        for combo in iproduct(range(field.p), repeat=len(rec.params)):
-            env = {name: field(v) for name, v in zip(rec.params, combo)}
-            name = key if not combo else f"{key}{list(combo)}"
-            try:
-                if rec.excluded(field, env):
-                    continue
-                out.append((name, rec.algebra(field, env)))
-            except (SqrtNotInField, DivisionByZero, ExprError) as e:
-                skips.append((name, str(e)))
-    return out, skips
+    return tuples_fp(sorted((key, rec) for key, rec in catalog.bases.items()
+                            if rec.dim == dim), field,
+                     lambda rec, values, env: rec.algebra(field, env))
 
 
 def specialized_entries_fp(catalog: Catalog, field: PrimeField, labels):
     """Catalog entries at every parameter tuple over F_p.  Constraint
     violations are silently excluded; evaluation failures (division by
-    p, missing square roots) are listed as skips."""
-    out, skips = [], []
-    for label in labels:
-        entry = catalog.entry(label)
-        for combo in iproduct(range(field.p), repeat=len(entry.params)):
-            name = label if not entry.params else f"{label}{list(combo)}"
-            try:
-                if entry.excluded(field, entry.sample_env(field, combo)):
-                    continue
-                # not strict: the exclusions passed, and an evaluation
-                # error is listed as it is raised
-                A, theta = entry.specialize(field, combo, strict=False)
-            except (SqrtNotInField, DivisionByZero, ExprError) as e:
-                skips.append((name, str(e)))
-                continue
-            out.append((name, central_extension(A, theta)))
-    return out, skips
+    p, missing square roots) are listed as skips.  Not strict: the
+    exclusions passed, and an evaluation error is listed as it is
+    raised."""
+    return tuples_fp([(label, catalog.entry(label)) for label in labels],
+                     field, lambda entry, values, env: central_extension(
+                         *entry.specialize(field, values, strict=False)))
 
 
 def qualifies_as_extension(P: Algebra, A: Algebra, s: int,

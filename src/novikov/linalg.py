@@ -6,8 +6,9 @@ subspaces compare equal structurally.  Plain Gaussian elimination with
 the first nonzero pivot in column order; exact fields make this correct
 and deterministic.
 
-The row reduction itself is `eliminate` and `reduce`, and the one matrix
-product is `matmul`.  Every `Subspace` is built from raw rows by
+The row reduction itself is `eliminate` and `reduce`, the one matrix
+product is `matmul`, and the one linear combination of raw vectors is
+`combine`.  Every `Subspace` is built from raw rows by
 `Subspace.from_raw`, which eliminates them once and keeps only the raw
 RREF basis; every vector written in a basis goes through
 `solve_in_basis`.  `Matrix`, the public type of linear maps
@@ -18,7 +19,7 @@ the way out; bilinear forms are raw n x n tuples (`cohomology`).
 
 from __future__ import annotations
 
-from operator import add, mul, sub
+from operator import mul
 
 from .fields import Field
 
@@ -201,17 +202,16 @@ class Matrix:
         return tuple(f.wrap(x) for x, in column)
 
     def __add__(self, other):
-        return self._entrywise(other, add)
+        return self._entrywise(other, 1)
 
     def __sub__(self, other):
-        return self._entrywise(other, sub)
+        return self._entrywise(other, -1)
 
-    def _entrywise(self, other, op):
+    def _entrywise(self, other, sign):
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("shape")
-        p = self.field.modulus
         return Matrix.from_raw(self.field, [
-            [op(a, b) if p is None else op(a, b) % p for a, b in zip(r, s)]
+            combine(r, [(sign, enumerate(s))], self.field.modulus)
             for r, s in zip(self._rows, other._rows)])
 
     def __eq__(self, other):
@@ -273,6 +273,21 @@ def matmul(a, b, p=None):
     if p is None:
         return tuple(tuple(sum(map(mul, row, c)) for c in cols) for row in a)
     return tuple(tuple(sum(map(mul, row, c)) % p for c in cols) for row in a)
+
+
+def combine(start, terms, p=None):
+    """start plus the sum of c row over the (c, row) terms, each row a
+    raw vector given by its (index, value) pairs: a sparse row of
+    `Algebra.nonzero_products`, or `enumerate` of a dense row.  Zero
+    coefficients and values are skipped; the result is a tuple, reduced
+    mod p once unless p (`Field.modulus`) is None."""
+    out = list(start)
+    for c, row in terms:
+        if c:
+            for m, v in row:
+                if v:
+                    out[m] = out[m] + c * v
+    return tuple(out) if p is None else tuple(v % p for v in out)
 
 
 class Subspace:

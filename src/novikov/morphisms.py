@@ -30,7 +30,7 @@ multiplies them with `Algebra.multiply_raw` (on integers over Q).
 Each witness is a `Matrix` made from raw rows (`Matrix.from_raw`): the
 image rows times the inverse word matrix, one `linalg.matmul`.  The
 homomorphism check reads phi(e_i e_j) off A's sparse table as a
-combination of the images phi(e_k).
+combination of the images phi(e_k) (`linalg.combine`).
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
-from .algebra import Algebra, combine
+from .algebra import Algebra
 from .cohomology import Cocycle, congruence
 from .fields import FieldMismatch, PrimeField
-from .linalg import (Matrix, Subspace, eliminate, matmul, null_space,
-                     reduce, solve_in_basis)
+from .linalg import (Matrix, Subspace, combine, eliminate, matmul,
+                     null_space, reduce, solve_in_basis)
 
 
 class NotAutomorphism(Exception):

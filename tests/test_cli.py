@@ -289,6 +289,19 @@ def _one_line_error(capsys, *words):
     assert all(w in err for w in words)
 
 
+@pytest.mark.parametrize("argv, words", [
+    (["--field", "fp:2", "--budget", "100", "orbits-fp", "--base", "M4_01"],
+     "budget 100"),
+    (["--field", "fp:3", "--budget", "0", "orbits-fp", "--base", "N3s_01"],
+     "budget 0"),
+])
+def test_orbits_fp_spent_budget_exits_2(capsys, argv, words):
+    # a spent budget used to end in a BudgetExceeded traceback and exit
+    # 1, the code of a failed verification
+    assert main(argv) == 2
+    _one_line_error(capsys, words)
+
+
 @pytest.mark.parametrize("labels", ["N_999", "N_001,"])
 def test_orbits_fp_rejects_unknown_crosscheck_label(capsys, labels):
     assert main(["--field", "fp:3", "orbits-fp", "--base", "N3s_02",
@@ -390,7 +403,7 @@ def _table(*triples, c="1"):
     ({"dim": 2, "field": "q", "table": _table((1, 1, 3))}, "k = 3"),
     # a repeated triple used to overwrite the earlier one
     ({"dim": 2, "field": "q", "table": _table((1, 1, 2), (1, 1, 2))},
-     "duplicate"),
+     "duplicate entry (i, j, k) = (1, 1, 2)"),
     ({"dim": 2, "field": "q", "table": _table((1, "1", 2))}, "j = '1'"),
     ({"dim": -1, "field": "q", "table": []}, "dim = -1"),
     ({"dim": 2.5, "field": "q", "table": []}, "dim = 2.5"),
@@ -440,7 +453,8 @@ def test_check_rejects_malformed_algebra(tmp_path, capsys, doc, words):
     (A, [{"t": 1, "i": 4, "j": 1, "c": "1"}], "i = 4"),
     (A, [{"t": 2, "i": 1, "j": 1, "c": "1"}], "t = 2"),
     (A, [{"t": 1, "i": 1, "j": 1, "c": "1"},
-         {"t": 1, "i": 1, "j": 1, "c": "0"}], "duplicate"),
+         {"t": 1, "i": 1, "j": 1, "c": "0"}],
+     "duplicate entry (t, i, j) = (1, 1, 1)"),
     (A, [{"t": 1, "i": 1, "c": "1"}], "'j'"),
     (A, [{"t": 1, "i": 1, "j": 1, "c": "1/0"}], "divides by zero"),
     (A, [7], "entries is not a list"),

@@ -10,7 +10,7 @@ from novikov.algebra import Algebra
 from novikov.fields import (QQ, GaussianRationalField, PrimeField,
                             QuadraticField)
 from novikov.linalg import (DimensionMismatch, Matrix, SingularMatrix,
-                            Subspace, eliminate, reduce)
+                            Subspace, combine, eliminate, reduce)
 from novikov.morphisms import iso_search
 
 F2, F5 = PrimeField(2), PrimeField(5)
@@ -479,6 +479,35 @@ def test_matrix_matches_field_element_arithmetic(field):
                                   A.transpose(), A.rref()[0],
                                   *([S.inverse()] if want else []))
     assert inverted and singular and inconsistent
+
+
+@pytest.mark.parametrize("field", [QQ, QI, QS2, F5], ids=repr)
+def test_combine_matches_field_element_arithmetic(field):
+    # start + sum c * row on raw scalars, against the same sum on field
+    # elements; rows are sparse (nonzero pairs) or enumerate of dense
+    # rows, coefficients and entries are often zero
+    rng = random.Random(f"combine:{field!r}")
+    raw, zero, p = field.raw, field.zero(), field.modulus
+    for _ in range(200):
+        n, k = rng.randint(1, 5), rng.randint(0, 4)
+        start = _random_rows(rng, field, 1, n)[0] if rng.random() < 0.7 \
+            else [zero] * n
+        rows = _random_rows(rng, field, k, n)
+        coeffs = [rng.choice([zero, field(1), field(-3), *row])
+                  for row in rows]
+        terms = [(raw(c), [(m, raw(v)) for m, v in enumerate(row) if v]
+                  if rng.random() < 0.5 else enumerate(map(raw, row)))
+                 for c, row in zip(coeffs, rows)]
+        want = list(start)
+        for c, row in zip(coeffs, rows):
+            want = [w + c * v for w, v in zip(want, row)]
+        got = combine([raw(x) for x in start], terms, p)
+        assert type(got) is tuple and tuple(map(field.wrap, got)) == \
+            tuple(want)
+        if p is not None:
+            assert all(0 <= x < p for x in got)
+        if field is QQ:
+            assert all(type(x) is Fraction for x in got)
 
 
 def test_matrix_equality_is_on_raw_rows():
