@@ -5,7 +5,11 @@ with e_i e_j = sum_k c[i][j][k] e_k (0-based internally; the JSON format
 and printed tables are 1-based).  Every product is one loop over the
 nonzero structure constants on raw scalars (`multiply_raw`, on integers
 over Q).  Identity checks run on basis triples only, which suffices by
-multilinearity, and read the triple products off the same constants.
+multilinearity, and read the triple products off the same constants
+into sparse tables: only triples that some nonzero constants reach are
+stored, and a missing triple is zero.  The power filtration keeps the
+support of each basis row as a bitmask and multiplies two rows only
+when the sparse table has a nonzero product between their supports.
 The entry lists of JSON documents (an algebra's table, a cocycle's
 entries) are read and checked by one function, `read_entries`.
 """
@@ -34,8 +38,10 @@ class Algebra:
     takes raw tables as they are, and `multiply`, `to_json` and `repr`
     give field elements back.  The table is immutable, so derived data
     is computed once and kept in `_cache`: the sparse table
-    (`nonzero_products`), the triple products behind the identity
-    checks, `square`, `power_filtration`, `annihilator`, the cocycle
+    (`nonzero_products`), the sparse tables of triple products behind
+    the identity checks (dicts over the triples that can be nonzero),
+    `square`, `power_filtration` (whose products skip row pairs the
+    sparse table shows are zero), `annihilator`, the cocycle
     equations and Z^2 (`cohomology.cocycle_equations`,
     `cohomology.cocycle_space`), the `invariants.fingerprint`, and over
     F_p the `local_types` of all elements and their
@@ -155,26 +161,49 @@ class Algebra:
             tuple(e) for e in Subspace.full(self.field, self.dim)._rows])
 
     def _left_products(self):
-        """L[i][j][k] = (e_i e_j) e_k, the sum over (l, c) in nz[i][j] of
-        c nz[l][k], on raw scalars."""
+        """The sparse table of L(i, j, k) = (e_i e_j) e_k, the sum over
+        (l, c) in nz[i][j] of c nz[l][k], on raw scalars: a dict over
+        the triples some nonzero constants reach; a missing triple is
+        zero."""
         def compute():
             nz, zero, p, _ = self._memo("nz", self._sparse)
-            zeros = (zero,) * self.dim
-            return _triples(self.dim, lambda i, j, k: combine(
-                zeros, [(c, nz[l][k]) for l, c in nz[i][j]], p)
-                if nz[i][j] else zeros)
+            zeros, L = (zero,) * self.dim, {}
+            for i, j, terms in _nonempty(nz):
+                for k in range(self.dim):
+                    hits = [(c, nz[l][k]) for l, c in terms if nz[l][k]]
+                    if hits:
+                        L[i, j, k] = combine(zeros, hits, p)
+            return L
         return self._memo("left", compute)
 
     def _associators(self):
-        """D[i][j][k] = (e_i e_j) e_k - e_i (e_j e_k), where e_i (e_j e_k)
-        is the sum over (l, c) in nz[j][k] of c nz[i][l]."""
+        """The sparse table of D(i, j, k) = (e_i e_j) e_k - e_i (e_j e_k),
+        where e_i (e_j e_k) is the sum over (l, c) in nz[j][k] of
+        c nz[i][l]; a missing triple is zero."""
         def compute():
-            nz, _, p, _ = self._memo("nz", self._sparse)
-            L = self._left_products()
-            return _triples(self.dim, lambda i, j, k: combine(
-                L[i][j][k], [(-c, nz[i][l]) for l, c in nz[j][k]], p)
-                if nz[j][k] else L[i][j][k])
+            nz, zero, p, _ = self._memo("nz", self._sparse)
+            zeros, D = (zero,) * self.dim, dict(self._left_products())
+            for j, k, terms in _nonempty(nz):
+                for i, row in enumerate(nz):
+                    hits = [(-c, row[l]) for l, c in terms if row[l]]
+                    if hits:
+                        D[i, j, k] = combine(D.get((i, j, k), zeros), hits, p)
+            return D
         return self._memo("associators", compute)
+
+    def _least_failure(self, table, swap=None):
+        """Compare the sparse triple table `table`, where a missing
+        triple is zero, with its mirror: table[t] with table[swap(t)],
+        or with zero when swap is None.  (True, None) when they agree,
+        else (False, t) for the least failing t <= swap(t) in the
+        order of a loop over i, then j, then k."""
+        zeros = (self._memo("nz", self._sparse)[1],) * self.dim
+        for t in sorted({t if swap is None else min(t, swap(t))
+                         for t in table}):
+            other = zeros if swap is None else table.get(swap(t), zeros)
+            if table.get(t, zeros) != other:
+                return False, t
+        return True, None
 
     def local_types(self):
         """The local type of every element x of F_p^dim: (depth of x,
@@ -260,23 +289,13 @@ class Algebra:
 
     def is_right_commutative(self):
         """(xy)z = (xz)y on all basis triples; witness (i,j,k) on failure."""
-        L = self._left_products()
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(j + 1, self.dim):
-                    if L[i][j][k] != L[i][k][j]:
-                        return False, (i, j, k)
-        return True, None
+        return self._least_failure(self._left_products(),
+                                   lambda t: (t[0], t[2], t[1]))
 
     def is_left_symmetric(self):
         """(xy)z - x(yz) = (yx)z - y(xz) on basis triples."""
-        D = self._associators()
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(self.dim):
-                    if D[i][j][k] != D[j][i][k]:
-                        return False, (i, j, k)
-        return True, None
+        return self._least_failure(self._associators(),
+                                   lambda t: (t[1], t[0], t[2]))
 
     def is_novikov(self):
         ok, _ = self.is_right_commutative()
@@ -293,8 +312,7 @@ class Algebra:
         return True
 
     def is_associative(self):
-        D = self._associators()
-        return not any(any(v) for plane in D for row in plane for v in row)
+        return self._least_failure(self._associators())[0]
 
     # ------------------------------------------------------------------
     # subspace machinery
@@ -306,8 +324,8 @@ class Algebra:
     def square(self) -> Subspace:
         """A^2, spanned by the basis products."""
         return self._memo("square", lambda: Subspace.from_raw(
-            self.field, self.dim,
-            [p for plane in self.table for p in plane if any(p)]))
+            self.field, self.dim, [self.table[i][j] for i, j, _
+                                   in _nonempty(self.nonzero_products())]))
 
     def power_filtration(self):
         """[A^1, A^2, ...] down to 0 or stabilization (a fresh list).
@@ -317,15 +335,33 @@ class Algebra:
         return list(self._memo("powers", self._powers))
 
     def _powers(self):
+        """Each product u v of basis rows is taken only when it can be
+        nonzero: when some a in supp(u), b in supp(v) have e_a e_b != 0,
+        i.e. when reach(u), the union of reach[a] = {b : e_a e_b != 0}
+        over a in supp(u), meets supp(v) (supports as bitmasks)."""
+        reach = [sum(1 << b for b, terms in enumerate(plane) if terms)
+                 for plane in self.nonzero_products()]
+
+        def masked(S):
+            rows = []
+            for u in S._rows:
+                supp = hit = 0
+                for a, c in enumerate(u):
+                    if c:
+                        supp, hit = supp | 1 << a, hit | reach[a]
+                rows.append((u, supp, hit))
+            return rows
         powers = [Subspace.full(self.field, self.dim), self.square()]
+        rows = [masked(S) for S in powers]
         while powers[-1].dim and powers[-1] != powers[-2]:
             m = len(powers) + 1
             prods = (self.multiply_raw(u, v) for i in range(1, m)
-                     for u in powers[i - 1]._rows
-                     for v in powers[m - i - 1]._rows)
-            # most products vanish; zero rows change no span
+                     for u, _, hit in rows[i - 1]
+                     for v, supp, _ in rows[m - i - 1] if hit & supp)
+            # products that cancel to zero change no span
             powers.append(Subspace.from_raw(self.field, self.dim,
                                             [p for p in prods if any(p)]))
+            rows.append(masked(powers[-1]))
         return tuple(powers)
 
     def nilpotency_index(self):
@@ -533,8 +569,8 @@ def _index(x, p):
     return i
 
 
-def _triples(n, f):
-    """[[[f(i, j, k) for k] for j] for i] over range(n)."""
-    return [[[f(i, j, k) for k in range(n)] for j in range(n)]
-            for i in range(n)]
-
+def _nonempty(nz):
+    """(i, j, nz[i][j]) for the nonzero products e_i e_j of the sparse
+    table nz, in increasing (i, j)."""
+    return [(i, j, terms) for i, plane in enumerate(nz)
+            for j, terms in enumerate(plane) if terms]

@@ -385,12 +385,14 @@ PREDICATES = ("novikov", "nilpotency", "non_2_step", "annihilator",
 def membership_checks(A: Algebra, theta: Cocycle):
     """The six predicates for a catalog extension, plus a splitness
     check.  The annihilator predicate asks dim Ann = s (the number of
-    adjoined central directions) with Ann inside the square."""
+    adjoined central directions) with Ann inside the square; the
+    nilpotency predicate is False for an extension that is not
+    nilpotent."""
     B = central_extension(A, theta)
     ann = B.annihilator()
     return {
         "novikov": B.is_novikov(),
-        "nilpotency": B.nilpotency_index() >= 4,
+        "nilpotency": (B.nilpotency_index() or 0) >= 4,
         "non_2_step": not B.is_two_step(),
         "annihilator": ann.dim == theta.s and B.square().contains(ann),
         "generators": B.min_generators() >= 2,

@@ -10,6 +10,7 @@ The row reduction itself is `eliminate` and `reduce`, the one matrix
 product is `matmul`, and the one linear combination of raw vectors is
 `combine`.  Every `Subspace` is built from raw rows by
 `Subspace.from_raw`, which eliminates them once and keeps only the raw
+RREF basis, or by `Subspace.unit_span`, whose unit rows are their own
 RREF basis; every vector written in a basis goes through
 `solve_in_basis`.  `Matrix`, the public type of linear maps
 (automorphisms, basis changes, witnesses), keeps its raw rows too
@@ -322,10 +323,19 @@ class Subspace:
 
     @staticmethod
     def unit_span(field, ambient, cols):
-        """The span of the unit vectors e_j, j in cols."""
+        """The span of the unit vectors e_j, j in cols (each in
+        range(ambient)): the unit rows at the sorted distinct columns
+        are already its RREF basis."""
+        pivots = sorted(set(cols))
+        if pivots and (pivots[0] < 0 or pivots[-1] >= ambient):
+            raise DimensionMismatch(f"unit vectors {pivots} of ambient "
+                                    f"{ambient}")
         zero, one = field.raw(field.zero()), field.raw(field.one())
-        return Subspace.from_raw(field, ambient, [
-            [one if i == j else zero for i in range(ambient)] for j in cols])
+        S = Subspace.__new__(Subspace)
+        S.field, S.ambient, S._pivots = field, ambient, pivots
+        S._rows = [[one if i == j else zero for i in range(ambient)]
+                   for j in pivots]
+        return S
 
     @staticmethod
     def kernel(field, ambient, rows):

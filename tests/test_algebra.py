@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -400,9 +401,17 @@ def _reference_associators(A):
 @pytest.mark.parametrize("field", [QQ, QI, QS2, F5],
                          ids=["Q", "Q(i)", "Q(sqrt2)", "F_5"])
 def test_triple_products_match_their_definitions(cat, field):
+    # the tables are sparse: each listed triple matches the definition,
+    # and each omitted one stands for zero, so must be zero by it
     for A in _identity_cases(cat, field, seed="triples " + str(field)):
-        assert A._left_products() == _reference_left_products(A), A
-        assert A._associators() == _reference_associators(A), A
+        triples = list(product(range(A.dim), repeat=3))
+        zeros = (field.raw(field.zero()),) * A.dim
+        for table, want in ((A._left_products(), _reference_left_products(A)),
+                            (A._associators(), _reference_associators(A))):
+            assert set(table) <= set(triples), A
+            for i, j, k in triples:
+                assert table.get((i, j, k), zeros) == want[i][j][k], \
+                    (A, i, j, k)
 
 
 def _assert_derived_match_reference(A):
@@ -438,6 +447,25 @@ def test_derived_subspaces_match_reference_on_catalog(cat):
                  for _ in range(n)]], check=False))
         for B in (novikov_ext, other_ext):
             _assert_derived_match_reference(B)
+
+
+@pytest.mark.parametrize("field, c", [
+    (QQ, QQ(Fraction(2, 3))), (QI, QI.i()), (QS2, QS2.sqrt_gen()),
+    (F5, F5(3))], ids=["Q", "Q(i)", "Q(sqrt2)", "F_5"])
+def test_filtration_matches_reference_when_products_cancel(field, c):
+    # e1e1 = e2 + e3, e2e1 = c e4, e3e1 = -c e4, e1e2 = e4, e1e3 = e5:
+    # (e2 + e3) e1, a product of basis rows of A^2 and A, meets the
+    # nonzero constants of e2e1 and e3e1 and cancels to zero
+    A = Algebra(field, 5, {(0, 0, 1): 1, (0, 0, 2): 1, (1, 0, 3): c,
+                           (2, 0, 3): -c, (0, 1, 3): 1, (0, 2, 4): 1})
+    zero, one = field.raw(field.zero()), field.raw(field.one())
+    u, e1 = (zero, one, one, zero, zero), (one,) + (zero,) * 4
+    assert list(u) in A.square()._rows
+    assert A.multiply_raw(u, e1) == (zero,) * 5
+    assert [S.dim for S in A.power_filtration()] == [5, 3, 1, 0]
+    rng = random.Random(str(field))
+    for B in [A] + [_random_change(A, rng) for _ in range(6)]:
+        _assert_derived_match_reference(B)
 
 
 def test_derived_subspaces_match_reference_on_random_tables():

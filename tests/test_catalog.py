@@ -6,9 +6,10 @@ from itertools import product
 import pytest
 
 from novikov.algebra import Algebra
-from novikov.catalog import (CatalogEntry, CatalogError, InadmissibleSample,
-                             PREDICATES, _evaluate, census, class_coordinates,
-                             load_catalog, membership_checks, verify_entry)
+from novikov.catalog import (BaseRecord, CatalogEntry, CatalogError,
+                             InadmissibleSample, PREDICATES, _evaluate,
+                             census, class_coordinates, load_catalog,
+                             membership_checks, verify_entry)
 from novikov.cohomology import Cocycle, DependentClasses, in_Ts
 from novikov.exprs import Expr, ExprError, SqrtNotInField
 from novikov.fields import QQ, DivisionByZero, PrimeField
@@ -109,6 +110,18 @@ def test_membership_checks_keys(cat):
     assert set(PREDICATES) <= set(checks)
     assert "nonsplit" in checks
     assert all(checks[k] for k in PREDICATES)
+
+
+def test_nilpotency_predicate_fails_on_a_non_nilpotent_extension():
+    # base e1e1 = e1 with a zero cocycle: the extension has no
+    # nilpotency index, and the predicate must read False, not raise
+    base = BaseRecord({"key": "E1", "dim": 1, "table": [[1, 1, 1, "1"]],
+                       "nablas": [[[1, 1, "1"]]]})
+    entry = CatalogEntry({"label": "E1_zero", "display": "E1_zero", "s": 1,
+                          "cocycle": [{"1": "0"}], "census_arity": 0}, base)
+    [report] = verify_entry(entry, QQ)
+    assert report["checks"]["nilpotency"] is False
+    assert not report["passed"]
 
 
 def test_verify_entry_report_shape(cat):

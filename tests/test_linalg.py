@@ -128,6 +128,20 @@ def test_coordinate_complement_and_quotient_basis(u):
     assert span.dim == cols
 
 
+@pytest.mark.parametrize("field", [QQ, F5, QI], ids=["Q", "F5", "Qi"])
+def test_unit_span_is_the_span_of_its_unit_rows(field):
+    zero, one = field.raw(field.zero()), field.raw(field.one())
+    for cols in ([3, 0, 2], [1, 1, 4, 1], [], range(5), [4, 3, 2, 1, 0]):
+        S = Subspace.unit_span(field, 5, cols)
+        units = [[one if i == j else zero for i in range(5)] for j in cols]
+        T = Subspace.from_raw(field, 5, units)
+        assert (S._rows, S._pivots) == (T._rows, T._pivots), cols
+        assert S == T and hash(S) == hash(T)
+    for cols in ([5], [0, -1]):
+        with pytest.raises(DimensionMismatch):
+            Subspace.unit_span(field, 5, cols)
+
+
 def test_subspace_canonical_equality():
     a = Subspace(QQ, 2, [[1, 1], [0, 2]])
     b = Subspace(QQ, 2, [[3, 5], [7, 1]])
