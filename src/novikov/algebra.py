@@ -120,10 +120,6 @@ class Algebra:
             return tuple(Fraction(v) if v else zero for v in out)
         return tuple(Fraction(v, d) if v else zero for v in out)
 
-    def basis_vector(self, i: int):
-        z, o = self.field.zero(), self.field.one()
-        return tuple(o if k == i else z for k in range(self.dim))
-
     # ------------------------------------------------------------------
     # memoized derived data
 

@@ -142,11 +142,6 @@ class BaseRecord:
             spec = self._specializations[key] = (A, forms)
         return spec
 
-    def nabla_cocycles(self, field: Field, env=None, check=True):
-        A = self.algebra(field, env)
-        return A, [Cocycle.from_raw(A, [m], check=check)
-                   for m in self.nabla_matrices(field, env)]
-
     def automorphism(self, field: Field, env) -> Matrix:
         if self.aut_shape is None:
             raise CatalogError(f"{self.key} has no recorded shape")
@@ -245,21 +240,18 @@ class CatalogEntry:
             raise CatalogError(f"no admissible samples for {self.label}")
         return out
 
-    def find_sample(self, field: Field, require_ts=False):
-        """First admissible sample in the given field; for prime fields
-        the search falls back to all parameter tuples over the field."""
+    def find_sample(self, field: Field):
+        """First admissible sample in the given field whose cocycle lies
+        in T_s; for prime fields the search falls back to all parameter
+        tuples over the field.  None when no candidate qualifies."""
         candidates = list(self.default_samples())
         if isinstance(field, PrimeField) and self.params:
             candidates += list(product(range(field.p),
                                        repeat=len(self.params)))
         for cand in candidates:
             try:
-                env = self.sample_env(field, cand)
+                self.sample_env(field, cand)   # evaluates in this field
             except EVALUATION_ERRORS:
-                continue
-            if not require_ts:
-                if self.admissible(field, env):
-                    return cand
                 continue
             try:
                 # the strict specialization is the admissibility test

@@ -169,13 +169,18 @@ def cmd_separate(args):
 
 
 def _entry_labels(cat, text, option):
-    """The comma-separated entry labels of `option`, each one known."""
+    """The comma-separated entry labels of `option`, each one known and
+    none given twice (a short form such as N_16 names its entry)."""
     labels = text.split(",")
+    seen = set()
     for label in labels:
         try:
-            cat.entry(label)
+            full = cat.entry(label).label
         except (KeyError, ValueError):
             raise InputError(f"{option}: unknown entry label {label!r}")
+        if full in seen:
+            raise InputError(f"{option}: entry {full} is given twice")
+        seen.add(full)
     return labels
 
 
@@ -188,6 +193,8 @@ def _base_env(rec, field, text):
         if name not in rec.params:
             raise InputError(f"--base-params: {rec.key} has no parameter "
                              f"{name!r} (parameters: {rec.params})")
+        if name in env:
+            raise InputError(f"--base-params: {name!r} is given twice")
         try:
             env[name] = field(int(value))
         except ValueError:
@@ -353,6 +360,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # argparse's type= would print its usage line too
+        for option in ("budget", "height"):
+            value = getattr(args, option)
+            if value < 1:
+                raise InputError(f"--{option} {value}: must be at least 1")
         args.field = field_from_tag(args.field)
         return args.func(args)
     except (InputError, ValueError, ExprError, BudgetExceeded) as e:

@@ -162,7 +162,3 @@ class _Parser:
             op = self.take()
             node = ("add" if op == "+" else "sub", node, self.term())
         return node
-
-
-def evaluate(text: str, field: Field, env=None) -> FieldElement:
-    return Expr(text).evaluate(field, env)

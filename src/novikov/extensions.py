@@ -17,7 +17,7 @@ from __future__ import annotations
 from .algebra import Algebra
 from .cohomology import Cocycle, classes_independent, cocycle_space, flatten
 from .fields import FieldMismatch
-from .linalg import Matrix, Subspace
+from .linalg import Subspace
 
 
 class ZeroAnnihilator(Exception):
@@ -76,11 +76,3 @@ def reconstruct(B: Algebra):
     return base, Cocycle.from_raw(base, [[[B.table[i][j][c] for j in free]
                                           for i in free] for c in ann._pivots],
                                   check=False)
-
-
-def reconstruction_basis_change(B: Algebra) -> Matrix:
-    """The basis change aligning B with central_extension(*reconstruct(B)):
-    columns are the complement representatives followed by Ann(B) basis."""
-    ann = B.annihilator()
-    return Matrix.from_raw(B.field, ann.coordinate_complement()._rows +
-                           ann._rows).transpose()

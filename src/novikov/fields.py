@@ -291,9 +291,6 @@ class _QuadraticArithmetic(Field):
     def from_rational(self, q):
         return FieldElement(self, (Fraction(q), Fraction(0)))
 
-    def _gen(self):
-        return FieldElement(self, (Fraction(0), Fraction(1)))
-
     def add(self, a, b):
         return FieldElement(self, (a.data[0] + b.data[0], a.data[1] + b.data[1]))
 
@@ -363,9 +360,6 @@ class GaussianRationalField(_QuadraticArithmetic):
 
     d = -1
 
-    def i(self):
-        return self._gen()
-
     def format(self, a):
         p, q = a.data
         return f"{_fmt_frac(p)}+{_fmt_frac(q)}*i"
@@ -390,9 +384,6 @@ class QuadraticField(_QuadraticArithmetic):
         if d < 2 or _squarefree_part(d) != d:
             raise ValueError(f"d must be a squarefree integer >= 2, got {d}")
         self.d = d
-
-    def sqrt_gen(self):
-        return self._gen()
 
     def format(self, a):
         p, q = a.data
@@ -485,9 +476,6 @@ class PrimeField(Field):
             return FieldElement(self, int(m.group(1)) % self.p)
         # allow rational literals like "1/2" (meaning 2^{-1} mod p)
         return self.from_rational(Fraction(text.strip()))
-
-    def elements(self):
-        return [FieldElement(self, k) for k in range(self.p)]
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

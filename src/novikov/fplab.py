@@ -184,13 +184,6 @@ def _isomorphic(B: Algebra, C: Algebra, counts, budget):
     return verdict == "isomorphic"
 
 
-def run_procedure_fp(A: Algebra, s: int, budget: int = 50_000_000):
-    """Pairwise non-isomorphic admissible central extensions of A by
-    F_p^s, one per automorphism orbit.  See run_procedure_fp_report for
-    the full accounting."""
-    return run_procedure_fp_report(A, s, budget)["classes"]
-
-
 def run_procedure_fp_report(A: Algebra, s: int, budget: int = 50_000_000):
     if not isinstance(A.field, PrimeField):
         raise ValueError("the exhaustive procedure needs a prime field")

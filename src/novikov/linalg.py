@@ -14,8 +14,8 @@ RREF basis, or by `Subspace.unit_span`, whose unit rows are their own
 RREF basis; every vector written in a basis goes through
 `solve_in_basis`.  `Matrix`, the public type of linear maps
 (automorphisms, basis changes, witnesses), keeps its raw rows too
-(`Matrix.from_raw` takes them as they are) and gives field elements on
-the way out; bilinear forms are raw n x n tuples (`cohomology`).
+(`Matrix.from_raw` takes them as they are) and gives field elements
+through `entries`; bilinear forms are raw n x n tuples (`cohomology`).
 """
 
 from __future__ import annotations
@@ -121,8 +121,8 @@ class Matrix:
     """A linear map (automorphism, basis change, witness), stored by its
     raw rows (`_rows`: `Field.raw` scalars, residues in [0, p) over
     F_p), like `Subspace`.  The constructor coerces ints, strings and
-    field elements; `from_raw` takes raw rows as they are.  `entries`,
-    indexing, `row`, `col` and `repr` give field elements."""
+    field elements; `from_raw` takes raw rows as they are.  `entries`
+    and `repr` give field elements."""
 
     __slots__ = ("field", "rows", "cols", "_rows")
 
@@ -162,16 +162,6 @@ class Matrix:
     def entries(self):
         wrap = self.field.wrap
         return tuple(tuple(map(wrap, row)) for row in self._rows)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.field.wrap(self._rows[i][j])
-
-    def row(self, i):
-        return tuple(map(self.field.wrap, self._rows[i]))
-
-    def col(self, j):
-        return tuple(self.field.wrap(row[j]) for row in self._rows)
 
     def transpose(self):
         return Matrix.from_raw(self.field, zip(*self._rows))

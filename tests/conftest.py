@@ -7,6 +7,7 @@ import pytest
 
 from novikov.catalog import SAMPLE_POOL, load_catalog
 from novikov.fields import QQ
+from novikov.linalg import Matrix
 
 
 @pytest.fixture(scope="session")
@@ -24,3 +25,11 @@ def first_admissible_env(rec, field=QQ):
         if rec.check_params(field, env):
             return env
     raise AssertionError(f"no admissible parameters for {rec.key}")
+
+
+def reconstruction_basis_change(B):
+    """The basis change aligning B with central_extension(*reconstruct(B)):
+    columns are the complement representatives followed by Ann(B) basis."""
+    ann = B.annihilator()
+    return Matrix(B.field, ann.coordinate_complement().basis +
+                  ann.basis).transpose()

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -160,32 +161,35 @@ def _vsub(a, b):
 
 
 def _reference_right_commutative(A):
-    mul, e = (lambda x, y: _reference_multiply(A, x, y)), A.basis_vector
+    mul = partial(_reference_multiply, A)
+    e = Matrix.identity(A.field, A.dim).entries
     for i in range(A.dim):
         for j in range(A.dim):
             for k in range(j + 1, A.dim):
-                if mul(mul(e(i), e(j)), e(k)) != mul(mul(e(i), e(k)), e(j)):
+                if mul(mul(e[i], e[j]), e[k]) != mul(mul(e[i], e[k]), e[j]):
                     return False, (i, j, k)
     return True, None
 
 
 def _reference_left_symmetric(A):
-    mul, e = (lambda x, y: _reference_multiply(A, x, y)), A.basis_vector
+    mul = partial(_reference_multiply, A)
+    e = Matrix.identity(A.field, A.dim).entries
     for i in range(A.dim):
         for j in range(i + 1, A.dim):
             for k in range(A.dim):
-                lhs = _vsub(mul(mul(e(i), e(j)), e(k)),
-                            mul(e(i), mul(e(j), e(k))))
-                rhs = _vsub(mul(mul(e(j), e(i)), e(k)),
-                            mul(e(j), mul(e(i), e(k))))
+                lhs = _vsub(mul(mul(e[i], e[j]), e[k]),
+                            mul(e[i], mul(e[j], e[k])))
+                rhs = _vsub(mul(mul(e[j], e[i]), e[k]),
+                            mul(e[j], mul(e[i], e[k])))
                 if lhs != rhs:
                     return False, (i, j, k)
     return True, None
 
 
 def _reference_associative(A):
-    mul, e = (lambda x, y: _reference_multiply(A, x, y)), A.basis_vector
-    return all(mul(mul(e(i), e(j)), e(k)) == mul(e(i), mul(e(j), e(k)))
+    mul = partial(_reference_multiply, A)
+    e = Matrix.identity(A.field, A.dim).entries
+    return all(mul(mul(e[i], e[j]), e[k]) == mul(e[i], mul(e[j], e[k]))
                for i in range(A.dim) for j in range(A.dim)
                for k in range(A.dim))
 
@@ -229,9 +233,9 @@ def _reference_annihilators(A):
 def _scalar(f, rng, lo=-2, hi=2):
     c = f(rng.randint(lo, hi))
     if f is QI:
-        c = c + f(rng.randint(lo, hi)) * f.i()
+        c = c + f(rng.randint(lo, hi)) * f("0+1*i")
     elif f is QS2:
-        c = c + f(rng.randint(lo, hi)) * f.sqrt_gen()
+        c = c + f(rng.randint(lo, hi)) * f("0+1*sqrt(2)")
     return c
 
 
@@ -450,7 +454,7 @@ def test_derived_subspaces_match_reference_on_catalog(cat):
 
 
 @pytest.mark.parametrize("field, c", [
-    (QQ, QQ(Fraction(2, 3))), (QI, QI.i()), (QS2, QS2.sqrt_gen()),
+    (QQ, QQ(Fraction(2, 3))), (QI, QI("0+1*i")), (QS2, QS2("0+1*sqrt(2)")),
     (F5, F5(3))], ids=["Q", "Q(i)", "Q(sqrt2)", "F_5"])
 def test_filtration_matches_reference_when_products_cancel(field, c):
     # e1e1 = e2 + e3, e2e1 = c e4, e3e1 = -c e4, e1e2 = e4, e1e3 = e5:
@@ -533,8 +537,8 @@ def test_the_constructor_is_the_one_coercing_boundary(field):
         assert all(type(c) is Fraction for c in entries)
     elif field == F5:
         assert all(type(c) is int and 0 <= c < 5 for c in entries)
-    assert A.multiply(A.basis_vector(0), A.basis_vector(1)) == \
-        tuple(map(field.wrap, A.table[0][1]))
+    e = Matrix.identity(field, 3).entries
+    assert A.multiply(e[0], e[1]) == tuple(map(field.wrap, A.table[0][1]))
     assert Algebra.from_json(json.loads(A.dumps())) == A
 
 

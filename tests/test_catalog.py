@@ -79,7 +79,7 @@ def test_sample_env_and_base_env(cat):
 
 def test_find_sample_prime_field_fallback(cat):
     entry = cat.entry("N_011")
-    s = entry.find_sample(F5, require_ts=True)
+    s = entry.find_sample(F5)
     assert s is not None
     A, theta = entry.specialize(F5, s)
     assert theta.checked
@@ -93,14 +93,14 @@ def test_find_sample_skips_only_dependent_classes(cat, monkeypatch):
         raise DependentClasses("classes linearly dependent in H^2")
 
     monkeypatch.setattr(catalog_mod, "in_Ts", dependent)
-    assert entry.find_sample(F5, require_ts=True) is None
+    assert entry.find_sample(F5) is None
 
     def broken(A, thetas):
         raise RuntimeError("bug")
 
     monkeypatch.setattr(catalog_mod, "in_Ts", broken)
     with pytest.raises(RuntimeError):
-        entry.find_sample(F5, require_ts=True)
+        entry.find_sample(F5)
 
 
 def test_membership_checks_keys(cat):
@@ -347,7 +347,7 @@ def test_specialization_errors_keep_nothing(cat):
 # find_sample against the version that tested admissibility before a
 # strict specialize tested it again
 
-def _reference_find_sample(entry, field, require_ts=False):
+def _reference_find_sample(entry, field):
     candidates = list(entry.default_samples())
     if isinstance(field, PrimeField) and entry.params:
         candidates += list(product(range(field.p), repeat=len(entry.params)))
@@ -358,13 +358,12 @@ def _reference_find_sample(entry, field, require_ts=False):
             continue
         if not entry.admissible(field, env):
             continue
-        if require_ts:
-            A, theta = entry.specialize(field, cand)
-            try:
-                if not in_Ts(A, [theta]):
-                    continue
-            except DependentClasses:
+        A, theta = entry.specialize(field, cand)
+        try:
+            if not in_Ts(A, [theta]):
                 continue
+        except DependentClasses:
+            continue
         return cand
     return None
 
@@ -375,15 +374,13 @@ def test_find_sample_matches_reference(cat, field):
     for label in ("N_001", "N_011", "N_012", "N_064", "N_070", "N_074",
                   "N_095", "N_104", "N_111", "N_122", "N_160", "N_200"):
         entry = cat.entry(label)
-        for require_ts in (False, True):
-            assert entry.find_sample(field, require_ts) == \
-                _reference_find_sample(entry, field, require_ts), \
-                (label, require_ts)
+        assert entry.find_sample(field) == \
+            _reference_find_sample(entry, field), label
 
 
 def test_find_sample_tests_admissibility_once(cat, monkeypatch):
-    """With require_ts, the strict `specialize` of each candidate is its
-    only admissibility test (the default samples are chosen over Q)."""
+    """The strict `specialize` of each candidate is its only
+    admissibility test (the default samples are chosen over Q)."""
     calls = []
     for name in ("admissible", "_admitted", "specialize"):
         def counted(self, field, *args, _name=name,
@@ -393,7 +390,7 @@ def test_find_sample_tests_admissibility_once(cat, monkeypatch):
             return _original(self, field, *args, **kwargs)
         monkeypatch.setattr(CatalogEntry, name, counted)
     entry = cat.entry("N_074")      # no sample in T_s over F_5
-    assert entry.find_sample(F5, require_ts=True) is None
+    assert entry.find_sample(F5) is None
     assert calls.count("admissible") == 0
     # one test per candidate: the default samples, then every tuple
     tried = len(entry.default_samples()) + 5 ** len(entry.params)

@@ -302,6 +302,37 @@ def test_orbits_fp_spent_budget_exits_2(capsys, argv, words):
     _one_line_error(capsys, words)
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--budget", "0"), ("--budget", "-1"), ("--height", "0"),
+    ("--height", "-2")])
+def test_search_bound_below_1_exits_2(tmp_path, capsys, cat, option,
+                                     value):
+    # iso used to report budget_exceeded or not_found_heuristic and exit
+    # 1, the code of a failed verification
+    M = cat.bases["M4_01"].algebra(QQ)
+    P = Matrix(QQ, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [1, 0, 0, 1]])
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(M.dumps())
+    pb.write_text(M.change_basis(P).dumps())
+    assert main([option, value, "iso", str(pa), str(pb)]) == 2
+    _one_line_error(capsys, f"{option} {value}")
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["--base", "N3s_04l", "--base-params", "lambda=1,lambda=2"],
+     ["--base-params", "'lambda'"]),
+    (["--base", "N3s_02", "--crosscheck-labels", "N_155,N_155"],
+     ["--crosscheck-labels", "N_155"]),
+    (["--base", "N3s_02", "--crosscheck-labels", "N_16,N_016"],
+     ["--crosscheck-labels", "N_016"]),
+])
+def test_orbits_fp_rejects_a_name_given_twice(capsys, argv, words):
+    # the last base parameter value used to win; a label given twice put
+    # its entry's tuples into the pool twice
+    assert main(["--field", "fp:3", "orbits-fp"] + argv) == 2
+    _one_line_error(capsys, *words, "twice")
+
+
 @pytest.mark.parametrize("labels", ["N_999", "N_001,"])
 def test_orbits_fp_rejects_unknown_crosscheck_label(capsys, labels):
     assert main(["--field", "fp:3", "orbits-fp", "--base", "N3s_02",
@@ -325,6 +356,12 @@ def test_orbits_fp_rejects_excluded_base_param(capsys):
 def test_verify_catalog_rejects_unknown_label(capsys):
     assert main(["verify-catalog", "--labels", "N_001,N_999"]) == 2
     _one_line_error(capsys, "N_999")
+
+
+def test_verify_catalog_rejects_a_label_given_twice(capsys):
+    # it used to check the entry twice and count it twice
+    assert main(["verify-catalog", "--labels", "N_001,N_1"]) == 2
+    _one_line_error(capsys, "--labels", "N_001", "twice")
 
 
 def test_verify_catalog_reports_errors(capsys):

@@ -22,15 +22,14 @@ from novikov.catalog import CatalogError, class_coordinates
 from novikov.cohomology import (Cocycle, coboundary_space, cocycle_space,
                                 flatten, form_sum, h2_basis)
 from novikov.exprs import ExprError, SqrtNotInField
-from novikov.extensions import (central_extension, reconstruct,
-                                reconstruction_basis_change)
+from novikov.extensions import central_extension, reconstruct
 from novikov.fields import (QQ, DivisionByZero, GaussianRationalField,
                             PrimeField, QuadraticField)
 from novikov.fplab import specialized_tables_fp
 from novikov.linalg import Matrix, Subspace, solve_in_basis
 from novikov.morphisms import WordBasis, derivation_algebra
 
-from conftest import first_admissible_env
+from conftest import first_admissible_env, reconstruction_basis_change
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 QI, QS2 = GaussianRationalField(), QuadraticField(2)
@@ -217,11 +216,11 @@ def _reference_reconstruct(B):
 
 
 def _reference_change_basis(A, P):
-    Pinv = P.inverse()
+    Pinv, cols = P.inverse(), P.transpose().entries
     table = {}
     for i in range(A.dim):
         for j in range(A.dim):
-            coeff = Pinv.apply(A.multiply(P.col(i), P.col(j)))
+            coeff = Pinv.apply(A.multiply(cols[i], cols[j]))
             for k in range(A.dim):
                 if coeff[k]:
                     table[(i, j, k)] = coeff[k]

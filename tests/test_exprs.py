@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from novikov.exprs import Expr, ExprError, SqrtNotInField, evaluate, tokenize
+from novikov.exprs import Expr, ExprError, SqrtNotInField, tokenize
 from novikov.fields import QQ, DivisionByZero, PrimeField, QuadraticField
 
 F7 = PrimeField(7)
@@ -24,7 +24,7 @@ F7 = PrimeField(7)
     ("sqrt(4)*sqrt(9)", Fraction(6)),
 ])
 def test_rational_evaluation(text, expected):
-    assert evaluate(text, QQ) == QQ(expected)
+    assert Expr(text).evaluate(QQ) == QQ(expected)
 
 
 def test_variables_and_environment():
@@ -36,21 +36,21 @@ def test_variables_and_environment():
 
 
 def test_prime_field_evaluation():
-    assert evaluate("1/2", F7) == F7(4)
-    assert evaluate("x^3+1", F7, {"x": F7(2)}) == F7(2)
+    assert Expr("1/2").evaluate(F7) == F7(4)
+    assert Expr("x^3+1").evaluate(F7, {"x": F7(2)}) == F7(2)
     with pytest.raises(DivisionByZero):
-        evaluate("1/x", F7, {"x": F7(0)})
+        Expr("1/x").evaluate(F7, {"x": F7(0)})
 
 
 def test_sqrt_behavior():
     qs2 = QuadraticField(2)
-    assert evaluate("sqrt(2)", qs2) == qs2.sqrt_gen()
-    assert evaluate("sqrt(8)", qs2) == qs2(2) * qs2.sqrt_gen()
+    assert Expr("sqrt(2)").evaluate(qs2) == qs2("0+1*sqrt(2)")
+    assert Expr("sqrt(8)").evaluate(qs2) == qs2(2) * qs2("0+1*sqrt(2)")
     with pytest.raises(SqrtNotInField):
-        evaluate("sqrt(2)", QQ)
+        Expr("sqrt(2)").evaluate(QQ)
     with pytest.raises(SqrtNotInField):
-        evaluate("sqrt(3)", F7)
-    assert evaluate("sqrt(2)", F7) == F7(3)
+        Expr("sqrt(3)").evaluate(F7)
+    assert Expr("sqrt(2)").evaluate(F7) == F7(3)
 
 
 @pytest.mark.parametrize("bad", [

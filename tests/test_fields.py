@@ -26,8 +26,8 @@ def _elem(field, q1, q2):
     if isinstance(field, RationalField):
         return field(q1)
     if isinstance(field, (GaussianRationalField, QuadraticField)):
-        return field(q1) + field(q2) * (field.i() if isinstance(
-            field, GaussianRationalField) else field.sqrt_gen())
+        return field(q1) + field(q2) * field("0+1*i" if isinstance(
+            field, GaussianRationalField) else f"0+1*sqrt({field.d})")
     return field.from_rational(Fraction(q1.numerator % 7))
 
 
@@ -86,15 +86,15 @@ def test_sqrt_of_square(field, a, b):
 def test_sqrt_nonsquares():
     assert QQ.try_sqrt(QQ(2)) is None
     assert QQ.try_sqrt(QQ(-1)) is None
-    assert QI.try_sqrt(QI.i()) is None
+    assert QI.try_sqrt(QI("0+1*i")) is None
 
 
 def test_sqrt_specials():
     assert QQ.try_sqrt(QQ(Fraction(9, 4))) == QQ(Fraction(3, 2))
     # Q(i): sqrt(-1) = i under the sign convention
-    assert QI.try_sqrt(QI(-1)) == QI.i()
+    assert QI.try_sqrt(QI(-1)) == QI("0+1*i")
     # Q(sqrt 2): sqrt(2) is the generator
-    assert QS2.try_sqrt(QS2(2)) == QS2.sqrt_gen()
+    assert QS2.try_sqrt(QS2(2)) == QS2("0+1*sqrt(2)")
     assert QS2.try_sqrt(QS2(3)) is None
     # F_7: squares are {0,1,2,4}; smaller-root convention
     assert F7.try_sqrt(F7(2)) == F7(3)
@@ -166,8 +166,8 @@ def test_field_tags_roundtrip():
 
 def test_element_text_encodings():
     assert repr(QQ(Fraction(-3, 2))) == "-3/2"
-    assert repr(QI(2) + QI.i()) == "2+1*i"
-    assert repr(QS2(1) + QS2.sqrt_gen()) == "1+1*sqrt(2)"
+    assert repr(QI(2) + QI("0+1*i")) == "2+1*i"
+    assert repr(QS2(1) + QS2("0+1*sqrt(2)")) == "1+1*sqrt(2)"
     assert repr(F7(3)) == "3 mod 7"
     with pytest.raises(FieldMismatch):
         F7.parse("3 mod 5")

@@ -11,9 +11,8 @@ from novikov.exprs import Expr, ExprError, SqrtNotInField
 from novikov.extensions import central_extension
 from novikov.fields import DivisionByZero, PrimeField, QQ
 from novikov.fplab import (crosscheck, grassmannian_points,
-                           qualifies_as_extension, run_procedure_fp,
-                           run_procedure_fp_report, specialized_entries_fp,
-                           specialized_tables_fp)
+                           qualifies_as_extension, run_procedure_fp_report,
+                           specialized_entries_fp, specialized_tables_fp)
 from novikov.linalg import Matrix
 from novikov.morphisms import BudgetExceeded, enumerate_aut_fp, iso_search
 
@@ -54,7 +53,7 @@ def test_run_procedure_one_dimensional_base():
     # the 1-dimensional zero algebra has a single admissible class:
     # the extension e1e1 = e2
     A = Algebra(F3, 1, {})
-    classes = run_procedure_fp(A, 1)
+    classes = run_procedure_fp_report(A, 1)["classes"]
     assert len(classes) == 1
     B = classes[0]
     assert B.dim == 2 and B.table[0][0][1] == F3(1)
@@ -79,11 +78,11 @@ def test_run_procedure_report_invariants():
 
 def test_run_procedure_preconditions():
     with pytest.raises(ValueError):
-        run_procedure_fp(Algebra(QQ, 2, {}), 1)
+        run_procedure_fp_report(Algebra(QQ, 2, {}), 1)
     with pytest.raises(ValueError):
-        run_procedure_fp(Algebra(PrimeField(7), 2, {}), 1)
+        run_procedure_fp_report(Algebra(PrimeField(7), 2, {}), 1)
     with pytest.raises(ValueError):
-        run_procedure_fp(Algebra(F2, 2, {}), 3)
+        run_procedure_fp_report(Algebra(F2, 2, {}), 3)
 
 
 def test_specialized_tables(cat):
