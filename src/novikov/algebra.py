@@ -16,7 +16,6 @@ entries) are read and checked by one function, `read_entries`.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import lcm
 
@@ -470,9 +469,6 @@ class Algebra:
         n = check_size(doc, "dim")
         f = field_from_tag(doc["field"])
         return Algebra(f, n, read_entries(doc, "table", "ijk", (n, n, n), f))
-
-    def dumps(self):
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
     def __eq__(self, other):
         return (isinstance(other, Algebra) and self.field == other.field

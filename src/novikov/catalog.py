@@ -31,12 +31,12 @@ import os
 from itertools import product
 
 from .algebra import Algebra
-from .cohomology import (Cocycle, DependentClasses, coboundary_space,
-                         flatten, form_sum, in_Ts)
+from .cohomology import (Cocycle, DependentClasses, flatten, form_sum,
+                         h2_coordinates, in_Ts)
 from .exprs import Expr, ExprError
 from .extensions import central_extension
 from .fields import DivisionByZero, Field, QQ, PrimeField
-from .linalg import Matrix, solve_in_basis
+from .linalg import Matrix
 
 DATA_ENV = "NOVIKOV_DATA"
 
@@ -175,12 +175,19 @@ class CatalogEntry:
         return {name: _evaluate(expr, field, env)
                 for name, expr in self.base_params.items()}
 
+    def _base_values(self, field: Field, env):
+        """The base parameter values at the sample, or None when the
+        sample violates one of the entry's exclusions or those values one
+        of the base's.  Evaluation errors propagate."""
+        if not all(_exclusion_holds(x, field, env) for x in self.exclusions):
+            return None
+        benv = self.base_env(field, env)
+        return None if self.base.excluded(field, benv) else benv
+
     def excluded(self, field: Field, env) -> bool:
         """Does the sample violate one of the entry's exclusions, or its
         base parameters one of the base's?  Evaluation errors propagate."""
-        return not all(_exclusion_holds(x, field, env)
-                       for x in self.exclusions) or \
-            self.base.excluded(field, self.base_env(field, env))
+        return self._base_values(field, env) is None
 
     def coefficients(self, field: Field, env):
         """Per cocycle component, the (generator index, coefficient)
@@ -197,13 +204,9 @@ class CatalogEntry:
         """(base parameter values, `coefficients`) at an admissible
         sample, each expression evaluated once; None otherwise."""
         try:
-            if not all(_exclusion_holds(x, field, env)
-                       for x in self.exclusions):
-                return None
-            benv = self.base_env(field, env)
-            if self.base.excluded(field, benv):
-                return None
-            return benv, self.coefficients(field, env)
+            benv = self._base_values(field, env)
+            return None if benv is None else \
+                (benv, self.coefficients(field, env))
         except EVALUATION_ERRORS:
             return None
 
@@ -412,17 +415,16 @@ def verify_entry(entry: CatalogEntry, field: Field = QQ, samples=None):
 
 def class_coordinates(A: Algebra, theta: Cocycle, nabla_mats):
     """Coordinates of theta's components in the printed class basis,
-    modulo coboundaries (the classes followed by B^2 are the basis of
-    one `solve_in_basis`).  Raises CatalogError if the classes are
-    dependent modulo B^2 or a component is outside their span."""
-    f = A.field
-    solved = solve_in_basis(
-        [flatten(m) for m in nabla_mats] + coboundary_space(A)._rows,
-        [flatten(m) for m in theta.components], f.modulus)
+    modulo coboundaries (`cohomology.h2_coordinates`).  Raises
+    CatalogError if the classes are dependent modulo B^2 or a component
+    is outside their span."""
+    solved = h2_coordinates(A, nabla_mats,
+                            [flatten(m) for m in theta.components])
     if solved is None:
         raise CatalogError("printed classes dependent modulo coboundaries")
     coords, residual = solved
     if any(any(row) for row in residual):
         raise CatalogError("component outside the printed class span")
-    return [tuple(f.wrap(row[t]) for row in coords[:len(nabla_mats)])
+    wrap = A.field.wrap
+    return [tuple(wrap(row[t]) for row in coords[:len(nabla_mats)])
             for t in range(theta.s)]

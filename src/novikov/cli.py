@@ -124,10 +124,7 @@ def cmd_extend(args):
     except (KeyError, ValueError, ExprError) as e:
         raise InputError(f"{args.cocycle}: bad cocycle document ({e})")
     B = central_extension(A, theta)
-    report = B.to_json()
-    if args.out:
-        _write(args.out, _canonical(report))
-    _emit(report, args)
+    _emit(B.to_json(), args)
     return 0
 
 
@@ -137,10 +134,7 @@ def cmd_reconstruct(args):
         base, theta = reconstruct(B)
     except ZeroAnnihilator as e:
         raise InputError(str(e))
-    report = {"base": base.to_json(), "cocycle": theta.to_json()}
-    if args.out:
-        _write(args.out, _canonical(report))
-    _emit(report, args)
+    _emit({"base": base.to_json(), "cocycle": theta.to_json()}, args)
     return 0
 
 
@@ -316,12 +310,10 @@ def build_parser():
     s = sub.add_parser("extend", help="build a central extension")
     s.add_argument("--algebra", required=True)
     s.add_argument("--cocycle", required=True)
-    s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_extend)
 
     s = sub.add_parser("reconstruct", help="recover (base, cocycle)")
     s.add_argument("algebra")
-    s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_reconstruct)
 
     s = sub.add_parser("iso", help="isomorphism search")

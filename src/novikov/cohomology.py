@@ -7,14 +7,16 @@ is s such forms; it describes a map A x A -> F^s.  Forms are n x n
 tuples of raw scalars (`Field.raw`), like the planes of `Algebra.table`.
 
 Z^2 is the kernel of the cocycle equations, written once as the rows of
-`cocycle_equations`; the same rows check a Cocycle.
+`cocycle_equations`; the same rows check a Cocycle.  One solve,
+`h2_coordinates`, writes forms modulo B^2 in given classes and so tells
+whether those classes are independent in H^2.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra, check_size, read_entries
 from .fields import FieldMismatch
-from .linalg import Matrix, Subspace, combine, eliminate, matmul
+from .linalg import Matrix, Subspace, combine, matmul, solve_in_basis
 
 
 class NotACocycle(Exception):
@@ -189,15 +191,6 @@ def coboundary_space(A: Algebra) -> Subspace:
         for t in range(n)])
 
 
-def coboundary_of(A: Algebra, f_coeffs):
-    """delta f for the functional f = sum_t f_coeffs[t] e_t^*, as a raw
-    form: the structure tensor's dual-basis slices summed by `form_sum`."""
-    f = A.field
-    return form_sum(A, [(f(c), [[row[t] for row in plane]
-                                for plane in A.table])
-                        for t, c in enumerate(f_coeffs)])
-
-
 def h2_basis(A: Algebra):
     """(representative Cocycles, dim H^2); representatives complete B^2
     inside Z^2, chosen deterministically from the RREF basis of Z^2."""
@@ -228,12 +221,21 @@ def h2_symmetric_dimension(A: Algebra) -> int:
 
 def classes_independent(A: Algebra, thetas) -> bool:
     """Are the classes of the forms (raw n x n forms, or single-component
-    cocycles) independent in H^2?  One rank test on raw rows: rank(B^2
-    basis + flattened forms) = dim B^2 + their number."""
-    rows = coboundary_space(A)._rows + [
-        flatten(th.components[0] if isinstance(th, Cocycle) else th)
-        for th in thetas]
-    return eliminate(rows, A.field.modulus)[1] == len(rows)
+    cocycles) independent in H^2?  `h2_coordinates` of no targets."""
+    return h2_coordinates(A, [
+        th.components[0] if isinstance(th, Cocycle) else th
+        for th in thetas], []) is not None
+
+
+def h2_coordinates(A: Algebra, classes, targets):
+    """The raw n^2-vectors `targets` written in the basis of the raw
+    n x n forms `classes` followed by B^2, by one `solve_in_basis`:
+    (coordinates, residual), whose first len(classes) coordinate rows
+    are those on the classes; None when the classes are dependent modulo
+    B^2."""
+    return solve_in_basis(
+        [flatten(m) for m in classes] + coboundary_space(A)._rows,
+        targets, A.field.modulus)
 
 
 def in_Ts(A: Algebra, thetas) -> bool:

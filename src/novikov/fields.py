@@ -3,8 +3,10 @@
 Scalars at the library's boundary are FieldElements tied to a Field
 instance.  Elements are immutable and kept in canonical form after
 every operation (fractions in lowest terms with positive denominator,
-F_p residues in [0, p)).  Elements of different field instances never
-mix; mixing raises FieldMismatch, a ValueError.
+F_p residues in [0, p)).  A field is known by its tag (`Field.tag`, the
+text `field_from_tag` reads): fields with equal tags are equal and hash
+alike.  Elements of unequal fields never mix; mixing raises
+FieldMismatch, a ValueError.
 
 Stored data (`Algebra.table`, `Subspace._rows`, `Matrix._rows`,
 `Cocycle.components`) and hot loops (elimination, the matrix and
@@ -153,8 +155,17 @@ class FieldElement:
 class Field:
     """Abstract base: a field instance producing FieldElement values."""
 
+    #: the CLI/JSON tag, q | qi | qsqrt:d | fp:p, and the field's identity
+    tag: str
+
     #: p for F_p, where raw values are residues mod p; None elsewhere
     modulus = None
+
+    def __eq__(self, other):
+        return isinstance(other, Field) and other.tag == self.tag
+
+    def __hash__(self):
+        return hash(self.tag)
 
     def raw(self, x: FieldElement):
         """The raw value of x: a scalar with native + - * (and / unless
@@ -227,8 +238,21 @@ def _fmt_frac(q: Fraction) -> str:
 _FRAC_RE = r"[+-]?\d+(?:/\d+)?"
 
 
+def _rational_sqrt(q: Fraction):
+    """The nonnegative square root of q in Q, or None when q is not a
+    rational square."""
+    if q < 0:
+        return None
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
 class RationalField(Field):
     """The rational numbers Q."""
+
+    tag = "q"
 
     def raw(self, x):
         return x.data
@@ -257,26 +281,14 @@ class RationalField(Field):
         return a.data == 0
 
     def try_sqrt(self, a):
-        q = a.data
-        if q < 0:
-            return None
-        num, den = q.numerator, q.denominator
-        rn, rd = math.isqrt(num), math.isqrt(den)
-        if rn * rn == num and rd * rd == den:
-            return FieldElement(self, Fraction(rn, rd))
-        return None
+        r = _rational_sqrt(a.data)
+        return None if r is None else FieldElement(self, r)
 
     def format(self, a):
         return _fmt_frac(a.data)
 
     def parse(self, text):
         return FieldElement(self, Fraction(text.strip()))
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("Q")
 
     def __repr__(self):
         return "Q"
@@ -329,23 +341,21 @@ class _QuadraticArithmetic(Field):
         # (x + y g)^2 = p + q g: either y=0 / x=0 shortcut or x^2 solves
         # t^2 - p t + d q^2 / 4 = 0 over Q.
         p, q = a.data
-        qq = RationalField()
         cands = []
         if q == 0:
-            r = qq.try_sqrt(qq.from_rational(p))
+            r = _rational_sqrt(p)
             if r is not None:
-                cands.append((r.data, Fraction(0)))
-            r = qq.try_sqrt(qq.from_rational(p / self.d))
+                cands.append((r, Fraction(0)))
+            r = _rational_sqrt(p / self.d)
             if r is not None:
-                cands.append((Fraction(0), r.data))
+                cands.append((Fraction(0), r))
         else:
-            disc = qq.try_sqrt(qq.from_rational(p * p - self.d * q * q))
+            disc = _rational_sqrt(p * p - self.d * q * q)
             if disc is not None:
                 for sign in (1, -1):
-                    x2 = (p + sign * disc.data) / 2
-                    x = qq.try_sqrt(qq.from_rational(x2))
-                    if x is not None and x.data != 0:
-                        cands.append((x.data, q / (2 * x.data)))
+                    x = _rational_sqrt((p + sign * disc) / 2)
+                    if x:
+                        cands.append((x, q / (2 * x)))
         for x, y in cands:
             cand = FieldElement(self, (x, y))
             if self.mul(cand, cand) == a:
@@ -359,6 +369,7 @@ class GaussianRationalField(_QuadraticArithmetic):
     """Q(i): elements a + b*i with rational a, b."""
 
     d = -1
+    tag = "qi"
 
     def format(self, a):
         p, q = a.data
@@ -366,12 +377,6 @@ class GaussianRationalField(_QuadraticArithmetic):
 
     _re = re.compile(rf"^({_FRAC_RE})\+({_FRAC_RE})\*i$")
     _literal = "Q(i)"
-
-    def __eq__(self, other):
-        return isinstance(other, GaussianRationalField)
-
-    def __hash__(self):
-        return hash("Qi")
 
     def __repr__(self):
         return "Q(i)"
@@ -384,6 +389,7 @@ class QuadraticField(_QuadraticArithmetic):
         if d < 2 or _squarefree_part(d) != d:
             raise ValueError(f"d must be a squarefree integer >= 2, got {d}")
         self.d = d
+        self.tag = f"qsqrt:{d}"
 
     def format(self, a):
         p, q = a.data
@@ -391,12 +397,6 @@ class QuadraticField(_QuadraticArithmetic):
 
     _re = re.compile(rf"^({_FRAC_RE})\+({_FRAC_RE})\*sqrt\((\d+)\)$")
     _literal = "Q(sqrt d)"
-
-    def __eq__(self, other):
-        return isinstance(other, QuadraticField) and other.d == self.d
-
-    def __hash__(self):
-        return hash(("Qsqrt", self.d))
 
     def __repr__(self):
         return f"Q(sqrt {self.d})"
@@ -409,6 +409,7 @@ class PrimeField(Field):
         if p > 2 ** 31 or not _is_prime(p):
             raise ValueError(f"p must be a prime <= 2^31, got {p}")
         self.p = self.modulus = p
+        self.tag = f"fp:{p}"
 
     def raw(self, x):
         return x.data
@@ -477,12 +478,6 @@ class PrimeField(Field):
         # allow rational literals like "1/2" (meaning 2^{-1} mod p)
         return self.from_rational(Fraction(text.strip()))
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
-
     def __repr__(self):
         return f"F_{self.p}"
 
@@ -507,12 +502,4 @@ def field_from_tag(tag: str) -> Field:
 
 
 def field_tag(field: Field) -> str:
-    if isinstance(field, RationalField):
-        return "q"
-    if isinstance(field, GaussianRationalField):
-        return "qi"
-    if isinstance(field, QuadraticField):
-        return f"qsqrt:{field.d}"
-    if isinstance(field, PrimeField):
-        return f"fp:{field.p}"
-    raise ValueError(f"unknown field: {field!r}")
+    return field.tag

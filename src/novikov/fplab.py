@@ -44,12 +44,11 @@ from itertools import combinations, product
 
 from .algebra import Algebra
 from .catalog import Catalog, tuples_fp
-from .cohomology import (Cocycle, coboundary_space, flatten, form_sum,
-                         h2_basis, in_Ts)
+from .cohomology import Cocycle, form_sum, h2_basis, h2_coordinates, in_Ts
 from .extensions import central_extension
 from .fields import PrimeField
 from .invariants import decide
-from .linalg import combine, eliminate, solve_in_basis
+from .linalg import combine, eliminate
 from .morphisms import BudgetExceeded, enumerate_aut_fp, iso_search
 
 
@@ -101,19 +100,18 @@ def induced_h2_matrices(A: Algebra, reps, auts):
     basis `reps` (single-component cocycles): entry (i, j) is
     coordinate i of the image of class j.
 
-    One `solve_in_basis` of the unit forms in the basis S, the flattened
-    representatives followed by a basis of B^2, gives a left inverse of
-    S (the coordinates) and the equations of Z^2 = span(S) (the residual
-    rows).  These functionals are kept sparse, as (a, b, R_ab) triples,
-    and so is each representative m, as (i, j, m_ij) triples.  A
+    `cohomology.h2_coordinates` of the unit forms, in the basis S of the
+    representatives followed by B^2, gives a left inverse of S on the
+    classes (the coordinates) and the equations of Z^2 = span(S) (the
+    residual rows).  These functionals are kept sparse, as (a, b, R_ab)
+    triples, and so is each representative m, as (i, j, m_ij) triples.  A
     functional R takes the value sum R_ab m_ij phi_ia phi_jb on the
     image phi^T m phi, mod p, so the image itself is never formed; every
     nonzero equation is evaluated on every image."""
     n, d, p = A.dim, len(reps), A.field.modulus
     mats = [r.components[0] for r in reps]
-    solved = solve_in_basis(
-        [flatten(m) for m in mats] + coboundary_space(A)._rows,
-        [[int(i == j) for j in range(n * n)] for i in range(n * n)], p)
+    solved = h2_coordinates(A, mats, [[int(i == j) for j in range(n * n)]
+                                      for i in range(n * n)])
     if solved is None:
         raise ValueError("representatives are not independent modulo B^2")
     coords, equations = solved[0][:d], [e for e in solved[1] if any(e)]

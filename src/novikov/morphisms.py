@@ -368,14 +368,6 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
     results = []
     images = [None] * n
 
-    def combine(terms):
-        out = [zero] * n
-        for t, c in terms:
-            for k, w in enumerate(images[t]):
-                if w:
-                    out[k] = out[k] + c * w
-        return tuple(out) if p is None else tuple(x % p for x in out)
-
     def candidates(level):
         """The pool points that solve the level's affine relations and
         lie outside W, in pool order."""
@@ -436,7 +428,8 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
                 images[t] = cand if w[0] == "gen" else \
                     multiply(images[w[1]], images[w[2]])
             for a, b, terms in wb.relations[level]:
-                if multiply(images[a], images[b]) != combine(terms):
+                if multiply(images[a], images[b]) != combine((zero,) * n, [
+                        (c, enumerate(images[t])) for t, c in terms], p):
                     ok = False
                     break
             if ok:

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from novikov.catalog import SAMPLE_POOL, load_catalog
+from novikov.cohomology import form_sum
 from novikov.fields import QQ
 from novikov.linalg import Matrix
 
@@ -33,3 +34,12 @@ def reconstruction_basis_change(B):
     ann = B.annihilator()
     return Matrix(B.field, ann.coordinate_complement().basis +
                   ann.basis).transpose()
+
+
+def coboundary_of(A, f_coeffs):
+    """delta f for the functional f = sum_t f_coeffs[t] e_t^*, as a raw
+    form: the structure tensor's dual-basis slices summed by `form_sum`."""
+    f = A.field
+    return form_sum(A, [(f(c), [[row[t] for row in plane]
+                                for plane in A.table])
+                        for t, c in enumerate(f_coeffs)])

@@ -11,17 +11,12 @@ frozen set.
 import random
 import time
 from fractions import Fraction
-from itertools import product
 
-import pytest
-
-from novikov.catalog import (PREDICATES, SAMPLE_POOL, census,
-                             class_coordinates, membership_checks,
-                             verify_entry, _evaluate)
+from novikov.catalog import (PREDICATES, census, class_coordinates,
+                             membership_checks, verify_entry, _evaluate)
 from novikov.cohomology import (Cocycle, NotACocycle, classes_independent,
                                 cocycle_space, h2_dimension)
-from novikov.extensions import (central_extension,
-                                extension_annihilator_law,
+from novikov.extensions import (extension_annihilator_law,
                                 extension_is_novikov_iff, reconstruct)
 from novikov.fields import QQ, PrimeField
 from novikov.fplab import (crosscheck, qualifies_as_extension,

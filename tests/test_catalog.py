@@ -1,6 +1,5 @@
 """Catalog data integrity and the entry construction pipeline."""
 
-import os
 from itertools import product
 
 import pytest

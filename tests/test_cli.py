@@ -30,7 +30,7 @@ A = Algebra(QQ, 3, {(0, 0, 1): QQ(1), (0, 1, 2): QQ(1)})
 @pytest.fixture
 def alg_file(tmp_path):
     p = tmp_path / "alg.json"
-    p.write_text(A.dumps())
+    p.write_text(json.dumps(A.to_json()))
     return str(p)
 
 
@@ -65,8 +65,8 @@ def test_extend_and_reconstruct_roundtrip(alg_file, tmp_path, capsys):
     coc = tmp_path / "coc.json"
     coc.write_text(json.dumps(h2["classes"][0]))
     ext = tmp_path / "ext.json"
-    assert main(["extend", "--algebra", alg_file, "--cocycle", str(coc),
-                 "--out", str(ext)]) == 0
+    assert main(["--report", str(ext), "extend", "--algebra", alg_file,
+                 "--cocycle", str(coc)]) == 0
     capsys.readouterr()
     B = Algebra.from_json(json.loads(ext.read_text()))
     assert B.dim == 4
@@ -75,29 +75,66 @@ def test_extend_and_reconstruct_roundtrip(alg_file, tmp_path, capsys):
     assert rec["base"]["dim"] + rec["cocycle"]["s"] == 4
 
 
+#: sha256 of the files that `extend --out` and `reconstruct --out` wrote
+#: for the first H^2 class of A before `--out` went
+OUT_DIGESTS = (
+    "5587c850e9c1b3f76e941490e5eed24111547aba382aa0187137d8900c6ec753",
+    "257c5dc98e3b2f5f28fbc94170fe744c35331c6749fd48e11775ea6ed9582c2e")
+
+
+def test_report_writes_the_bytes_out_wrote(alg_file, tmp_path, capsys):
+    # `--report` writes the same bytes, and the same text goes to stdout
+    assert main(["h2", alg_file]) == 0
+    coc = tmp_path / "coc.json"
+    coc.write_text(json.dumps(json.loads(capsys.readouterr().out)
+                              ["classes"][0]))
+    ext, rec = tmp_path / "ext.json", tmp_path / "rec.json"
+    for argv, path, digest in zip(
+            (["extend", "--algebra", alg_file, "--cocycle", str(coc)],
+             ["reconstruct", str(ext)]), (ext, rec), OUT_DIGESTS):
+        assert main(["--report", str(path), *argv]) == 0
+        assert capsys.readouterr().out == path.read_text()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", "--algebra", "ALG", "--cocycle", "ALG", "--out", "OUT"],
+    ["reconstruct", "ALG", "--out", "OUT"],
+])
+def test_out_option_is_gone(alg_file, tmp_path, capsys, argv):
+    # `--report` is the one way to write a report to a file
+    out = tmp_path / "out.json"
+    names = {"ALG": alg_file, "OUT": str(out)}
+    with pytest.raises(SystemExit) as e:
+        main([names.get(a, a) for a in argv])
+    assert e.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_iso_exit_codes(tmp_path, capsys):
     X = Algebra(F5, 2, {(0, 0, 1): F5(1)})
     Y = Algebra(F5, 2, {(0, 0, 1): F5(4)})
     Z = Algebra(F5, 2, {})
     px, py, pz = (tmp_path / n for n in ("x.json", "y.json", "z.json"))
-    px.write_text(X.dumps())
-    py.write_text(Y.dumps())
-    pz.write_text(Z.dumps())
+    px.write_text(json.dumps(X.to_json()))
+    py.write_text(json.dumps(Y.to_json()))
+    pz.write_text(json.dumps(Z.to_json()))
     assert main(["iso", str(px), str(py)]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "isomorphic"
     assert main(["iso", str(px), str(pz)]) == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "proven_distinct"
     # over Q unequal fingerprints are a proof too, not a failed search
     qx, qz = tmp_path / "qx.json", tmp_path / "qz.json"
-    qx.write_text(Algebra(QQ, 2, {(0, 0, 1): QQ(1)}).dumps())
-    qz.write_text(Algebra(QQ, 2, {}).dumps())
+    qx.write_text(json.dumps(Algebra(QQ, 2, {(0, 0, 1): QQ(1)}).to_json()))
+    qz.write_text(json.dumps(Algebra(QQ, 2, {}).to_json()))
     assert main(["iso", str(qx), str(qz)]) == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "proven_distinct"
     # a census-distinct pair: iso settles it by census, as separate does,
     # before a search can spend its budget
     cx, cy = tmp_path / "cx.json", tmp_path / "cy.json"
-    cx.write_text(test_invariants.X.dumps())
-    cy.write_text(test_invariants.Y.dumps())
+    cx.write_text(json.dumps(test_invariants.X.to_json()))
+    cy.write_text(json.dumps(test_invariants.Y.to_json()))
     assert main(["--field", "fp:3", "--budget", "1", "iso", str(cx),
                  str(cy)]) == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "proven_distinct"
@@ -112,7 +149,7 @@ def _no_isomorphism(A, B, **options):
 def test_iso_refuses_a_witness_that_is_no_isomorphism(tmp_path, capsys,
                                                       monkeypatch):
     pa = tmp_path / "a.json"
-    pa.write_text(A.dumps())
+    pa.write_text(json.dumps(A.to_json()))
     monkeypatch.setattr(invariants, "iso_search", _no_isomorphism)
     assert main(["iso", str(pa), str(pa)]) == 1
     out, err = capsys.readouterr()
@@ -123,7 +160,7 @@ def test_iso_refuses_a_witness_that_is_no_isomorphism(tmp_path, capsys,
 def test_iso_refuses_a_bad_witness_under_python_O(tmp_path):
     # the check is no assert: python -O keeps it
     pa = tmp_path / "a.json"
-    pa.write_text(A.dumps())
+    pa.write_text(json.dumps(A.to_json()))
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         novikov.__file__)))
     code = ("import sys\n"
@@ -146,8 +183,8 @@ def test_iso_on_non_nilpotent_algebras(tmp_path, capsys, field):
     X = Algebra(field, 2, {(0, 0, 0): field(1)})    # e1 e1 = e1
     Y = Algebra(field, 2, {(1, 1, 1): field(1)})    # e2 e2 = e2
     px, py = tmp_path / "x.json", tmp_path / "y.json"
-    px.write_text(X.dumps())
-    py.write_text(Y.dumps())
+    px.write_text(json.dumps(X.to_json()))
+    py.write_text(json.dumps(Y.to_json()))
     assert main(["iso", str(px), str(py)]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["verdict"] == "isomorphic"
@@ -159,8 +196,8 @@ def test_separate(tmp_path, capsys):
     X = Algebra(F5, 2, {(0, 0, 1): F5(1)})
     Z = Algebra(F5, 2, {})
     px, pz = tmp_path / "x.json", tmp_path / "z.json"
-    px.write_text(X.dumps())
-    pz.write_text(Z.dumps())
+    px.write_text(json.dumps(X.to_json()))
+    pz.write_text(json.dumps(Z.to_json()))
     assert main(["separate", str(px), str(pz)]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert len(rep["groups"]) == 2
@@ -212,7 +249,7 @@ def test_separate_rejects_algebras_over_different_fields(tmp_path, capsys,
     paths = []
     for field, name in ((QQ, "q.json"), (PrimeField(3), "f3.json")):
         p = tmp_path / name
-        p.write_text(Algebra(field, 2, {(0, 0, 1): 1}).dumps())
+        p.write_text(json.dumps(Algebra(field, 2, {(0, 0, 1): 1}).to_json()))
         paths.append(str(p))
     if first:
         paths.reverse()
@@ -312,8 +349,8 @@ def test_search_bound_below_1_exits_2(tmp_path, capsys, cat, option,
     M = cat.bases["M4_01"].algebra(QQ)
     P = Matrix(QQ, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [1, 0, 0, 1]])
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-    pa.write_text(M.dumps())
-    pb.write_text(M.change_basis(P).dumps())
+    pa.write_text(json.dumps(M.to_json()))
+    pb.write_text(json.dumps(M.change_basis(P).to_json()))
     assert main([option, value, "iso", str(pa), str(pb)]) == 2
     _one_line_error(capsys, f"{option} {value}")
 
@@ -409,8 +446,8 @@ def test_input_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--report", "OUT", "check", "ALG"],
-    ["extend", "--algebra", "ALG", "--cocycle", "COC", "--out", "OUT"],
-    ["reconstruct", "EXT", "--out", "OUT"],
+    ["--report", "OUT", "extend", "--algebra", "ALG", "--cocycle", "COC"],
+    ["--report", "OUT", "reconstruct", "EXT"],
 ])
 def test_unwritable_output_exits_2(alg_file, tmp_path, capsys, argv):
     # a report into a missing directory raised a traceback (exit 1, the
@@ -420,8 +457,8 @@ def test_unwritable_output_exits_2(alg_file, tmp_path, capsys, argv):
     coc.write_text(json.dumps(json.loads(capsys.readouterr().out)
                               ["classes"][0]))
     ext = tmp_path / "ext.json"
-    assert main(["extend", "--algebra", alg_file, "--cocycle", str(coc),
-                 "--out", str(ext)]) == 0
+    assert main(["--report", str(ext), "extend", "--algebra", alg_file,
+                 "--cocycle", str(coc)]) == 0
     capsys.readouterr()
     out = str(tmp_path / "missing" / "r.json")
     names = {"ALG": alg_file, "COC": str(coc), "EXT": str(ext), "OUT": out}
@@ -505,7 +542,7 @@ def test_check_rejects_malformed_algebra(tmp_path, capsys, doc, words):
 def test_extend_rejects_malformed_cocycle(tmp_path, capsys, base, entries,
                                           words):
     alg = tmp_path / "alg.json"
-    alg.write_text(base.dumps())
+    alg.write_text(json.dumps(base.to_json()))
     coc = tmp_path / "coc.json"
     coc.write_text(json.dumps({"base": base.to_json(), "s": 1,
                                "entries": entries}))

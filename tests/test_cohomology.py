@@ -7,16 +7,16 @@ import pytest
 from novikov.algebra import Algebra
 from novikov.cohomology import (Cocycle, DependentClasses, NotACocycle,
                                 NotCommutative, classes_independent,
-                                coboundary_of, coboundary_space,
-                                cocycle_equations, cocycle_space, flatten,
-                                form_sum, h2_basis, h2_dimension,
+                                coboundary_space, cocycle_equations,
+                                cocycle_space, flatten, form_sum, h2_basis,
+                                h2_coordinates, h2_dimension,
                                 h2_symmetric_dimension, in_Ts)
 from novikov.fields import (QQ, GaussianRationalField, PrimeField,
                             QuadraticField)
 from novikov.fplab import specialized_tables_fp
 from novikov.linalg import Matrix, Subspace
 
-from conftest import first_admissible_env
+from conftest import coboundary_of, first_admissible_env
 
 F5 = PrimeField(5)
 
@@ -294,3 +294,72 @@ def test_cocycle_json_rejects_malformed(entries, s, words):
     doc = {"base": A.to_json(), "s": s, "entries": entries}
     with pytest.raises(ValueError, match=words):
         Cocycle.from_json(doc)
+
+
+def _reference_h2_coordinates(A, classes, targets):
+    """Per target, its coordinates on the classes by `Matrix.solve` in
+    the basis (classes, then B^2), or None when it lies outside their
+    span; None for all when that basis is dependent."""
+    f = A.field
+    cols = [flatten(m) for m in classes] + \
+        [list(v) for v in coboundary_space(A).basis]
+    stack = Matrix(f, cols).transpose()
+    if stack.rank() < len(cols):
+        return None
+    out = []
+    for v in targets:
+        sol = stack.solve([f.wrap(x) for x in v])
+        out.append(None if sol is None else
+                   [f.raw(c) for c in sol[:len(classes)]])
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=repr)
+def test_h2_coordinates_match_reference(cat, field):
+    rng = random.Random(7)
+    raw = field.raw
+    checked = 0
+    for key, rec in sorted(cat.bases.items()):
+        if not rec.nablas_raw:
+            continue
+        env = first_admissible_env(rec, field)
+        A = rec.algebra(field, env)
+        classes = rec.nabla_matrices(field, env)
+        cob = coboundary_space(A)._rows
+        n2 = A.dim ** 2
+        targets = [[raw(field(rng.randint(-3, 3))) for _ in range(n2)]
+                   for _ in range(3)]
+        for _ in range(3):
+            # a point of Z = span(classes) + B^2
+            terms = [(field(rng.randint(-3, 3)), m) for m in classes]
+            form = flatten(form_sum(A, terms))
+            for row in cob:
+                c = raw(field(rng.randint(-2, 2)))
+                form = [x + c * y for x, y in zip(form, row)]
+            targets.append([raw(field(x)) for x in form])
+        want = _reference_h2_coordinates(A, classes, targets)
+        got = h2_coordinates(A, classes, targets)
+        assert want is not None, key
+        coords, residual = got
+        coords = coords[:len(classes)]
+        for t, w in enumerate(want):
+            in_span = not any(row[t] for row in residual)
+            assert in_span == (w is not None), (key, t)
+            if in_span:
+                assert [row[t] for row in coords] == w, (key, t)
+        assert all(w is not None for w in want[3:]), key
+        checked += 1
+        # dependent classes: a class twice, or a class and a multiple of
+        # it plus a coboundary
+        nab = classes[0]
+        twice = flatten(form_sum(A, [(field(2), nab)]))
+        if cob:
+            twice = [x + y for x, y in zip(twice, cob[0])]
+        for dependent in ([nab, nab],
+                          [nab, [twice[i * A.dim:(i + 1) * A.dim]
+                                 for i in range(A.dim)]]):
+            assert h2_coordinates(A, dependent, targets) is None
+            assert _reference_h2_coordinates(A, dependent, targets) is None
+        if checked == 8:
+            break
+    assert checked == 8

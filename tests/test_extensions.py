@@ -3,7 +3,7 @@
 import pytest
 
 from novikov.algebra import Algebra
-from novikov.cohomology import Cocycle, coboundary_of, form_sum, h2_basis
+from novikov.cohomology import Cocycle, form_sum, h2_basis
 from novikov.extensions import (ZeroAnnihilator, central_extension,
                                 extension_annihilator_law,
                                 extension_is_novikov_iff,
@@ -12,7 +12,7 @@ from novikov.fields import (QQ, FieldMismatch, GaussianRationalField,
                             PrimeField, QuadraticField)
 from novikov.linalg import Matrix
 
-from conftest import reconstruction_basis_change
+from conftest import coboundary_of, reconstruction_basis_change
 
 F5 = PrimeField(5)
 

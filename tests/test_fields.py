@@ -164,6 +164,24 @@ def test_field_tags_roundtrip():
         field_from_tag("r")
 
 
+def test_fields_are_equal_iff_their_tags_are():
+    # fresh instances of each field, so equality is not identity
+    def fields():
+        return [RationalField(), GaussianRationalField(), QuadraticField(2),
+                QuadraticField(3), PrimeField(5), PrimeField(7)]
+    for f, tag in zip(fields(), ["q", "qi", "qsqrt:2", "qsqrt:3", "fp:5",
+                                 "fp:7"]):
+        assert f.tag == field_tag(f) == tag
+    for f in fields():
+        for g in fields():
+            assert (f == g) == (f.tag == g.tag)
+            assert (f != g) == (f.tag != g.tag)
+            if f == g:
+                assert hash(f) == hash(g)
+    assert len(set(fields() + fields())) == 6
+    assert QQ != "q" and F7 != 7
+
+
 def test_element_text_encodings():
     assert repr(QQ(Fraction(-3, 2))) == "-3/2"
     assert repr(QI(2) + QI("0+1*i")) == "2+1*i"

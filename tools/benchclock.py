@@ -58,7 +58,9 @@ def summary(raw, ref):
 def provenance(label):
     """The head of a record: the label, the git commit of the checkout
     the package was imported from (marked -dirty when its src/ has
-    uncommitted changes), the Python version and the CPU count."""
+    uncommitted changes; None when the checkout is not a git work tree,
+    such as a `git archive` copy), the Python version and the CPU
+    count."""
     import novikov
     checkout = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(novikov.__file__))))
@@ -66,10 +68,13 @@ def provenance(label):
     def git(*args):
         return subprocess.run(["git", "-C", checkout, *args], check=True,
                               capture_output=True, text=True).stdout.strip()
-    dirty = git("status", "--porcelain", "--", "src")
-    return {"label": label,
-            "commit": git("rev-parse", "--short", "HEAD") +
-            ("-dirty" if dirty else ""),
+    try:
+        dirty = git("status", "--porcelain", "--", "src")
+        commit = git("rev-parse", "--short", "HEAD") + \
+            ("-dirty" if dirty else "")
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    return {"label": label, "commit": commit,
             "python": platform.python_version(),
             "cpus": os.cpu_count()}
 
