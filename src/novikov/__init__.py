@@ -3,7 +3,7 @@ constants: second cohomology, central extensions, isomorphism search,
 and the generated 5-dimensional nilpotent classification."""
 
 from .fields import (FieldElement, Field, RationalField, GaussianRationalField,
-                     QuadraticField, PrimeField, QQ, field_from_tag, field_tag)
+                     QuadraticField, PrimeField, QQ, field_from_tag)
 from .linalg import Matrix, Subspace
 from .algebra import Algebra
 from .cohomology import (Cocycle, cocycle_space, coboundary_space, h2_basis,
@@ -16,7 +16,7 @@ from .morphisms import (is_homomorphism, is_isomorphism, act_on_cocycle,
 
 __all__ = [
     "FieldElement", "Field", "RationalField", "GaussianRationalField",
-    "QuadraticField", "PrimeField", "QQ", "field_from_tag", "field_tag",
+    "QuadraticField", "PrimeField", "QQ", "field_from_tag",
     "Matrix", "Subspace", "Algebra", "Cocycle", "cocycle_space",
     "coboundary_space", "h2_basis", "h2_dimension",
     "h2_symmetric_dimension", "in_Ts", "central_extension", "reconstruct",

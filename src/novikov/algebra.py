@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 
 from .fields import (DivisionByZero, Field, FieldMismatch, RationalField,
-                     field_from_tag, field_tag)
+                     field_from_tag)
 from .linalg import (DimensionMismatch, Matrix, SingularMatrix, Subspace,
                      combine, eliminate, null_space, reduce, solve_in_basis)
 
@@ -461,7 +461,7 @@ class Algebra:
         triples = [{"i": i + 1, "j": j + 1, "k": k + 1, "c": repr(wrap(c))}
                    for i, plane in enumerate(self.nonzero_products())
                    for j, terms in enumerate(plane) for k, c in terms]
-        return {"dim": self.dim, "field": field_tag(self.field),
+        return {"dim": self.dim, "field": self.field.tag,
                 "table": triples}
 
     @staticmethod

@@ -1,22 +1,25 @@
 """Exact field arithmetic: Q, Q(i), Q(sqrt d), and prime fields F_p.
 
-Scalars at the library's boundary are FieldElements tied to a Field
-instance.  Elements are immutable and kept in canonical form after
-every operation (fractions in lowest terms with positive denominator,
-F_p residues in [0, p)).  A field is known by its tag (`Field.tag`, the
-text `field_from_tag` reads): fields with equal tags are equal and hash
-alike.  Elements of unequal fields never mix; mixing raises
-FieldMismatch, a ValueError.
-
-Stored data (`Algebra.table`, `Subspace._rows`, `Matrix._rows`,
+Each field has one raw scalar, a value with native + - * (and / unless
+`Field.modulus` is set): the Fraction over Q, the int residue in [0, p)
+over F_p, and a `_QuadraticNumber` (a, b, d), meaning a + b*g with
+g^2 = d, over Q(i) (d = -1) and Q(sqrt d).  Stored data
+(`Algebra.table`, `Subspace._rows`, `Matrix._rows`,
 `Cocycle.components`) and hot loops (elimination, the matrix and
-structure-constant products, the isomorphism search) use each field's
-raw view instead: `Field.raw(x)`
-is a value with native `+ - *` (the Fraction over Q, the int residue
-over F_p, the FieldElement itself over Q(i) and Q(sqrt d)),
-`Field.wrap(r)` turns a raw value back into a FieldElement, and
+structure-constant products, the isomorphism search) run on raw
+scalars directly: `Field.raw(x)` is x's raw value, `Field.wrap(r)` the
+element with raw value r, `Field.inverse(r)` the raw inverse, and
 `Field.modulus` is p over F_p (raw results are reduced mod p and
 inverted with `pow(x, -1, p)`) and None elsewhere.
+
+Scalars at the library's boundary are FieldElements tied to a Field
+instance: a thin wrapper around the raw value, whose operators are
+written once on it.  Elements are immutable and kept in canonical form
+after every operation (fractions in lowest terms with positive
+denominator, F_p residues in [0, p)).  A field is known by its tag
+(`Field.tag`, the text `field_from_tag` reads): fields with equal tags
+are equal and hash alike.  Elements of unequal fields never mix;
+mixing raises FieldMismatch, a ValueError.
 
 Text encodings (used in all JSON formats):
     Q          "a/b"            (or "a" when b == 1)
@@ -69,11 +72,8 @@ def _squarefree_part(n: int) -> int:
 
 
 class FieldElement:
-    """A scalar in one of the supported fields.
-
-    `data` is a Fraction (Q), a pair of Fractions (Qi / Qsqrt), or an
-    int residue (Fp).  All arithmetic is delegated to the field object.
-    """
+    """A scalar in one of the supported fields: `data` is its raw value
+    (`Field.raw`), on which every operator runs."""
 
     __slots__ = ("field", "data")
 
@@ -81,72 +81,64 @@ class FieldElement:
         self.field = field
         self.data = data
 
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(Fraction(other))
-        return NotImplemented
+    def _coerce(self, other):
+        """The raw value of other, anything `Field.__call__` accepts, in
+        this element's field; NotImplemented for anything else."""
+        if isinstance(other, FieldElement) and other.field is self.field:
+            return other.data
+        try:
+            return self.field(other).data
+        except TypeError:
+            return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.field.add(self, o)
+        return o if o is NotImplemented else self.field.wrap(self.data + o)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.field.sub(self, o)
+        return o if o is NotImplemented else self.field.wrap(self.data - o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.field.sub(o, self)
+        return o if o is NotImplemented else self.field.wrap(o - self.data)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.field.mul(self, o)
+        return o if o is NotImplemented else self.field.wrap(self.data * o)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.field.div(self, o)
+        return o if o is NotImplemented else \
+            self.field.wrap(self.data * self.field.inverse(o))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.field.div(o, self)
+        return o if o is NotImplemented else \
+            self.field.wrap(o * self.field.inverse(self.data))
 
     def __neg__(self):
-        return self.field.neg(self)
+        return self.field.wrap(-self.data)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(Fraction(other))
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        if self.field != other.field:
+        try:
+            o = self._coerce(other)
+        except (ValueError, ZeroDivisionError, DivisionByZero):
+            # an element of another field (FieldMismatch), a string that
+            # is no literal of this one ("x", "1/0"), or a rational whose
+            # denominator p divides: none of them is an element here
             return False
-        return self.data == other.data
+        return o if o is NotImplemented else self.data == o
 
     def __hash__(self):
         return hash((self.field, self.data))
 
     def __bool__(self):
-        return not self.field.is_zero(self)
+        return bool(self.data)
 
     def __repr__(self):
         return self.field.format(self)
@@ -170,11 +162,18 @@ class Field:
     def raw(self, x: FieldElement):
         """The raw value of x: a scalar with native + - * (and / unless
         `modulus` is set)."""
-        return x
+        return x.data
 
     def wrap(self, r) -> FieldElement:
         """The FieldElement whose raw value is r (inverse of `raw`)."""
-        return r
+        return FieldElement(self, r)
+
+    def inverse(self, r):
+        """The raw inverse of the raw value r; DivisionByZero when r is
+        zero."""
+        if not r:
+            raise DivisionByZero(f"1/0 in {self!r}")
+        return 1 / r if self.modulus is None else pow(r, -1, self.modulus)
 
     def zero(self) -> FieldElement:
         return self.from_rational(Fraction(0))
@@ -183,38 +182,22 @@ class Field:
         return self.from_rational(Fraction(1))
 
     def from_rational(self, q: Fraction) -> FieldElement:
-        raise NotImplementedError
+        """The element q; over Q, q is its own raw value."""
+        return self.wrap(q)
 
     def __call__(self, value) -> FieldElement:
-        """Convenience constructor from int/Fraction/str/FieldElement."""
+        """The element `value` names: an element of this field, an int, a
+        Fraction, a literal (`parse`) or a raw value; TypeError for
+        anything else (a float, say)."""
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise FieldMismatch(f"{value.field} vs {self}")
             return value
         if isinstance(value, str):
             return self.parse(value)
-        return self.from_rational(Fraction(value))
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def is_zero(self, a) -> bool:
-        raise NotImplementedError
+        if isinstance(value, (int, Fraction)):
+            return self.from_rational(Fraction(value))
+        raise TypeError(f"{value!r} is not an element of {self!r}")
 
     def try_sqrt(self, a: FieldElement):
         """A square root of `a` in this field, or None when none exists.
@@ -254,32 +237,6 @@ class RationalField(Field):
 
     tag = "q"
 
-    def raw(self, x):
-        return x.data
-
-    def wrap(self, r):
-        return FieldElement(self, r)
-
-    def from_rational(self, q):
-        return FieldElement(self, Fraction(q))
-
-    def add(self, a, b):
-        return FieldElement(self, a.data + b.data)
-
-    def mul(self, a, b):
-        return FieldElement(self, a.data * b.data)
-
-    def neg(self, a):
-        return FieldElement(self, -a.data)
-
-    def inv(self, a):
-        if a.data == 0:
-            raise DivisionByZero("1/0 in Q")
-        return FieldElement(self, 1 / a.data)
-
-    def is_zero(self, a):
-        return a.data == 0
-
     def try_sqrt(self, a):
         r = _rational_sqrt(a.data)
         return None if r is None else FieldElement(self, r)
@@ -294,112 +251,156 @@ class RationalField(Field):
         return "Q"
 
 
-class _QuadraticArithmetic(Field):
-    """Q(g) with g^2 = d for the subclass's integer d (not a square):
-    elements a + b*g with rational a, b, stored as the pair (a, b)."""
+class _QuadraticNumber:
+    """a + b*g with Fractions a, b and g^2 = d: the raw scalar of Q(i)
+    (d = -1) and Q(sqrt d).  Ints and Fractions mix in on either side as
+    a + 0*g, as the raw loops need (`sum`, `-1 * v`, `1 / x`)."""
 
-    d: int
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b, d):
+        self.a, self.b, self.d = a, b, d
+
+    def __add__(self, o):
+        if isinstance(o, _QuadraticNumber):
+            return _QuadraticNumber(self.a + o.a, self.b + o.b, self.d)
+        if isinstance(o, (int, Fraction)):
+            return _QuadraticNumber(self.a + o, self.b, self.d)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _QuadraticNumber(-self.a, -self.b, self.d)
+
+    def __sub__(self, o):
+        if isinstance(o, _QuadraticNumber):
+            return _QuadraticNumber(self.a - o.a, self.b - o.b, self.d)
+        if isinstance(o, (int, Fraction)):
+            return _QuadraticNumber(self.a - o, self.b, self.d)
+        return NotImplemented
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if isinstance(o, _QuadraticNumber):
+            return _QuadraticNumber(self.a * o.a + self.b * o.b * self.d,
+                                    self.a * o.b + self.b * o.a, self.d)
+        if isinstance(o, (int, Fraction)):
+            return _QuadraticNumber(self.a * o, self.b * o, self.d)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def _inverse(self):
+        # d is -1 or squarefree >= 2, so the norm vanishes only at 0
+        # (and dividing by it raises ZeroDivisionError, as a Fraction does)
+        n = self.a * self.a - self.b * self.b * self.d
+        return _QuadraticNumber(self.a / n, -self.b / n, self.d)
+
+    def __truediv__(self, o):
+        if isinstance(o, _QuadraticNumber):
+            return self * o._inverse()
+        if isinstance(o, (int, Fraction)):
+            return _QuadraticNumber(self.a / o, self.b / o, self.d)
+        return NotImplemented
+
+    def __rtruediv__(self, o):
+        return self._inverse() * o
+
+    def __eq__(self, o):
+        if isinstance(o, _QuadraticNumber):
+            return self.a == o.a and self.b == o.b and \
+                (not self.b or self.d == o.d)
+        if isinstance(o, (int, Fraction)):
+            return not self.b and self.a == o
+        return NotImplemented
+
+    def __hash__(self):
+        # a rational a + 0*g hashes like a, which it equals
+        return hash((self.a, self.b, self.d)) if self.b else hash(self.a)
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+
+class _QuadraticField(Field):
+    """Q(g) with g^2 = d, g written `gen` ("i" or "sqrt(d)"): elements
+    a + b*g with rational a, b, whose raw value is the _QuadraticNumber
+    (a, b, d)."""
+
+    _re = re.compile(rf"^({_FRAC_RE})\+({_FRAC_RE})\*(i|sqrt\(\d+\))$")
+
+    def __init__(self, d: int, tag: str, gen: str, name: str):
+        self.d, self.tag, self._gen, self._name = d, tag, gen, name
 
     def from_rational(self, q):
-        return FieldElement(self, (Fraction(q), Fraction(0)))
+        return FieldElement(self, _QuadraticNumber(q, Fraction(0), self.d))
 
-    def add(self, a, b):
-        return FieldElement(self, (a.data[0] + b.data[0], a.data[1] + b.data[1]))
+    def __call__(self, value):
+        if isinstance(value, _QuadraticNumber):
+            if value.d != self.d:
+                raise FieldMismatch(f"a number with g^2 = {value.d} "
+                                    f"in {self!r}")
+            return FieldElement(self, value)
+        return super().__call__(value)
 
-    def mul(self, a, b):
-        (p, q), (r, s) = a.data, b.data
-        return FieldElement(self, (p * r + q * s * self.d, p * s + q * r))
-
-    def neg(self, a):
-        return FieldElement(self, (-a.data[0], -a.data[1]))
-
-    def inv(self, a):
-        p, q = a.data
-        # d is -1 or squarefree >= 2, so the norm vanishes only at 0
-        n = p * p - q * q * self.d
-        if n == 0:
-            raise DivisionByZero(f"1/0 in {self!r}")
-        return FieldElement(self, (p / n, -q / n))
-
-    def is_zero(self, a):
-        return a.data == (0, 0)
+    def format(self, a):
+        return f"{_fmt_frac(a.data.a)}+{_fmt_frac(a.data.b)}*{self._gen}"
 
     def parse(self, text):
-        """"a+b*g" in the subclass's notation for g (`_re`), or a plain
-        rational "a" or "a/b", meaning a+0*g."""
+        """"a+b*g" with g written as in `format`, or a plain rational
+        "a" or "a/b", meaning a+0*g."""
         t = text.strip().replace(" ", "")
         if re.fullmatch(_FRAC_RE, t):
             return self.from_rational(Fraction(t))
         m = self._re.match(t)
         if not m:
-            raise ValueError(f"bad {self._literal} literal: {text!r}")
-        if m.lastindex == 3 and int(m.group(3)) != self.d:
-            raise FieldMismatch(f"sqrt({m.group(3)}) literal in Q(sqrt {self.d})")
-        return FieldElement(self, (Fraction(m.group(1)), Fraction(m.group(2))))
+            raise ValueError(f"bad {self!r} literal: {text!r}")
+        if m.group(3) != self._gen:
+            raise FieldMismatch(f"{m.group(3)} literal in {self!r}")
+        return FieldElement(self, _QuadraticNumber(
+            Fraction(m.group(1)), Fraction(m.group(2)), self.d))
 
-    def try_sqrt(self, a):
-        # (x + y g)^2 = p + q g: either y=0 / x=0 shortcut or x^2 solves
-        # t^2 - p t + d q^2 / 4 = 0 over Q.
-        p, q = a.data
-        cands = []
-        if q == 0:
-            r = _rational_sqrt(p)
-            if r is not None:
-                cands.append((r, Fraction(0)))
-            r = _rational_sqrt(p / self.d)
-            if r is not None:
-                cands.append((Fraction(0), r))
+    def try_sqrt(self, x):
+        # (u + v g)^2 = p + q g.  For q = 0: u^2 = p (v = 0), or d v^2 = p
+        # (u = 0).  Otherwise u^2 is a root t of t^2 - p t + d q^2 / 4 and
+        # v = q / (2u).  Every candidate has u >= 0, and v >= 0 when u = 0.
+        p, q, d = x.data.a, x.data.b, self.d
+        if not q:
+            u, v = _rational_sqrt(p), _rational_sqrt(p / d)
+            root = (u, Fraction(0)) if u is not None else \
+                None if v is None else (Fraction(0), v)
         else:
-            disc = _rational_sqrt(p * p - self.d * q * q)
-            if disc is not None:
-                for sign in (1, -1):
-                    x = _rational_sqrt((p + sign * disc) / 2)
-                    if x:
-                        cands.append((x, q / (2 * x)))
-        for x, y in cands:
-            cand = FieldElement(self, (x, y))
-            if self.mul(cand, cand) == a:
-                if x < 0 or (x == 0 and y < 0):
-                    cand = self.neg(cand)
-                return cand
-        return None
+            disc = _rational_sqrt(p * p - d * q * q)
+            u = None if disc is None else next(
+                (u for u in (_rational_sqrt((p + sign * disc) / 2)
+                             for sign in (1, -1)) if u), None)
+            root = None if u is None else (u, q / (2 * u))
+        return None if root is None else \
+            FieldElement(self, _QuadraticNumber(*root, d))
+
+    def __repr__(self):
+        return self._name
 
 
-class GaussianRationalField(_QuadraticArithmetic):
+class GaussianRationalField(_QuadraticField):
     """Q(i): elements a + b*i with rational a, b."""
 
-    d = -1
-    tag = "qi"
-
-    def format(self, a):
-        p, q = a.data
-        return f"{_fmt_frac(p)}+{_fmt_frac(q)}*i"
-
-    _re = re.compile(rf"^({_FRAC_RE})\+({_FRAC_RE})\*i$")
-    _literal = "Q(i)"
-
-    def __repr__(self):
-        return "Q(i)"
+    def __init__(self):
+        super().__init__(-1, "qi", "i", "Q(i)")
 
 
-class QuadraticField(_QuadraticArithmetic):
-    """Q(sqrt d) for a fixed squarefree integer d >= 2."""
+class QuadraticField(_QuadraticField):
+    """Q(sqrt d) for a fixed squarefree integer 2 <= d <= 2^31."""
 
     def __init__(self, d: int):
-        if d < 2 or _squarefree_part(d) != d:
-            raise ValueError(f"d must be a squarefree integer >= 2, got {d}")
-        self.d = d
-        self.tag = f"qsqrt:{d}"
-
-    def format(self, a):
-        p, q = a.data
-        return f"{_fmt_frac(p)}+{_fmt_frac(q)}*sqrt({self.d})"
-
-    _re = re.compile(rf"^({_FRAC_RE})\+({_FRAC_RE})\*sqrt\((\d+)\)$")
-    _literal = "Q(sqrt d)"
-
-    def __repr__(self):
-        return f"Q(sqrt {self.d})"
+        # the bound keeps the squarefree test's trial division short
+        if not 2 <= d <= 2 ** 31 or _squarefree_part(d) != d:
+            raise ValueError(
+                f"d must be a squarefree integer in [2, 2^31], got {d}")
+        super().__init__(d, f"qsqrt:{d}", f"sqrt({d})", f"Q(sqrt {d})")
 
 
 class PrimeField(Field):
@@ -411,9 +412,6 @@ class PrimeField(Field):
         self.p = self.modulus = p
         self.tag = f"fp:{p}"
 
-    def raw(self, x):
-        return x.data
-
     def wrap(self, r):
         return FieldElement(self, r % self.p)
 
@@ -422,23 +420,6 @@ class PrimeField(Field):
         if den == 0:
             raise DivisionByZero(f"denominator divisible by {self.p}")
         return FieldElement(self, q.numerator * pow(den, -1, self.p) % self.p)
-
-    def add(self, a, b):
-        return FieldElement(self, (a.data + b.data) % self.p)
-
-    def mul(self, a, b):
-        return FieldElement(self, (a.data * b.data) % self.p)
-
-    def neg(self, a):
-        return FieldElement(self, -a.data % self.p)
-
-    def inv(self, a):
-        if a.data == 0:
-            raise DivisionByZero(f"1/0 in F_{self.p}")
-        return FieldElement(self, pow(a.data, -1, self.p))
-
-    def is_zero(self, a):
-        return a.data == 0
 
     def try_sqrt(self, a):
         # Euler's criterion, then Tonelli-Shanks (Cohen, A Course in
@@ -499,7 +480,3 @@ def field_from_tag(tag: str) -> Field:
     if tag.startswith("fp:"):
         return PrimeField(int(tag.split(":", 1)[1]))
     raise ValueError(f"unknown field tag: {tag!r}")
-
-
-def field_tag(field: Field) -> str:
-    return field.tag

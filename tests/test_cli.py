@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -425,6 +426,17 @@ def test_malformed_field_exits_2(alg_file, capsys, tag, command):
     argv = [alg_file if a == "ALG" else a for a in command]
     assert main(["--field", tag] + argv) == 2
     _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("tag", ["qsqrt:10000000000037",
+                                 "qsqrt:" + "7" * 25])
+def test_huge_quadratic_field_exits_2_quickly(capsys, tag):
+    # d is bounded by 2^31 like p: the squarefree test of d trial-divides
+    # up to sqrt(d), so a 25-digit d used to stall before any work
+    start = time.perf_counter()
+    assert main(["--field", tag, "census"]) == 2
+    assert time.perf_counter() - start < 0.5
+    _one_line_error(capsys, "2^31")
 
 
 def test_fmt_idempotent(tmp_path, capsys):

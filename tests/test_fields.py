@@ -1,5 +1,6 @@
 """Field arithmetic: axioms, canonical forms, parsing, square roots."""
 
+import re
 import time
 from fractions import Fraction
 
@@ -8,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from novikov.fields import (QQ, DivisionByZero, FieldMismatch,
                             GaussianRationalField, PrimeField,
-                            QuadraticField, RationalField, field_from_tag,
-                            field_tag)
+                            QuadraticField, RationalField, field_from_tag)
 
 QI = GaussianRationalField()
 QS2 = QuadraticField(2)
+QS3 = QuadraticField(3)
 F7 = PrimeField(7)
 
 FIELDS = [QQ, QI, QS2, F7]
@@ -57,20 +58,96 @@ def test_parse_format_roundtrip(field, a, b):
     assert field.parse(repr(x)) == x
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def _from_pair(field, gen, a, b):
+    return field(f"{a}+{b}*{gen}")
+
+
+@pytest.mark.parametrize("field, gen", [(QI, "i"), (QS2, "sqrt(2)"),
+                                        (QS3, "sqrt(3)")], ids=repr)
 @settings(max_examples=40, deadline=None)
 @given(a=rationals, b=rationals, c=rationals, d=rationals)
-def test_raw_view_matches_field_arithmetic(field, a, b, c, d):
-    x, y = _elem(field, a, b), _elem(field, c, d)
+def test_quadratic_arithmetic_matches_a_reference(field, gen, a, b, c, d):
+    # an oracle on Fraction pairs: (a + b g)(c + d g) = (ac + bd g^2) +
+    # (ad + bc) g, and 1/(a + b g) = (a - b g) / (a^2 - b^2 g^2)
+    g2 = field.d
+    x, y = _from_pair(field, gen, a, b), _from_pair(field, gen, c, d)
+    assert x + y == _from_pair(field, gen, a + c, b + d)
+    assert x - y == _from_pair(field, gen, a - c, b - d)
+    assert -x == _from_pair(field, gen, -a, -b)
+    assert x * y == _from_pair(field, gen, a * c + b * d * g2, a * d + b * c)
+    norm = c * c - d * d * g2
+    if c or d:
+        inv = _from_pair(field, gen, c / norm, -d / norm)
+        assert field.one() / y == inv
+        assert x / y == x * inv
+    else:
+        with pytest.raises(DivisionByZero,
+                           match=re.escape(f"1/0 in {field!r}")):
+            x / y
+
+
+@pytest.mark.parametrize("field", FIELDS + [QS3], ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(a=rationals, b=rationals, c=rationals)
+def test_raw_view_matches_field_arithmetic(field, a, b, c):
+    # elimination, combine and the matrix products run on raw scalars:
+    # sum() starts at int 0, null spaces negate, coefficients scale rows,
+    # and pivots are inverted by Field.inverse (1 / r off F_p)
+    x, k = _elem(field, a, b), field(c.numerator)
     raw, wrap, p = field.raw, field.wrap, field.modulus
-    assert wrap(raw(x)) == x
-    assert bool(raw(x)) == bool(x)
-    for got, want in ((raw(x) + raw(y), x + y), (raw(x) - raw(y), x - y),
-                      (raw(x) * raw(y), x * y)):
-        # raw results over F_p are reduced by wrap
-        assert wrap(got) == want
-        assert raw(wrap(got)) == raw(want)
+    r, rk = raw(x), raw(k)
+    assert wrap(r) == x and raw(wrap(r)) == r
+    assert bool(r) == bool(x)
+    assert wrap(0 + r) == wrap(r + 0) == wrap(sum([r, r])) - x == x
+    assert wrap(-1 * r) == wrap(-r) == -x
+    assert wrap(r * rk) == wrap(rk * r) == x * k
+    assert wrap(r * c.numerator) == x * c.numerator
+    assert wrap(r - rk) == x - k and wrap(rk - r) == k - x
+    assert wrap(c.numerator - r) == k - x
+    # raw values and elements mix, either side, through Field.__call__
+    assert r == x and x == r and x + r == wrap(r + r) == r + x
+    assert hash(raw(field(repr(x)))) == hash(r)
+    assert {r: 1}[raw(wrap(r))] == 1
+    if p is None:
+        # a rational raw value equals, and hashes like, that rational
+        q = raw(field(a))
+        assert q == a and a == q and hash(q) == hash(a)
+    if x:
+        assert wrap(field.inverse(r)) == field.one() / x
+        assert wrap(r * field.inverse(r)) == field.one()
+        if p is None:
+            assert wrap(1 / r) == field.one() / x
+            assert wrap(r / r) == field.one()
+    zero = raw(field.zero())
+    for divide in (lambda: field.inverse(zero), lambda: x / field.zero(),
+                   lambda: field.one() / 0, lambda: 1 / field.zero()):
+        with pytest.raises(DivisionByZero,
+                           match=re.escape(f"1/0 in {field!r}")):
+            divide()
     assert (p is None) == (not isinstance(field, PrimeField))
+
+
+def test_equality_with_a_rational_outside_f_p_is_false():
+    # 1/5 is no element of F_5: == used to raise DivisionByZero
+    F5 = PrimeField(5)
+    assert not F5(1) == Fraction(1, 5)
+    assert F5(1) != Fraction(1, 5)
+    assert Fraction(1, 5) != F5(1)
+    assert Fraction(1, 5) not in [F5(1)]
+    assert F5(1) != QQ(1) and F5(1) != "1 mod 7" and F5(1) != "x"
+    assert F5(1) != "1/0" and QQ(1) != "1/0"
+    with pytest.raises(DivisionByZero):
+        F5(1) + Fraction(1, 5)
+
+
+def test_floats_do_not_coerce():
+    # a float would enter exact arithmetic as its binary expansion
+    for field in FIELDS:
+        with pytest.raises(TypeError):
+            field(0.1)
+        with pytest.raises(TypeError):
+            field.one() + 0.1
+        assert field.one() != 1.0
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -148,6 +225,13 @@ def test_bad_field_constructions():
         QuadraticField(4)  # not squarefree
     with pytest.raises(ValueError):
         QuadraticField(1)
+    # d is bounded like p: the squarefree test trial-divides up to sqrt(d)
+    start = time.perf_counter()
+    for d in (2 ** 31 + 11, 10000000000037, int("7" * 25)):
+        with pytest.raises(ValueError, match="2\\^31"):
+            QuadraticField(d)
+    assert QuadraticField(2 ** 31 - 1).tag == "qsqrt:2147483647"
+    assert time.perf_counter() - start < 0.5
 
 
 def test_field_mismatch():
@@ -159,7 +243,7 @@ def test_field_mismatch():
 
 def test_field_tags_roundtrip():
     for f in (QQ, QI, QS2, F7, PrimeField(3)):
-        assert field_from_tag(field_tag(f)) == f
+        assert field_from_tag(f.tag) == f
     with pytest.raises(ValueError):
         field_from_tag("r")
 
@@ -171,7 +255,7 @@ def test_fields_are_equal_iff_their_tags_are():
                 QuadraticField(3), PrimeField(5), PrimeField(7)]
     for f, tag in zip(fields(), ["q", "qi", "qsqrt:2", "qsqrt:3", "fp:5",
                                  "fp:7"]):
-        assert f.tag == field_tag(f) == tag
+        assert f.tag == tag
     for f in fields():
         for g in fields():
             assert (f == g) == (f.tag == g.tag)
