@@ -34,7 +34,7 @@ from .exprs import ExprError
 from .extensions import ZeroAnnihilator, central_extension, reconstruct
 from .fields import PrimeField, field_from_tag
 from .invariants import decide, fingerprint, separate
-from .morphisms import BudgetExceeded, is_isomorphism
+from .morphisms import DEFAULT_BUDGET, BudgetExceeded, is_isomorphism
 from .fplab import (crosscheck, run_procedure_fp_report,
                     specialized_entries_fp)
 
@@ -165,16 +165,15 @@ def cmd_separate(args):
 def _entry_labels(cat, text, option):
     """The comma-separated entry labels of `option`, each one known and
     none given twice (a short form such as N_16 names its entry)."""
-    labels = text.split(",")
-    seen = set()
-    for label in labels:
+    labels = []
+    for label in text.split(","):
         try:
             full = cat.entry(label).label
         except (KeyError, ValueError):
             raise InputError(f"{option}: unknown entry label {label!r}")
-        if full in seen:
+        if full in labels:
             raise InputError(f"{option}: entry {full} is given twice")
-        seen.add(full)
+        labels.append(full)
     return labels
 
 
@@ -289,7 +288,7 @@ def build_parser():
         description="Exact-arithmetic central-extension toolkit")
     p.add_argument("--field", default="q",
                    help="field tag: q | qi | qsqrt:d | fp:p")
-    p.add_argument("--budget", type=int, default=5_000_000,
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="isomorphism-search budget: generator images "
                    "tried, counting only those that solve the relations "
                    "linear in them")

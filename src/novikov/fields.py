@@ -73,7 +73,9 @@ def _squarefree_part(n: int) -> int:
 
 class FieldElement:
     """A scalar in one of the supported fields: `data` is its raw value
-    (`Field.raw`), on which every operator runs."""
+    (`Field.raw`), on which every operator runs.  It hashes like `data`,
+    so like the int or Fraction that it equals; over F_p that is the
+    residue in [0, p) only: F7(1) == 8, yet F7(1) hashes like 1, not 8."""
 
     __slots__ = ("field", "data")
 
@@ -135,7 +137,7 @@ class FieldElement:
         return o if o is NotImplemented else self.data == o
 
     def __hash__(self):
-        return hash((self.field, self.data))
+        return hash(self.data)
 
     def __bool__(self):
         return bool(self.data)

@@ -49,7 +49,8 @@ from .extensions import central_extension
 from .fields import PrimeField
 from .invariants import decide
 from .linalg import combine, eliminate
-from .morphisms import BudgetExceeded, enumerate_aut_fp, iso_search
+from .morphisms import (DEFAULT_BUDGET, BudgetExceeded, enumerate_aut_fp,
+                        iso_search)
 
 
 def grassmannian_points(dim: int, s: int, p: int):
@@ -182,7 +183,8 @@ def _isomorphic(B: Algebra, C: Algebra, counts, budget):
     return verdict == "isomorphic"
 
 
-def run_procedure_fp_report(A: Algebra, s: int, budget: int = 50_000_000):
+def run_procedure_fp_report(A: Algebra, s: int,
+                            budget: int = DEFAULT_BUDGET):
     if not isinstance(A.field, PrimeField):
         raise ValueError("the exhaustive procedure needs a prime field")
     if A.dim > 4:
@@ -266,7 +268,7 @@ def specialized_entries_fp(catalog: Catalog, field: PrimeField, labels):
 
 
 def qualifies_as_extension(P: Algebra, A: Algebra, s: int,
-                           budget: int = 50_000_000) -> bool:
+                           budget: int = DEFAULT_BUDGET) -> bool:
     """Is P (up to isomorphism) an admissible extension of A by a
     central s-dimensional kernel?  Requires: Novikov, Ann(P) of
     dimension exactly s inside the square, and P/Ann(P) isomorphic
@@ -279,7 +281,7 @@ def qualifies_as_extension(P: Algebra, A: Algebra, s: int,
     return iso_search(P.quotient(ann), A, budget=budget) is not None
 
 
-def crosscheck(classes, pool, budget: int = 50_000_000):
+def crosscheck(classes, pool, budget: int = DEFAULT_BUDGET):
     """Bidirectional matching between pipeline classes and a pool of
     named algebras over F_p.  Matching is exhaustive, so leftovers on
     either side are proofs of absence.

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from .algebra import Algebra
 from .cohomology import cocycle_space, h2_dimension
 from .fields import PrimeField
-from .morphisms import BudgetExceeded, derivation_algebra, iso_search
+from .morphisms import (DEFAULT_BUDGET, BudgetExceeded, derivation_algebra,
+                        iso_search)
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ def element_census(A: Algebra):
     return A._memo("element_census", compute)
 
 
-def decide(A: Algebra, B: Algebra, budget: int = 5_000_000,
+def decide(A: Algebra, B: Algebra, budget: int = DEFAULT_BUDGET,
            height: int = 3):
     """(verdict, reason, witness) for A and B, as in the module
     docstring; the witness is an isomorphism A -> B (a Matrix) for
@@ -100,7 +101,7 @@ def decide(A: Algebra, B: Algebra, budget: int = 5_000_000,
     return "undecided", "not_found_heuristic", None
 
 
-def separate(named_algebras, budget: int = 5_000_000, height: int = 3):
+def separate(named_algebras, budget: int = DEFAULT_BUDGET, height: int = 3):
     """Partition report for [(name, Algebra), ...].
 
     Returns a dict with:

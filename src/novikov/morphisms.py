@@ -5,7 +5,9 @@ set only (of every basis vector when A is not generated by a complement
 of A^2); all other basis vectors are words (iterated products) in the
 generators, so their images are forced.  Partial assignments are pruned
 by checking every product relation as soon as all words it mentions
-have images.
+have images, on a per-level schedule that `WordBasis` owns.  The search
+is one generator of witnesses: `iso_search` takes the first one,
+`enumerate_aut_fp` all of them.
 
 Candidates for a generator's image are not tried one by one from the
 whole pool.  With the earlier images fixed, the relations linear in the
@@ -40,7 +42,7 @@ from itertools import combinations, product as iproduct
 
 from .algebra import Algebra
 from .cohomology import Cocycle, congruence
-from .fields import FieldMismatch, PrimeField
+from .fields import FieldMismatch
 from .linalg import (Matrix, Subspace, combine, eliminate, matmul,
                      null_space, reduce, solve_in_basis)
 
@@ -51,6 +53,10 @@ class NotAutomorphism(Exception):
 
 class BudgetExceeded(Exception):
     pass
+
+
+#: the default search budget of every caller: visited candidates
+DEFAULT_BUDGET = 5_000_000
 
 
 def is_homomorphism(A: Algebra, B: Algebra, phi: Matrix):
@@ -122,7 +128,7 @@ def derivation_algebra(A: Algebra):
 
 class WordBasis:
     """A basis of A made of generators and products of earlier basis
-    elements, with a per-level schedule for the backtracking search.
+    elements, with the per-level schedule of the backtracking search.
 
     The generators are a basis of the lexicographically first coordinate
     complement of A^2 (`minimal` is True), which generates A when A is
@@ -132,12 +138,18 @@ class WordBasis:
     words[t] is ("gen", g) or ("prod", a, b) meaning words[a]*words[b],
     with raw coefficient vector vectors[t] (`Field.raw`, as is all else).
     word_level[t] = highest generator index a word involves; a word has
-    an image once generators 0..word_level[t] are assigned, and
-    degree[t] is its degree in generator word_level[t].  The relation
-    (a, b, terms) — "words[a]*words[b] = sum of c * words[t] over the
-    (t, c) terms" — is scheduled at the first level where a, b and every
-    word in the expansion are available.  inverse[t][c] is the
-    coordinate of e_c on words[t].
+    an image once generators 0..word_level[t] are assigned.
+    inverse[t][c] is the coordinate of e_c on words[t].
+
+    The schedule, per level (generator index): new_words get their
+    images there, linear_words are those of degree 1 in its generator,
+    relations are checked at every node the search visits there, and
+    affine are the relations affine in its generator's image (every
+    word of degree <= 1 in it, a and b not both 1).  A relation (a, b,
+    terms) — "words[a]*words[b] = sum of c * words[t] over the (t, c)
+    terms" — falls at the first level where a, b and every word in the
+    expansion have images; a word's own factor pair gets none, as its
+    image is set to that very product.
     """
 
     def __init__(self, A: Algebra):
@@ -147,29 +159,36 @@ class WordBasis:
         self.minimal = len(vectors) == n
         if not self.minimal:
             words, vectors, level = self._close(A, units)
-        self.n_generators = sum(w[0] == "gen" for w in words)
+        g = self.n_generators = sum(w[0] == "gen" for w in words)
         self.words = words
         self.vectors = vectors
         self.word_level = level
-        self.degree = []
+        degree = []     # a word's degree in the generator of its level
         for t, w in enumerate(words):
-            self.degree.append(1 if w[0] == "gen" else sum(
-                self.degree[c] for c in w[1:] if level[c] == level[t]))
+            degree.append(1 if w[0] == "gen" else sum(
+                degree[c] for c in w[1:] if level[c] == level[t]))
         # one elimination: the unit vectors, then the n^2 products
         coords = solve_in_basis(vectors, units + [
             A.multiply_raw(u, v) for u in vectors for v in vectors],
             A.field.modulus)[0]
         self.inverse = [row[:n] for row in coords]
-        # schedule: per level, the words that become available and the
-        # relations that become fully checkable
         self.new_words = [[t for t in range(n) if level[t] == lv]
-                          for lv in range(self.n_generators)]
-        self.relations = [[] for _ in range(self.n_generators)]
+                          for lv in range(g)]
+        self.linear_words = [[t for t in new if degree[t] == 1]
+                             for new in self.new_words]
+        self.relations = [[] for _ in range(g)]
+        self.affine = [[] for _ in range(g)]
+        factors = {w[1:] for w in words if w[0] == "prod"}
         products = list(zip(*coords))[n:]
         for (a, b), col in zip(iproduct(range(n), repeat=2), products):
+            if (a, b) in factors:
+                continue
             terms = tuple((t, c) for t, c in enumerate(col) if c)
             lv = max([level[a], level[b]] + [level[t] for t, _ in terms])
             self.relations[lv].append((a, b, terms))
+            deg = [degree[t] * (level[t] == lv) for t in (a, b, *dict(terms))]
+            if deg[0] + deg[1] <= 1 and max(deg) <= 1:
+                self.affine[lv].append((a, b, terms))
 
     @staticmethod
     def _close(A, gens):
@@ -323,49 +342,34 @@ def _candidate_vectors(B: Algebra, height: int):
 # ----------------------------------------------------------------------
 # the search
 
-def _search(A: Algebra, B: Algebra, budget, height, find_all):
-    """Backtracking core shared by iso_search and enumerate_aut_fp.
+def _search(A: Algebra, B: Algebra, budget, height):
+    """Backtracking core shared by iso_search and enumerate_aut_fp:
+    yields the witness Matrices in visiting order.
 
     At each level, with the earlier generators' images fixed, the
-    scheduled relations whose words have degree <= 1 in the level's
-    generator are affine in its image x: they are stacked into one
-    system over raw scalars and reduced once, and only the pool points
-    that solve it and lie outside W = span(earlier generator images) +
-    B^2 are visited (W = the span alone when the generators are not
-    minimal, and the pool then keeps B^2).  Over F_p they must also have
-    the local type of the level's generator in A.  Any other candidate
-    fails a relation, leaves the generator images dependent modulo B^2,
-    or changes a local type, which an isomorphism never does.  Survivors
-    get every relation check and the independence check, so the
-    witnesses and their order are those of visiting the whole pool.
-
-    Returns a list of witness Matrices (all of them when find_all, else
-    at most one)."""
+    level's affine relations (`WordBasis.affine`) are stacked into one
+    system over raw scalars in its generator's image x and reduced once,
+    and only the pool points that solve it and lie outside W =
+    span(earlier generator images) + B^2 are visited (W = the span alone
+    when the generators are not minimal, and the pool then keeps B^2).
+    Over F_p they must also have the local type of the level's generator
+    in A.  Any other candidate fails a relation, leaves the generator
+    images dependent modulo B^2, or changes a local type, which an
+    isomorphism never does.  Survivors get every relation check and the
+    independence check, so the witnesses and their order are those of
+    visiting the whole pool.  BudgetExceeded is raised when more than
+    `budget` candidates are visited."""
     wb = WordBasis(A)
-    g = wb.n_generators
-    f = A.field
-    raw, p = f.raw, f.modulus
+    f, n, g = A.field, A.dim, wb.n_generators
+    p = f.modulus
     exhaustive = p is not None
-    n = A.dim
-    zero, one = raw(f.zero()), raw(f.one())
+    zero, one = f.raw(f.zero()), f.raw(f.one())
+    zeros = (zero,) * n
     square = B.square()._rows if wb.minimal else []
     pool = _Pool(f, n, height)
-
-    def degree(t, level):
-        return wb.degree[t] if wb.word_level[t] == level else 0
-    # the relation of a word's own factors is an identity
-    word_pairs = {w[1:] for w in wb.words if w[0] == "prod"}
-    affine = [[(a, b, terms) for a, b, terms in wb.relations[lv]
-               if (a, b) not in word_pairs
-               and degree(a, lv) + degree(b, lv) <= 1
-               and all(degree(t, lv) <= 1 for t, _ in terms)]
-              for lv in range(g)]
-    linear_words = [[t for t in wb.new_words[lv] if wb.degree[t] == 1]
-                    for lv in range(g)]
     units = B._units()
     multiply = B.multiply_raw
-    counter = [0]
-    results = []
+    visited = 0
     images = [None] * n
 
     def candidates(level):
@@ -378,11 +382,11 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
             if a in lin:
                 return [multiply(u, images[b]) for u in lin[a]]
             return [multiply(images[a], u) for u in lin[b]]
-        for t in linear_words[level]:
+        for t in wb.linear_words[level]:
             w = wb.words[t]
             lin[t] = units if w[0] == "gen" else product_map(w[1], w[2])
         rows = []
-        for a, b, terms in affine[level]:
+        for a, b, terms in wb.affine[level]:
             # the relation as sum_i x_i cols[i] = rhs
             if a in lin or b in lin:
                 cols = [list(u) for u in product_map(a, b)]
@@ -418,51 +422,40 @@ def _search(A: Algebra, B: Algebra, budget, height, find_all):
         return (x for x in points if B.local_type(x) == want)
 
     def extend(level):
+        nonlocal visited
         for cand in candidates(level):
-            counter[0] += 1
-            if counter[0] > budget:
+            visited += 1
+            if visited > budget:
                 raise BudgetExceeded(f"search budget {budget} exhausted")
-            ok = True
             for t in wb.new_words[level]:
                 w = wb.words[t]
                 images[t] = cand if w[0] == "gen" else \
                     multiply(images[w[1]], images[w[2]])
-            for a, b, terms in wb.relations[level]:
-                if multiply(images[a], images[b]) != combine((zero,) * n, [
-                        (c, enumerate(images[t])) for t, c in terms], p):
-                    ok = False
-                    break
-            if ok:
-                avail = [images[t] for t in range(n)
-                         if wb.word_level[t] <= level]
-                ok = eliminate(avail, p)[1] == len(avail)
-            if ok:
-                if level + 1 == g:
-                    # the linear map sending each word's vector to its
-                    # image: the image matrix times the inverse of the
-                    # word matrix.  The scheduled relations cover every
-                    # word-basis pair and independence was checked, so
-                    # phi is already an isomorphism; re-verify only on
-                    # the heuristic path
-                    phi = Matrix.from_raw(f, matmul(zip(*images),
-                                                    wb.inverse, p))
-                    if exhaustive or is_isomorphism(A, B, phi):
-                        results.append(phi)
-                        if not find_all:
-                            return True
-                else:
-                    if extend(level + 1):
-                        return True
-        return False
+            if any(multiply(images[a], images[b]) != combine(zeros, [
+                    (c, enumerate(images[t])) for t, c in terms], p)
+                   for a, b, terms in wb.relations[level]):
+                continue
+            avail = [images[t] for t in range(n) if wb.word_level[t] <= level]
+            if eliminate(avail, p)[1] < len(avail):
+                continue
+            if level + 1 < g:
+                yield from extend(level + 1)
+                continue
+            # phi sends each word's vector to its image: the image matrix
+            # times the inverse word matrix.  Every word-basis product
+            # relation holds (a factor pair's by construction) and the
+            # images are independent, so only the heuristic path re-checks
+            phi = Matrix.from_raw(f, matmul(zip(*images), wb.inverse, p))
+            if exhaustive or is_isomorphism(A, B, phi):
+                yield phi
 
     try:
-        extend(0)
+        yield from extend(0)
     finally:
         extend = None  # the closure refers to itself: break the cycle
-    return results
 
 
-def iso_search(A: Algebra, B: Algebra, budget: int = 5_000_000,
+def iso_search(A: Algebra, B: Algebra, budget: int = DEFAULT_BUDGET,
                height: int = 3):
     """An isomorphism A -> B, or None.
 
@@ -483,17 +476,16 @@ def iso_search(A: Algebra, B: Algebra, budget: int = 5_000_000,
         return None
     if A.table == B.table:
         return Matrix.identity(A.field, A.dim)
-    found = _search(A, B, budget, height, find_all=False)
-    return found[0] if found else None
+    return next(_search(A, B, budget, height), None)
 
 
-def enumerate_aut_fp(A: Algebra, budget: int = 50_000_000):
+def enumerate_aut_fp(A: Algebra, budget: int = DEFAULT_BUDGET):
     """The full automorphism group of A over F_p, by exhaustive
     generator-image backtracking, in the search's visiting order.  As in
     `iso_search`, each generator's images are the solutions of the
     relations linear in it that are independent of the earlier images
     modulo A^2 and have the generator's local type, and the budget
     counts these tries."""
-    if not isinstance(A.field, PrimeField):
+    if A.field.modulus is None:
         raise ValueError("exhaustive enumeration needs a prime field")
-    return _search(A, A, budget, 0, find_all=True)
+    return list(_search(A, A, budget, 0))

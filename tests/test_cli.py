@@ -277,6 +277,26 @@ def test_verify_catalog_reports_known_failure(capsys):
     assert all(f["failed"] == ["annihilator"] for f in rep["failures"])
 
 
+def test_verify_catalog_reports_full_labels(capsys):
+    # a short label names its entry, and the report names the entry
+    assert main(["verify-catalog", "--labels", "N_70"]) == 1
+    out = capsys.readouterr().out
+    assert [f["label"] for f in json.loads(out)["failures"]] == ["N_070"]
+    assert main(["verify-catalog", "--labels", "N_070"]) == 1
+    assert capsys.readouterr().out == out
+
+
+def test_orbits_fp_crosscheck_reports_full_labels(capsys):
+    argv = ["--field", "fp:2", "orbits-fp", "--base", "M4_01",
+            "--crosscheck-labels"]
+    main(argv + ["N_1,N_002"])
+    out = capsys.readouterr().out
+    matches = json.loads(out)["crosscheck"]["matches"]
+    assert sorted(matches.values()) == [["N_001"], ["N_002"]]
+    main(argv + ["N_001,N_002"])
+    assert capsys.readouterr().out == out
+
+
 def test_verify_catalog_parallel(capsys):
     assert main(["verify-catalog", "--labels", "N_001,N_002,N_003"]) == 0
     rep = json.loads(capsys.readouterr().out)

@@ -244,7 +244,9 @@ def _reference_word_basis(A):
     """(words, vectors, levels, minimal, inverse, relations) of the word
     basis, with FieldElement vectors, a `Matrix` inverse and one-vector
     `Subspace`s for the span, and per level the relations scheduled
-    there, with their coordinates as full FieldElement tuples."""
+    there, with their coordinates as full FieldElement tuples.  A word's
+    own factor pair gets no relation: the search sets its image to that
+    product."""
     def close(gens):
         words = [("gen", g) for g in range(len(gens))]
         vectors, level = list(gens), list(range(len(gens)))
@@ -276,6 +278,8 @@ def _reference_word_basis(A):
     relations = [[] for _ in range(sum(w[0] == "gen" for w in words))]
     for a in range(n):
         for b in range(n):
+            if ("prod", a, b) in words:
+                continue
             coords = inverse.apply(A.multiply(vectors[a], vectors[b]))
             needed = [t for t, c in enumerate(coords) if c]
             lv = max([level[a], level[b]] + [level[t] for t in needed])
@@ -318,6 +322,10 @@ def _assert_coordinates_match_reference(A, rng):
              for a, b, terms in lvl] for lvl in wb.relations] == \
         [[(a, b, [(t, c) for t, c in enumerate(coords) if c])
           for a, b, coords in lvl] for lvl in relations]
+    assert not any(("prod", a, b) in wb.words
+                   for lvl in wb.relations for a, b, _ in lvl)
+    assert all(rel in lvl for lvl, affine in zip(wb.relations, wb.affine)
+               for rel in affine)
 
 
 def _extensions(cat, field):

@@ -127,6 +127,18 @@ def test_raw_view_matches_field_arithmetic(field, a, b, c):
     assert (p is None) == (not isinstance(field, PrimeField))
 
 
+def test_elements_hash_like_the_numbers_they_equal():
+    half = Fraction(1, 2)
+    assert 1 in {QQ(1)} and QQ(1) in {1} and {QQ(1): "a"}[1] == "a"
+    assert half in {QQ(half)} and QQ(half) in {half}
+    assert QI(1) in {1} and QS2(half) in {half}
+    # over F_p the residue in [0, p) that the element is
+    assert F7(3) in {3} and 3 in {F7(10)} and hash(F7(-1)) == hash(6)
+    # equal elements of one field hash equal; other fields' never equal
+    assert len({QQ(1), QQ(Fraction(2, 2)), QI(1), F7(1)}) == 3
+    assert QQ(1) != F7(1) and QQ(1) != QI(1)
+
+
 def test_equality_with_a_rational_outside_f_p_is_false():
     # 1/5 is no element of F_5: == used to raise DivisionByZero
     F5 = PrimeField(5)

@@ -14,10 +14,11 @@ from novikov.cohomology import Cocycle
 from novikov.fields import (QQ, FieldMismatch, GaussianRationalField,
                             PrimeField, QuadraticField)
 from novikov.linalg import Matrix, eliminate
-from novikov.morphisms import (BudgetExceeded, NotAutomorphism, WordBasis,
-                               _candidate_vectors, _search, act_on_cocycle,
-                               derivation_algebra, enumerate_aut_fp,
-                               is_homomorphism, is_isomorphism, iso_search)
+from novikov.morphisms import (DEFAULT_BUDGET, BudgetExceeded,
+                               NotAutomorphism, WordBasis, _candidate_vectors,
+                               _search, act_on_cocycle, derivation_algebra,
+                               enumerate_aut_fp, is_homomorphism,
+                               is_isomorphism, iso_search)
 
 from conftest import first_admissible_env
 from test_algebra import (QI, QS2, _identity_cases, _reference_fp_multiply,
@@ -176,6 +177,19 @@ def test_iso_search_leaves_no_garbage():
     try:
         gc.collect()
         assert iso_search(X, Y, height=3) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_complete_enumeration_leaves_no_garbage(cat):
+    # the search generator runs to its end here, where iso_search stops
+    # it after the first witness
+    A = cat.bases["N3s_01"].algebra(F3, {})
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(enumerate_aut_fp(A)) == 108
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -349,6 +363,7 @@ def test_enumerate_aut_fp_matches_reference(cat, key, p, order):
     assert auts == [phi.entries for phi in _reference_enumerate_aut_fp(A)]
     assert auts == [phi.entries for phi in _reference_search(
         A, A, 50_000_000, 0, find_all=True)]
+    assert auts == [phi.entries for phi in _search(A, A, DEFAULT_BUDGET, 0)]
     assert len(auts) == order
 
 
@@ -376,12 +391,13 @@ def test_recorded_automorphism_shapes(cat):
 
 def _reference_search(A, B, budget, height, find_all):
     """`_search` as it was before each level solved its affine
-    relations: every pool vector is tried at every level."""
+    relations: every pool vector is tried at every level.  Every witness
+    is re-verified, over F_p too, where `_search` trusts its relation
+    checks."""
     wb = WordBasis(A)
     g = wb.n_generators
     f = A.field
     raw, p = f.raw, f.modulus
-    exhaustive = p is not None
     pool = _candidate_vectors(B, height)
     relations = wb.relations
     multiply = B.multiply_raw
@@ -423,7 +439,7 @@ def _reference_search(A, B, budget, height, find_all):
                                      for t in range(n)]).transpose()
                     phi = img * Matrix(f, [[f.wrap(x) for x in row]
                                            for row in wb.inverse])
-                    if exhaustive or is_isomorphism(A, B, phi):
+                    if is_isomorphism(A, B, phi):
                         results.append(phi)
                         if not find_all:
                             return True
@@ -465,17 +481,20 @@ def test_search_matches_reference_on_iso_q_inputs(cat, seed):
         pairs.append((A, A.change_basis(
             Matrix(QQ, _unitriangular(rng, A.dim)))))
     for L, R in pairs:
-        found = _search(L, R, 5_000_000, 3, find_all=False)
-        assert found, L
-        assert found == \
+        found = next(_search(L, R, DEFAULT_BUDGET, 3), None)
+        assert found is not None, L
+        assert [found] == \
             _reference_search(L, R, 5_000_000, 3, find_all=False)
+        assert found == iso_search(L, R)
 
 
 def test_search_matches_reference_on_n088_over_f5(cat):
     L, R = _noted_pair(cat, 3, F5)
-    found = _search(L, R, 50_000_000, 0, find_all=False)
-    assert found and is_isomorphism(L, R, found[0])
-    assert found == _reference_search(L, R, 50_000_000, 0, find_all=False)
+    found = next(_search(L, R, DEFAULT_BUDGET, 0), None)
+    assert found is not None and is_isomorphism(L, R, found)
+    assert [found] == \
+        _reference_search(L, R, 50_000_000, 0, find_all=False)
+    assert found == iso_search(L, R)
 
 
 def test_search_skips_a_level_whose_system_is_inconsistent():
@@ -488,7 +507,7 @@ def test_search_skips_a_level_whose_system_is_inconsistent():
                         (1, 1, 2): F3(2)})
     first_level = len(_candidate_vectors(Y, 0))
     assert first_level == 24
-    assert _search(X, Y, first_level, 0, find_all=True) == []
+    assert list(_search(X, Y, first_level, 0)) == []
     with pytest.raises(BudgetExceeded):
         _reference_search(X, Y, first_level, 0, find_all=True)
     assert _reference_search(X, Y, 10 ** 6, 0, find_all=True) == []
