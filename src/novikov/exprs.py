@@ -32,8 +32,8 @@ _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*|/|\+|-|\^|\(|\))")
 
 def tokenize(text: str):
     out = []
-    pos = 0
-    while pos < len(text):
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
         m = _TOKEN.match(text, pos)
         if not m:
             raise ExprError(f"bad character at {text[pos:]!r}")
@@ -110,29 +110,27 @@ class _Parser:
 
     def take(self, expected=None):
         tok = self.peek()
-        if tok is None or (expected is not None and tok != expected):
+        if tok is None:
+            raise ExprError("unexpected end of expression")
+        if expected is not None and tok != expected:
             raise ExprError(f"expected {expected!r}, got {tok!r}")
         self.pos += 1
         return tok
 
     def atom(self):
-        tok = self.peek()
+        tok = self.take()
         if tok == "(":
-            self.take()
             node = self.expr()
             self.take(")")
             return node
         if tok == "sqrt":
-            self.take()
             self.take("(")
             node = self.expr()
             self.take(")")
             return ("sqrt", node)
-        if tok is not None and tok.isdigit():
-            self.take()
+        if tok.isdigit():
             return ("int", int(tok))
-        if tok is not None and re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
-            self.take()
+        if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
             return ("var", tok)
         raise ExprError(f"unexpected token {tok!r}")
 

@@ -3,19 +3,21 @@
 The isomorphism engine backtracks over images of a minimal generating
 set only (of every basis vector when A is not generated by a complement
 of A^2); all other basis vectors are words (iterated products) in the
-generators, so their images are forced.  Partial assignments are pruned
-by checking every product relation as soon as all words it mentions
-have images, on a per-level schedule that `WordBasis` owns.  The search
-is one generator of witnesses: `iso_search` takes the first one,
+generators, so their images are forced.  Each product relation falls
+at the first level (generator) where all words it mentions have images,
+on a per-level schedule that `WordBasis` owns.  The search is one
+generator of witnesses: `iso_search` takes the first one,
 `enumerate_aut_fp` all of them.
 
 Candidates for a generator's image are not tried one by one from the
-whole pool.  With the earlier images fixed, the relations linear in the
+whole pool.  With the earlier images fixed, the relations affine in the
 new image are solved as one linear system, and only the pool points on
 its solution set that are independent of the earlier images modulo B^2
 are visited, in pool order; the skipped points can never extend to an
-isomorphism, so the witnesses and their order do not change.  Over F_p
-those points are filtered once more, in pool order: an isomorphism
+isomorphism, so the witnesses and their order do not change.  A node
+checks only the other relations.  Both read one residual, product minus
+expansion: the system is its values at 0 and at the unit vectors.  Over
+F_p those points are filtered once more, in pool order: an isomorphism
 sends each element to one of the same local type
 (`Algebra.local_types`), so only the points whose type in B is the type
 of the generator in A are visited.  Over Q the pool is not filtered by
@@ -142,14 +144,16 @@ class WordBasis:
     inverse[t][c] is the coordinate of e_c on words[t].
 
     The schedule, per level (generator index): new_words get their
-    images there, linear_words are those of degree 1 in its generator,
-    relations are checked at every node the search visits there, and
-    affine are the relations affine in its generator's image (every
-    word of degree <= 1 in it, a and b not both 1).  A relation (a, b,
-    terms) — "words[a]*words[b] = sum of c * words[t] over the (t, c)
-    terms" — falls at the first level where a, b and every word in the
-    expansion have images; a word's own factor pair gets none, as its
-    image is set to that very product.
+    images there and linear_words are those of degree 1 in its
+    generator.  A relation (a, b, terms) — "words[a]*words[b] = sum of
+    c * words[t] over the (t, c) terms" — falls at the first level where
+    a, b and every word in the expansion have images; a word's own
+    factor pair gets none, as its image is set to that very product.
+    Each level's relations go to one of two disjoint lists: affine, those
+    affine in its generator's image (every word of degree <= 1 in it, a
+    and b not both 1), which the search solves as a linear system, and
+    relations, all the others, which it checks at every node it visits
+    there.
     """
 
     def __init__(self, A: Algebra):
@@ -185,10 +189,10 @@ class WordBasis:
                 continue
             terms = tuple((t, c) for t, c in enumerate(col) if c)
             lv = max([level[a], level[b]] + [level[t] for t, _ in terms])
-            self.relations[lv].append((a, b, terms))
             deg = [degree[t] * (level[t] == lv) for t in (a, b, *dict(terms))]
-            if deg[0] + deg[1] <= 1 and max(deg) <= 1:
-                self.affine[lv].append((a, b, terms))
+            affine = deg[0] + deg[1] <= 1 and max(deg) <= 1
+            (self.affine if affine else self.relations)[lv].append(
+                (a, b, terms))
 
     @staticmethod
     def _close(A, gens):
@@ -355,7 +359,8 @@ def _search(A: Algebra, B: Algebra, budget, height):
     Over F_p they must also have the local type of the level's generator
     in A.  Any other candidate fails a relation, leaves the generator
     images dependent modulo B^2, or changes a local type, which an
-    isomorphism never does.  Survivors get every relation check and the
+    isomorphism never does.  Survivors solve the affine relations; they
+    get the check of the others (`WordBasis.relations`) and the
     independence check, so the witnesses and their order are those of
     visiting the whole pool.  BudgetExceeded is raised when more than
     `budget` candidates are visited."""
@@ -372,44 +377,40 @@ def _search(A: Algebra, B: Algebra, budget, height):
     visited = 0
     images = [None] * n
 
+    def assign(words, x):
+        """Set these words' images from their level's generator image x."""
+        for t in words:
+            w = wb.words[t]
+            images[t] = x if w[0] == "gen" else \
+                multiply(images[w[1]], images[w[2]])
+
+    def residual(a, b, terms):
+        """images[a]·images[b] - sum c·images[t]: 0 iff the relation holds."""
+        product = multiply(images[a], images[b])
+        if not terms:
+            return product
+        return combine(product, [(-c, enumerate(images[t]))
+                                 for t, c in terms], p)
+
     def candidates(level):
         """The pool points that solve the level's affine relations and
         lie outside W, in pool order."""
-        # each degree-1 word as a linear map of x: its images at x = e_i
-        lin = {}
-
-        def product_map(a, b):
-            if a in lin:
-                return [multiply(u, images[b]) for u in lin[a]]
-            return [multiply(images[a], u) for u in lin[b]]
-        for t in wb.linear_words[level]:
-            w = wb.words[t]
-            lin[t] = units if w[0] == "gen" else product_map(w[1], w[2])
         rows = []
-        for a, b, terms in wb.affine[level]:
-            # the relation as sum_i x_i cols[i] = rhs
-            if a in lin or b in lin:
-                cols = [list(u) for u in product_map(a, b)]
-                rhs = [zero] * n
-            else:
-                cols = [[zero] * n for _ in range(n)]
-                rhs = [-v for v in multiply(images[a], images[b])]
-            for t, c in terms:
-                if t in lin:
-                    for col, u in zip(cols, lin[t]):
-                        for k, v in enumerate(u):
-                            if v:
-                                col[k] = col[k] - c * v
-                else:
-                    for k, v in enumerate(images[t]):
-                        if v:
-                            rhs[k] = rhs[k] + c * v
-            for k in range(n):
-                row = [col[k] for col in cols] + [rhs[k]]
-                if p is not None:
-                    row = [x % p for x in row]
-                if any(row):
-                    rows.append(row)
+        if wb.affine[level]:
+            # each residual F is affine in x: F(x) = F(0) + sum_i x_i
+            # (F(e_i) - F(0)), so the rows are F(e_i)_k - F(0)_k | -F(0)_k
+            at = []
+            for x in [zeros] + units:
+                assign(wb.linear_words[level], x)
+                at.append([residual(*rel) for rel in wb.affine[level]])
+            for j, base in enumerate(at[0]):
+                for k, c in enumerate(base):
+                    row = [F[j][k] - c if c else F[j][k] for F in at[1:]]
+                    row.append(-c)
+                    if p is not None:
+                        row = [x % p for x in row]
+                    if any(row):
+                        rows.append(row)
         red, rank, pivots = eliminate(rows, p)
         if rank and pivots[-1] == n:
             return ()       # inconsistent: no image of this generator fits
@@ -423,31 +424,27 @@ def _search(A: Algebra, B: Algebra, budget, height):
 
     def extend(level):
         nonlocal visited
+        if level == g:
+            # phi sends each word's vector to its image: the image matrix
+            # times the inverse word matrix.  Every word-basis product
+            # relation holds (a factor pair's by construction, an affine
+            # one by the solve) and the images are independent, so only
+            # the heuristic path re-checks
+            phi = Matrix.from_raw(f, matmul(zip(*images), wb.inverse, p))
+            if exhaustive or is_isomorphism(A, B, phi):
+                yield phi
+            return
         for cand in candidates(level):
             visited += 1
             if visited > budget:
                 raise BudgetExceeded(f"search budget {budget} exhausted")
-            for t in wb.new_words[level]:
-                w = wb.words[t]
-                images[t] = cand if w[0] == "gen" else \
-                    multiply(images[w[1]], images[w[2]])
-            if any(multiply(images[a], images[b]) != combine(zeros, [
-                    (c, enumerate(images[t])) for t, c in terms], p)
-                   for a, b, terms in wb.relations[level]):
+            assign(wb.new_words[level], cand)
+            if any(any(residual(*rel)) for rel in wb.relations[level]):
                 continue
             avail = [images[t] for t in range(n) if wb.word_level[t] <= level]
             if eliminate(avail, p)[1] < len(avail):
                 continue
-            if level + 1 < g:
-                yield from extend(level + 1)
-                continue
-            # phi sends each word's vector to its image: the image matrix
-            # times the inverse word matrix.  Every word-basis product
-            # relation holds (a factor pair's by construction) and the
-            # images are independent, so only the heuristic path re-checks
-            phi = Matrix.from_raw(f, matmul(zip(*images), wb.inverse, p))
-            if exhaustive or is_isomorphism(A, B, phi):
-                yield phi
+            yield from extend(level + 1)
 
     try:
         yield from extend(0)

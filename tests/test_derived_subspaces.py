@@ -318,14 +318,17 @@ def _assert_coordinates_match_reference(A, rng):
     assert (wb.words, wb.word_level, wb.minimal) == (words, level, minimal)
     assert _wrapped(f, wb.vectors) == vectors
     assert _wrapped(f, wb.inverse) == list(inverse.entries)
+    # each level's checked and affine relations split its relations
+    assert all(not set(checked) & set(affine)
+               for checked, affine in zip(wb.relations, wb.affine))
     assert [[(a, b, [(t, f.wrap(c)) for t, c in terms])
-             for a, b, terms in lvl] for lvl in wb.relations] == \
+             for a, b, terms in sorted(checked + affine,
+                                       key=lambda rel: rel[:2])]
+            for checked, affine in zip(wb.relations, wb.affine)] == \
         [[(a, b, [(t, c) for t, c in enumerate(coords) if c])
           for a, b, coords in lvl] for lvl in relations]
     assert not any(("prod", a, b) in wb.words
-                   for lvl in wb.relations for a, b, _ in lvl)
-    assert all(rel in lvl for lvl, affine in zip(wb.relations, wb.affine)
-               for rel in affine)
+                   for lvl in wb.relations + wb.affine for a, b, _ in lvl)
 
 
 def _extensions(cat, field):

@@ -68,6 +68,18 @@ def test_tokenizer():
         tokenize("1 @ 2")
 
 
+def test_surrounding_whitespace_is_ignored():
+    assert tokenize(" 1 ") == ["1"]
+    assert Expr("1 ").evaluate(QQ) == Expr(" 1").evaluate(QQ) == QQ(1)
+    assert Expr("\t(2 + a) \n").evaluate(QQ, {"a": QQ(1)}) == QQ(3)
+
+
+@pytest.mark.parametrize("cut", ["2^", "1+", "(1", "sqrt(", ""])
+def test_input_that_ends_early_says_so(cut):
+    with pytest.raises(ExprError, match="^unexpected end of expression$"):
+        Expr(cut)
+
+
 def test_parse_and_evaluate_leave_no_reference_cycles():
     F5 = PrimeField(5)
     texts = ["(2-alpha)/alpha", "-alpha^2+3*b", "sqrt(4)*a-1/2"]

@@ -59,6 +59,13 @@ def test_run_procedure_one_dimensional_base():
     assert B.dim == 2 and B.table[0][0][1] == F3(1)
 
 
+def test_run_procedure_zero_dimensional_base():
+    # no generator: the one automorphism is the 0 x 0 identity, H^2 = 0
+    rep = run_procedure_fp_report(Algebra(F3, 0, {}), 1)
+    assert (rep["aut_order"], rep["h2_dim"]) == (1, 0)
+    assert rep["classes"] == rep["class_points"] == []
+
+
 def test_run_procedure_report_invariants():
     A = Algebra(F2, 2, {})
     rep = run_procedure_fp_report(A, 1)

@@ -293,6 +293,8 @@ def test_enumerate_aut_fp():
     assert len({a.entries for a in auts}) == 6
     for a in auts:
         assert is_isomorphism(zero, zero, a)
+    # no generator to assign: the one automorphism is the 0 x 0 identity
+    assert enumerate_aut_fp(Algebra(F3, 0, {})) == [Matrix.identity(F3, 0)]
     with pytest.raises(ValueError):
         enumerate_aut_fp(Algebra(QQ, 1, {}))
 
@@ -313,8 +315,10 @@ def _reference_enumerate_aut_fp(A):
     p, n = A.field.p, A.dim
     wb = WordBasis(A)
     pool = _reference_fp_pool(A)
+    # every relation: the checked ones and those the search solves
     relations = [[(a, b, tuple(dict(terms).get(t, 0) for t in range(n)))
-                  for a, b, terms in lvl] for lvl in wb.relations]
+                  for a, b, terms in checked + affine]
+                 for checked, affine in zip(wb.relations, wb.affine)]
     images = [None] * n
     results = []
 
@@ -351,9 +355,28 @@ def _reference_enumerate_aut_fp(A):
     return results
 
 
+# every parameter-free catalog base over F_2, the 3-dimensional ones over
+# F_3: the whole-pool oracles check every relation at every node, so the
+# search's solve of the affine relations is checked on each relation
+# shape of the catalog
+_FREE_BASE_ORDERS = [
+    ("M4_02", 2, 32), ("M4_03", 2, 192), ("M4_04z", 2, 32), ("M4_05", 2, 64),
+    ("M4_06", 2, 16), ("M4_07", 2, 16), ("M4_08one", 2, 32),
+    ("M4_10", 2, 48), ("M4_11", 2, 48), ("M4_12", 2, 32), ("M4_13", 2, 32),
+    ("M4_14one", 2, 32), ("M4_14z", 2, 32), ("M4_15", 2, 48),
+    ("N3s_01", 2, 8), ("N3s_02", 2, 8), ("N3s_03", 2, 24),
+    ("N3s_04z", 2, 4), ("N4_01", 2, 16), ("N4_02one", 2, 16),
+    ("N4_05", 2, 16), ("N4_07", 2, 8), ("N4_08", 2, 16), ("N4_09", 2, 16),
+    ("N4_10", 2, 8), ("N4_11", 2, 8), ("N4_12", 2, 8), ("N4_13", 2, 8),
+    ("N4_14", 2, 8), ("N4_15", 2, 8), ("N4_16", 2, 8), ("N4_17", 2, 8),
+    ("N4_18", 2, 8), ("N4_19", 2, 8),
+    ("N3s_02", 3, 144), ("N3s_03", 3, 432), ("N3s_04z", 3, 36)]
+
+
 @pytest.mark.parametrize("key, p, order", [
     ("N3s_01", 3, 108), ("M4_01", 2, 192),
-    (None, 5, 1200)])   # e1e1 = e3, e2e2 = 2 e3: a relation coefficient 2
+    (None, 5, 1200),    # e1e1 = e3, e2e2 = 2 e3: a relation coefficient 2
+    *_FREE_BASE_ORDERS])
 def test_enumerate_aut_fp_matches_reference(cat, key, p, order):
     F = PrimeField(p)
     A = cat.bases[key].algebra(F, {}) if key else \
@@ -391,15 +414,16 @@ def test_recorded_automorphism_shapes(cat):
 
 def _reference_search(A, B, budget, height, find_all):
     """`_search` as it was before each level solved its affine
-    relations: every pool vector is tried at every level.  Every witness
-    is re-verified, over F_p too, where `_search` trusts its relation
-    checks."""
+    relations: every pool vector is tried at every level and checked
+    against every relation.  Every witness is re-verified, over F_p too,
+    where `_search` trusts its relation checks."""
     wb = WordBasis(A)
     g = wb.n_generators
     f = A.field
     raw, p = f.raw, f.modulus
     pool = _candidate_vectors(B, height)
-    relations = wb.relations
+    relations = [checked + affine
+                 for checked, affine in zip(wb.relations, wb.affine)]
     multiply = B.multiply_raw
     zero = raw(f.zero())
     counter = [0]
