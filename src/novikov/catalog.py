@@ -16,6 +16,13 @@ lives on the records of one `load_catalog()` result: each load starts
 empty.  Every walk over the parameter tuples of records over F_p is
 `tuples_fp`.
 
+The cocycle check is made on the generator forms, once per tuple, when
+`BaseRecord.nabla_matrices` first hands them out.  Every entry's cocycle
+is a linear combination of them, so by linearity that check decides
+every sample, and `CatalogEntry.specialize` marks its cocycle checked
+without checking it again.  Each expression text is parsed once per
+process, on its first evaluation.
+
 Data lives in JSON files next to this module (override the directory
 with the NOVIKOV_DATA environment variable):
     bases/<key>.json    one base algebra record
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import json
 import os
+from functools import cache
 from itertools import product
 
 from .algebra import Algebra
@@ -59,8 +67,14 @@ class InadmissibleSample(CatalogError):
     pass
 
 
+@cache
+def _parse(text):
+    """The parsed `Expr` of a text, shared (evaluating changes nothing)."""
+    return Expr(text)
+
+
 def _evaluate(text, field, env):
-    return Expr(text).evaluate(field, env)
+    return _parse(text).evaluate(field, env)
 
 
 def _exclusion_holds(excl, field, env):
@@ -93,6 +107,7 @@ class BaseRecord:
         self.extra_orbits = doc.get("extra_orbits") or []
         self.note = doc.get("note")
         self._specializations = {}
+        self._checked_forms = {}
 
     def excluded(self, field: Field, env) -> bool:
         """Do the parameter values violate a recorded constraint?
@@ -113,17 +128,25 @@ class BaseRecord:
 
     def nabla_matrices(self, field: Field, env=None):
         """The listed generator forms at `env`, as a tuple of raw n x n
-        forms (`cohomology.form_sum`'s convention) shared like `algebra`."""
+        forms (`cohomology.form_sum`'s convention) shared like `algebra`,
+        checked to be cocycles when first handed out (`NotACocycle`)."""
         if self.nablas_raw is None:
             raise CatalogError(f"{self.key} has no trusted generator list")
-        return self._specialization(field, env or {})[1]
+        env = env or {}
+        key = _values_key(field, env)
+        forms = self._checked_forms.get(key)
+        if forms is None:
+            A, forms = self._specialization(field, env)
+            Cocycle.from_raw(A, forms)
+            self._checked_forms[key] = forms
+        return forms
 
     def _specialization(self, field: Field, env):
         """(algebra, generator forms or None), built once per (field,
         parameter values) and kept on this record.  The table and the
         forms are evaluated together; an evaluation error propagates and
         nothing is kept."""
-        key = (field, tuple(sorted(env.items())))
+        key = _values_key(field, env)
         spec = self._specializations.get(key)
         if spec is None:
             n = self.dim
@@ -150,6 +173,10 @@ class BaseRecord:
 
     def __repr__(self):
         return f"BaseRecord({self.key})"
+
+
+def _values_key(field, env):
+    return field, tuple(sorted(env.items()))
 
 
 class CatalogEntry:
@@ -285,9 +312,11 @@ class CatalogEntry:
         nablas = self.base.nabla_matrices(field, benv)
         coefficients = admitted[1] if strict else \
             self.coefficients(field, env)
-        return A, Cocycle.from_raw(A, [
+        theta = Cocycle.from_raw(A, [
             form_sum(A, [(c, nablas[t]) for t, c in comp])
-            for comp in coefficients])
+            for comp in coefficients], check=False)
+        theta.checked = True
+        return A, theta
 
     def extension(self, field: Field, sample, strict=True) -> Algebra:
         A, theta = self.specialize(field, sample, strict=strict)

@@ -36,7 +36,8 @@ class Cocycle:
     (unless constructed with check=False for negative tests).
     `components[t][i][j]` is theta_t(e_i, e_j) on raw scalars: the
     constructor coerces Matrices and nested sequences of ints, strings
-    and field elements, `from_raw` takes raw forms as they are."""
+    and field elements, `from_raw` takes raw forms as they are.
+    `checked`: checked here, or a sum of checked forms (`catalog`)."""
 
     __slots__ = ("base", "s", "components", "checked")
 
@@ -159,9 +160,13 @@ def cocycle_space(A: Algebra) -> Subspace:
     def compute():
         f, width = A.field, A.dim ** 2
         zero = f.raw(f.zero())
-        return Subspace.kernel(f, width, [
-            [dict(eq).get(col, zero) for col in range(width)]
-            for eq in cocycle_equations(A)])
+        rows = []
+        for eq in cocycle_equations(A):
+            row = [zero] * width
+            for col, c in eq:
+                row[col] = c
+            rows.append(row)
+        return Subspace.kernel(f, width, rows)
     return A._memo("cocycle_space", compute)
 
 

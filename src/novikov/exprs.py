@@ -45,6 +45,8 @@ def tokenize(text: str):
 class Expr:
     """A parsed expression; evaluate with a field and an environment."""
 
+    __slots__ = ("text", "_ast")
+
     def __init__(self, text: str):
         self.text = text
         self._ast = _Parser(tokenize(text)).parse()

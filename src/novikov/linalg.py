@@ -44,11 +44,12 @@ def eliminate(rows, p=None):
             continue
         m[rank], m[piv] = m[piv], m[rank]
         row = m[rank]
-        inv = 1 / row[col] if p is None else pow(row[col], -1, p)
         # entries left of col are zero in every row from rank on
         support = [j for j in range(col, width) if row[j]]
-        for j in support:
-            row[j] = row[j] * inv if p is None else row[j] * inv % p
+        if row[col] != 1:
+            inv = 1 / row[col] if p is None else pow(row[col], -1, p)
+            for j in support:
+                row[j] = row[j] * inv if p is None else row[j] * inv % p
         for r in range(height):
             target = m[r]
             f = target[col]
@@ -96,15 +97,34 @@ def solve_in_basis(columns, targets, p=None):
 def null_space(rows, width, zero, one, p=None):
     """A basis of the raw vectors of length `width` that every raw row
     sends to zero (a row times the vector), one per free column of the
-    rows' reduced form; `zero` and `one` are the field's raw 0 and 1."""
-    red, _, pivots = eliminate(rows, p)
+    rows' reduced form; `zero` and `one` are the field's raw 0 and 1.
+
+    A row with one live entry forces that coordinate to 0: its column is
+    dead, which can leave another row with one live entry.  At the
+    fixpoint only the rows with two or more live entries are eliminated,
+    on the live columns.  The basis is the one elimination of all rows
+    gives, since it depends on the kernel alone: column c is free when a
+    kernel vector is 1 at c and 0 past c (never at a dead column), and
+    its vector is the one that is 0 at the other free columns."""
+    live = [(row, s) for row in rows
+            if (s := [j for j, x in enumerate(row) if x])]
+    dead = set()
+    unit = {s[0] for _, s in live if len(s) == 1}
+    while unit:
+        dead |= unit
+        live = [(row, t) for row, s in live
+                if (t := [j for j in s if j not in unit])]
+        unit = {s[0] for _, s in live if len(s) == 1}
+    cols = [c for c in range(width) if c not in dead]
+    red, _, pivots = eliminate([[row[c] for c in cols] for row, _ in live]
+                               if dead else [row for row, _ in live], p)
     basis = []
-    for c in range(width):
-        if c not in pivots:
+    for i, c in enumerate(cols):
+        if i not in pivots:
             v = [zero] * width
             v[c] = one
             for r, j in enumerate(pivots):
-                v[j] = -red[r][c] if p is None else -red[r][c] % p
+                v[cols[j]] = -red[r][i] if p is None else -red[r][i] % p
             basis.append(v)
     return basis
 

@@ -8,7 +8,7 @@ import pytest
 from novikov.catalog import SAMPLE_POOL, load_catalog
 from novikov.cohomology import form_sum
 from novikov.fields import QQ
-from novikov.linalg import Matrix
+from novikov.linalg import Matrix, eliminate
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +43,18 @@ def coboundary_of(A, f_coeffs):
     return form_sum(A, [(f(c), [[row[t] for row in plane]
                                 for plane in A.table])
                         for t, c in enumerate(f_coeffs)])
+
+
+def reference_null_space(rows, width, zero, one, p=None):
+    """`linalg.null_space` by one elimination of all the raw rows, with no
+    unit rows peeled first: one basis vector per free column."""
+    red, _, pivots = eliminate(rows, p)
+    basis = []
+    for c in range(width):
+        if c not in pivots:
+            v = [zero] * width
+            v[c] = one
+            for r, j in enumerate(pivots):
+                v[j] = -red[r][c] if p is None else -red[r][c] % p
+            basis.append(v)
+    return basis

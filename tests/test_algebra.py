@@ -14,6 +14,8 @@ from novikov.fields import (QQ, FieldMismatch, GaussianRationalField,
 from novikov.linalg import (DimensionMismatch, Matrix, SingularMatrix,
                             Subspace)
 
+from conftest import reference_null_space
+
 F2, F5 = PrimeField(2), PrimeField(5)
 
 # e1e1 = e2, everything else zero: commutative, associative? (e1e1)e1 =
@@ -220,14 +222,16 @@ def _reference_two_step(A):
 
 
 def _reference_annihilators(A):
-    """(left, right, two-sided) from the dense stacked operators."""
-    n = A.dim
+    """(left, right, two-sided) from the dense stacked operators, each the
+    kernel of one elimination of all their rows (no unit rows peeled)."""
+    n, f = A.dim, A.field
     left = [[A.table[i][j][k] for i in range(n)]
             for j in range(n) for k in range(n)]
     right = [[A.table[j][i][k] for i in range(n)]
              for j in range(n) for k in range(n)]
-    return (Matrix(A.field, left).kernel(), Matrix(A.field, right).kernel(),
-            Matrix(A.field, left + right).kernel())
+    zero, one = f.raw(f.zero()), f.raw(f.one())
+    return tuple(Subspace.from_raw(f, n, reference_null_space(
+        rows, n, zero, one, f.modulus)) for rows in (left, right, left + right))
 
 
 def _scalar(f, rng, lo=-2, hi=2):
@@ -425,10 +429,29 @@ def _assert_derived_match_reference(A):
     assert A.is_two_step() == _reference_two_step(A)
     assert A.nilpotency_index() == (
         len(powers) if powers[-1].dim == 0 else None)
+    _assert_annihilators_match_reference(A)
+
+
+def _assert_annihilators_match_reference(A):
     left, right, ann = _reference_annihilators(A)
     assert A.annihilator() == ann
     assert A.left_annihilator() == left
     assert A.right_annihilator() == right
+
+
+def test_annihilators_match_reference_on_catalog_samples(cat):
+    # every base tuple of the default samples over Q, and the extension
+    # of every such sample (the items of the catalog-q benchmark)
+    from novikov.extensions import central_extension
+    bases = {}
+    for entry in cat.entries.values():
+        for sample in entry.default_samples(QQ):
+            A, theta = entry.specialize(QQ, sample)
+            bases[id(A)] = A
+            _assert_annihilators_match_reference(central_extension(A, theta))
+    assert len(bases) == 34
+    for A in bases.values():
+        _assert_annihilators_match_reference(A)
 
 
 def test_derived_subspaces_match_reference_on_catalog(cat):

@@ -1,5 +1,9 @@
 """Catalog data integrity and the entry construction pipeline."""
 
+import filecmp
+import os
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -9,12 +13,17 @@ from novikov.catalog import (BaseRecord, CatalogEntry, CatalogError,
                              InadmissibleSample, PREDICATES, _evaluate,
                              census, class_coordinates, load_catalog,
                              membership_checks, verify_entry)
-from novikov.cohomology import Cocycle, DependentClasses, in_Ts
+from novikov.cohomology import (Cocycle, DependentClasses, NotACocycle,
+                                cocycle_space, flatten, in_Ts)
 from novikov.exprs import Expr, ExprError, SqrtNotInField
 from novikov.fields import QQ, DivisionByZero, PrimeField
 from novikov.linalg import Matrix
+from novikov.morphisms import act_on_cocycle
+
+from conftest import first_admissible_env
 
 F5 = PrimeField(5)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_catalog_shape(cat):
@@ -168,6 +177,91 @@ def test_data_dir_override(cat, tmp_path, monkeypatch):
         load_catalog()
     monkeypatch.delenv("NOVIKOV_DATA")
     assert len(load_catalog()) == 218
+
+
+def test_make_data_reproduces_the_checked_in_data(tmp_path):
+    subprocess.run([sys.executable, os.path.join(ROOT, "tools",
+                                                 "make_data.py"),
+                    "--out", str(tmp_path)], check=True,
+                   stdout=subprocess.DEVNULL)
+    data = os.path.join(ROOT, "src", "novikov", "data")
+    files = []
+    for sub in ("", "bases", "entries"):
+        want = sorted(f for f in os.listdir(os.path.join(data, sub))
+                      if f.endswith(".json"))
+        assert sorted(os.listdir(tmp_path / sub)) == \
+            sorted(want + (["bases", "entries"] if not sub else []))
+        files += [os.path.join(sub, f) for f in want]
+    assert len(files) == 263
+    match, mismatch, errors = filecmp.cmpfiles(data, tmp_path, files,
+                                               shallow=False)
+    assert (mismatch, errors) == ([], [])
+
+
+# ----------------------------------------------------------------------
+# the cocycle check, made once per base tuple on its generator forms
+
+def _check_counter(monkeypatch):
+    """The bases of the checked `Cocycle`s built from now on."""
+    checked = []
+
+    def counted(self, base, forms, check, _original=Cocycle._set):
+        if check:
+            checked.append(base)
+        _original(self, base, forms, check)
+    monkeypatch.setattr(Cocycle, "_set", counted)
+    return checked
+
+
+def test_generator_forms_are_checked_once_per_base_tuple(monkeypatch):
+    checked = _check_counter(monkeypatch)
+    fresh = load_catalog()
+    for rec in fresh.bases.values():
+        rec.algebra(QQ, first_admissible_env(rec))
+    assert checked == []      # building a base algebra checks nothing
+    tuples = {}
+    for field in (QQ, F5):
+        for _ in range(2):
+            for entry in fresh.entries.values():
+                for sample in entry.default_samples(QQ)[:2]:
+                    try:
+                        A, theta = entry.specialize(field, sample)
+                    except (InadmissibleSample, DivisionByZero):
+                        continue
+                    assert theta.checked
+                    tuples[id(A)] = A
+    assert len(checked) == len(tuples) > 40
+    assert {id(A) for A in checked} == set(tuples)
+    # a checked cocycle keeps its images checked
+    entry = fresh.entry("N_001")
+    A, theta = entry.specialize(QQ, ())
+    image = act_on_cocycle(A, Matrix.identity(QQ, A.dim), theta)
+    assert image.checked and checked[-1] is A
+    assert len(checked) == len(tuples) + 1
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=repr)
+def test_specialize_rejects_a_base_with_a_non_cocycle_form(field):
+    # M4_01's generator form 9 (Delta_41) replaced by Delta_22, which is
+    # no cocycle; N_004 uses form 9 and N_001 does not, and both are
+    # refused, since the check is made on the base's forms
+    fresh = load_catalog()
+    rec = fresh.bases["M4_01"]
+    rec.nablas_raw = [[[2, 2, "1"]] if t == 8 else nab
+                      for t, nab in enumerate(rec.nablas_raw)]
+    A = rec.algebra(field)
+    n, zero, one = A.dim, field.zero(), field.one()
+    delta_22 = [[one if (i, j) == (1, 1) else zero for j in range(n)]
+                for i in range(n)]
+    assert not cocycle_space(A).member(flatten(delta_22))
+    for label in ("N_004", "N_001"):
+        entry = fresh.entry(label)
+        sample = entry.default_samples()[0]
+        for strict in (True, False):
+            with pytest.raises(NotACocycle):
+                entry.specialize(field, sample, strict)
+    with pytest.raises(NotACocycle):
+        rec.nabla_matrices(field)
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,13 @@ from novikov.algebra import Algebra
 from novikov.fields import (QQ, GaussianRationalField, PrimeField,
                             QuadraticField)
 from novikov.linalg import (DimensionMismatch, Matrix, SingularMatrix,
-                            Subspace, combine, eliminate, reduce)
+                            Subspace, combine, eliminate, null_space,
+                            reduce)
 from novikov.morphisms import iso_search
 
-F2, F5 = PrimeField(2), PrimeField(5)
+from conftest import reference_null_space
+
+F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 QI, QS2 = GaussianRationalField(), QuadraticField(2)
 
 
@@ -330,6 +333,103 @@ def test_eliminate_and_reduce_match_reference(field):
             if p is not None:
                 assert tuple(residual) == _reference_fp_reduce(
                     [raw(x) for x in vec], got[:rank], p)
+
+
+# ----------------------------------------------------------------------
+# the unit-row peel of null_space against one elimination of all rows
+
+def _nonzero(rng, field):
+    """A random nonzero raw scalar of the field."""
+    gens = [field(1), field(-1), field(2), field(Fraction(1, 3))] \
+        if field.modulus is None or field.modulus > 3 \
+        else [field(c) for c in range(1, field.modulus)]
+    if isinstance(field, GaussianRationalField):
+        gens.append(field("0+1*i"))
+        gens.append(field("1/2+1*i"))
+    return field.raw(rng.choice(gens))
+
+
+def _unit_row(rng, field, width, col):
+    zero = field.raw(field.zero())
+    return [_nonzero(rng, field) if j == col else zero for j in range(width)]
+
+
+def _peel_cases(rng, field):
+    """Raw row sets that the peel meets in every way: random sparse rows
+    with unit rows mixed in, cascades (each peel makes the next row a
+    unit row), duplicate and zero rows, no rows, width 0, and rows whose
+    only live entry sits after dead columns."""
+    raw, zero = field.raw, field.raw(field.zero())
+    for _ in range(40):
+        width = rng.randint(1, 8)
+        rows = [[raw(x) for x in row] for row in
+                _random_rows(rng, field, rng.randint(1, 6), width)]
+        for _ in range(rng.randint(0, 3)):
+            rows.insert(rng.randint(0, len(rows)),
+                        _unit_row(rng, field, width, rng.randrange(width)))
+        yield "random", rows, width
+        # duplicates, a unit row again at another scale, zero rows
+        dup = rows + [list(rng.choice(rows))] + [[zero] * width] * 2
+        dup.insert(0, _unit_row(rng, field, width, rng.randrange(width)))
+        dup.append(_unit_row(rng, field, width, next(
+            j for j, x in enumerate(dup[0]) if x)))
+        rng.shuffle(dup)
+        yield "duplicate and zero rows", dup, width
+    for _ in range(30):
+        # a chain c0, c1, ...: the unit row at c0 makes the row on
+        # (c0, c1) a unit row, and so on; extra rows on the other columns
+        width = rng.randint(2, 8)
+        cols = rng.sample(range(width), rng.randint(2, width))
+        chain = [_unit_row(rng, field, width, cols[0])]
+        for a, b in zip(cols, cols[1:]):
+            row = _unit_row(rng, field, width, b)
+            row[a] = _nonzero(rng, field)
+            if rng.random() < 0.5:   # an entry on an earlier dead column
+                row[rng.choice(cols[:cols.index(a) + 1])] = \
+                    _nonzero(rng, field)
+            chain.append(row)
+        rest = [j for j in range(width) if j not in cols]
+        for _ in range(rng.randint(0, 3)):
+            row = [zero] * width
+            for j in rest + [rng.choice(cols)]:
+                if rng.random() < 0.6:
+                    row[j] = _nonzero(rng, field)
+            chain.append(row)
+        rng.shuffle(chain)
+        yield "cascade", chain, width
+    for width in range(5):
+        yield "no rows", [], width
+    for height in range(4):
+        yield "width 0", [[]] * height, 0
+    for _ in range(20):
+        # unit rows on the first k columns; then a row on those columns
+        # plus one later column j, whose only live entry is at j
+        width = rng.randint(2, 7)
+        k = rng.randint(1, width - 1)
+        j = rng.randrange(k, width)
+        rows = [_unit_row(rng, field, width, c) for c in range(k)]
+        row = _unit_row(rng, field, width, j)
+        for c in range(k):
+            row[c] = _nonzero(rng, field)
+        rows.append(row)
+        rows += [[raw(x) for x in r] for r in
+                 _random_rows(rng, field, rng.randint(0, 3), width)]
+        yield "live entry after dead columns", rows, width
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5, QI], ids=repr)
+def test_null_space_peel_matches_plain_elimination(field):
+    rng = random.Random("peel " + repr(field))
+    zero, one = field.raw(field.zero()), field.raw(field.one())
+    kinds = set()
+    for kind, rows, width in _peel_cases(rng, field):
+        want = reference_null_space(rows, width, zero, one, field.modulus)
+        assert null_space(rows, width, zero, one, field.modulus) == want, \
+            (kind, rows)
+        assert null_space(iter(rows), width, zero, one,
+                          field.modulus) == want, kind
+        kinds.add(kind)
+    assert len(kinds) == 6
 
 
 def _raw_entries(field):

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Emit the catalog data files (base algebras and entries) as JSON.
 
-Run from the repository root:  python3 tools/make_data.py
+Run from the repository root:  python3 tools/make_data.py [--out DIR]
+
+The files go to DIR (default: src/novikov/data, the package's data).
 
 Bases carry structure-constant tables, the listed H^2 generator forms
 ("nablas"), automorphism-group shapes where recorded, and frozen
@@ -10,6 +12,7 @@ over their parameters plus exclusion constraints.  The script checks
 the census histogram before writing anything.
 """
 
+import argparse
 import json
 import os
 import sys
@@ -929,7 +932,12 @@ FLAGGED_SPECIALIZATIONS = [
 CENSUS = {"total": 218, "histogram": [104, 82, 27, 5]}
 
 
-def main():
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--out", default=OUT,
+                    help="directory to write the data files into "
+                         "(default: the package's data directory)")
+    out = ap.parse_args(argv).out
     hist = [0, 0, 0, 0]
     labels = set()
     for e in ENTRIES:
@@ -948,8 +956,8 @@ def main():
     assert len(ENTRIES) == CENSUS["total"], len(ENTRIES)
     assert hist == CENSUS["histogram"], hist
 
-    bdir = os.path.join(OUT, "bases")
-    edir = os.path.join(OUT, "entries")
+    bdir = os.path.join(out, "bases")
+    edir = os.path.join(out, "entries")
     os.makedirs(bdir, exist_ok=True)
     os.makedirs(edir, exist_ok=True)
     for key, b in BASES.items():
@@ -960,7 +968,7 @@ def main():
         with open(os.path.join(edir, e["label"] + ".json"), "w") as fh:
             json.dump(e, fh, indent=1, sort_keys=True)
             fh.write("\n")
-    with open(os.path.join(OUT, "meta.json"), "w") as fh:
+    with open(os.path.join(out, "meta.json"), "w") as fh:
         json.dump({"census": CENSUS,
                    "noted_isomorphisms": NOTED_ISOMORPHISMS,
                    "flagged_specializations": FLAGGED_SPECIALIZATIONS},
