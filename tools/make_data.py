@@ -932,12 +932,12 @@ FLAGGED_SPECIALIZATIONS = [
 CENSUS = {"total": 218, "histogram": [104, 82, 27, 5]}
 
 
-def main(argv=None):
+def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--out", default=OUT,
                     help="directory to write the data files into "
                          "(default: the package's data directory)")
-    out = ap.parse_args(argv).out
+    out = ap.parse_args().out
     hist = [0, 0, 0, 0]
     labels = set()
     for e in ENTRIES:
