@@ -467,7 +467,7 @@ class Algebra:
     @staticmethod
     def from_json(doc) -> "Algebra":
         n = check_size(doc, "dim")
-        f = field_from_tag(doc["field"])
+        f = field_from_tag(require(doc, "field"))
         return Algebra(f, n, read_entries(doc, "table", "ijk", (n, n, n), f))
 
     def __eq__(self, other):
@@ -499,12 +499,21 @@ MAX_SIZE = 100
 MAX_ELEMENTS = 10 ** 6
 
 
+def require(doc, name):
+    """doc[name], for a JSON object doc; ValueError "missing key" when
+    doc has no such key."""
+    try:
+        return doc[name]
+    except KeyError:
+        raise ValueError(f"missing key {name!r}") from None
+
+
 def check_size(doc, name):
     """doc[name], for a JSON object doc, which must be an integer in
     0..MAX_SIZE; ValueError otherwise."""
     if not isinstance(doc, dict):
         raise ValueError("the document is not a JSON object")
-    value = doc[name]
+    value = require(doc, name)
     if not _is_int(value) or not 0 <= value <= MAX_SIZE:
         raise ValueError(f"{name} = {value!r} is not an integer in "
                          f"0..{MAX_SIZE}")
@@ -517,7 +526,7 @@ def read_entries(doc, name, indices, bounds, field):
     the 1-based indices named by `indices`, index m an integer in
     1..bounds[m] (`check_index`), and a scalar "c" (`check_scalar`), and
     no index tuple may appear twice; ValueError otherwise."""
-    entries = doc[name]
+    entries = require(doc, name)
     if not isinstance(entries, list) or \
             not all(isinstance(e, dict) for e in entries):
         raise ValueError(f"{name} is not a list of JSON objects")
@@ -535,7 +544,7 @@ def check_scalar(entry, field):
     """entry["c"], a string literal or an integer, as an element of
     field; ValueError otherwise (a float or a bool, division by 0, or
     a literal of another field)."""
-    value = entry["c"]
+    value = require(entry, "c")
     if not isinstance(value, str) and not _is_int(value):
         raise ValueError(f"c = {value!r} is not a string or an integer")
     try:
@@ -547,7 +556,7 @@ def check_scalar(entry, field):
 def check_index(entry, name, bound):
     """entry[name] as a 0-based index, for a JSON entry whose 1-based
     index must be an integer in 1..bound; ValueError otherwise."""
-    value = entry[name]
+    value = require(entry, name)
     if not _is_int(value) or not 1 <= value <= bound:
         raise ValueError(f"{name} = {value!r} is not an integer in 1..{bound}")
     return value - 1

@@ -55,7 +55,7 @@ def _load_algebra(path):
     doc = _load_json(path)
     try:
         return Algebra.from_json(doc)
-    except (KeyError, ValueError, ExprError) as e:
+    except (ValueError, ExprError) as e:
         raise InputError(f"{path}: bad algebra document ({e})")
 
 
@@ -121,7 +121,7 @@ def cmd_extend(args):
         theta = Cocycle.from_json(doc, base=A)
     except NotACocycle as e:
         raise InputError(f"{args.cocycle}: {e}")
-    except (KeyError, ValueError, ExprError) as e:
+    except (ValueError, ExprError) as e:
         raise InputError(f"{args.cocycle}: bad cocycle document ({e})")
     B = central_extension(A, theta)
     _emit(B.to_json(), args)

@@ -14,7 +14,7 @@ whether those classes are independent in H^2.
 
 from __future__ import annotations
 
-from .algebra import Algebra, check_size, read_entries
+from .algebra import Algebra, check_size, read_entries, require
 from .fields import FieldMismatch
 from .linalg import Matrix, Subspace, combine, matmul, solve_in_basis
 
@@ -89,7 +89,7 @@ class Cocycle:
     def from_json(doc, base: Algebra | None = None):
         s = check_size(doc, "s")
         if base is None:
-            base = Algebra.from_json(doc["base"])
+            base = Algebra.from_json(require(doc, "base"))
         n = base.dim
         values = read_entries(doc, "entries", "tij", (s, n, n), base.field)
         return Cocycle(base, [[[values.get((t, i, j), 0) for j in range(n)]

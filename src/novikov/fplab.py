@@ -23,8 +23,10 @@ point itself if it is fixed).  Orbits are listed sorted by
 representative.
 
 The orbit stage runs on raw rows (residues mod p) throughout: the
-automorphisms are the Matrices of `morphisms.enumerate_aut_fp`, whose
-raw rows are read as they are; their action on H^2 is read off sparse
+automorphisms are the Matrices of `morphisms.enumerate_aut_fp`, which
+builds the group from coset transversals along the generators and lists
+it lexicographically in their images; their raw rows are read as they
+are; their action on H^2 is read off sparse
 coordinate functionals without forming the image forms
 (`induced_h2_matrices`), and a point's image under an action is a sum
 of the action's sparse columns (`linalg.combine`).  The catalog is

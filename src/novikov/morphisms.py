@@ -6,8 +6,12 @@ of A^2); all other basis vectors are words (iterated products) in the
 generators, so their images are forced.  Each product relation falls
 at the first level (generator) where all words it mentions have images,
 on a per-level schedule that `WordBasis` owns.  The search is one
-generator of witnesses: `iso_search` takes the first one,
-`enumerate_aut_fp` all of them.
+generator of witnesses, and `iso_search` takes the first one.
+`enumerate_aut_fp` walks cosets instead of every leaf: with generators
+x_0..x_(g-1) and G_i the automorphisms fixing x_0..x_(i-1), G_i is the
+union of t_y G_(i+1), one coset per image y of x_i, t_y the search's
+first witness with that prefix.  Its list is the search's list, element
+for element: lexicographic in the generator images.
 
 Candidates for a generator's image are not tried one by one from the
 whole pool.  With the earlier images fixed, the relations affine in the
@@ -16,7 +20,10 @@ its solution set that are independent of the earlier images modulo B^2
 are visited, in pool order; the skipped points can never extend to an
 isomorphism, so the witnesses and their order do not change.  A node
 checks only the other relations.  Both read one residual, product minus
-expansion: the system is its values at 0 and at the unit vectors.  Over
+expansion.  An affine residual is a part that the earlier images fix
+plus a part linear in the new image (`WordBasis.affine_split`): the
+system is the fixed part, evaluated once, and the linear part at the
+unit vectors.  Over
 F_p those points are filtered once more, in pool order: an isomorphism
 sends each element to one of the same local type
 (`Algebra.local_types`), so only the points whose type in B is the type
@@ -153,7 +160,11 @@ class WordBasis:
     affine in its generator's image (every word of degree <= 1 in it, a
     and b not both 1), which the search solves as a linear system, and
     relations, all the others, which it checks at every node it visits
-    there.
+    there.  affine_split[lv][j] splits affine[lv][j] into two parts, each
+    (a, b, terms) read as the residual images[a]*images[b] - sum c *
+    images[t], with no product when a is None: the part that the earlier
+    levels fix (a product of two earlier words, the earlier words of the
+    expansion) and the part linear in the generator's image (the rest).
     """
 
     def __init__(self, A: Algebra):
@@ -182,6 +193,7 @@ class WordBasis:
                              for new in self.new_words]
         self.relations = [[] for _ in range(g)]
         self.affine = [[] for _ in range(g)]
+        self.affine_split = [[] for _ in range(g)]
         factors = {w[1:] for w in words if w[0] == "prod"}
         products = list(zip(*coords))[n:]
         for (a, b), col in zip(iproduct(range(n), repeat=2), products):
@@ -193,6 +205,14 @@ class WordBasis:
             affine = deg[0] + deg[1] <= 1 and max(deg) <= 1
             (self.affine if affine else self.relations)[lv].append(
                 (a, b, terms))
+            if affine:
+                fixed = tuple((t, c) for t, c in terms if level[t] < lv)
+                linear = tuple((t, c) for t, c in terms if level[t] == lv)
+                if max(level[a], level[b]) < lv:
+                    split = (a, b, fixed), (None, None, linear)
+                else:
+                    split = (None, None, fixed), (a, b, linear)
+                self.affine_split[lv].append(split)
 
     @staticmethod
     def _close(A, gens):
@@ -346,7 +366,7 @@ def _candidate_vectors(B: Algebra, height: int):
 # ----------------------------------------------------------------------
 # the search
 
-def _search(A: Algebra, B: Algebra, budget, height):
+def _search(A: Algebra, B: Algebra, budget, height, group=False):
     """Backtracking core shared by iso_search and enumerate_aut_fp:
     yields the witness Matrices in visiting order.
 
@@ -363,7 +383,10 @@ def _search(A: Algebra, B: Algebra, budget, height):
     get the check of the others (`WordBasis.relations`) and the
     independence check, so the witnesses and their order are those of
     visiting the whole pool.  BudgetExceeded is raised when more than
-    `budget` candidates are visited."""
+    `budget` candidates are visited.
+
+    With `group` (A = B over F_p) it yields Aut(A) instead, the same
+    list in the same order, from coset transversals (`stabilizer`)."""
     wb = WordBasis(A)
     f, n, g = A.field, A.dim, wb.n_generators
     p = f.modulus
@@ -385,8 +408,9 @@ def _search(A: Algebra, B: Algebra, budget, height):
                 multiply(images[w[1]], images[w[2]])
 
     def residual(a, b, terms):
-        """images[a]·images[b] - sum c·images[t]: 0 iff the relation holds."""
-        product = multiply(images[a], images[b])
+        """images[a]·images[b] - sum c·images[t] (no product when a is
+        None): 0 iff the relation holds."""
+        product = zeros if a is None else multiply(images[a], images[b])
         if not terms:
             return product
         return combine(product, [(-c, enumerate(images[t]))
@@ -396,16 +420,18 @@ def _search(A: Algebra, B: Algebra, budget, height):
         """The pool points that solve the level's affine relations and
         lie outside W, in pool order."""
         rows = []
-        if wb.affine[level]:
-            # each residual F is affine in x: F(x) = F(0) + sum_i x_i
-            # (F(e_i) - F(0)), so the rows are F(e_i)_k - F(0)_k | -F(0)_k
+        split = wb.affine_split[level]
+        if split:
+            # each residual is F(x) = C + L(x), C fixed by the earlier
+            # images and L linear in x, so its rows are L(e_i)_k | -C_k
+            fixed = [residual(*part) for part, _ in split]
             at = []
-            for x in [zeros] + units:
+            for x in units:
                 assign(wb.linear_words[level], x)
-                at.append([residual(*rel) for rel in wb.affine[level]])
-            for j, base in enumerate(at[0]):
+                at.append([residual(*part) for _, part in split])
+            for j, base in enumerate(fixed):
                 for k, c in enumerate(base):
-                    row = [F[j][k] - c if c else F[j][k] for F in at[1:]]
+                    row = [L[j][k] for L in at]
                     row.append(-c)
                     if p is not None:
                         row = [x % p for x in row]
@@ -422,8 +448,21 @@ def _search(A: Algebra, B: Algebra, budget, height):
         want = A.local_type(wb.vectors[level])
         return (x for x in points if B.local_type(x) == want)
 
-    def extend(level):
+    def step(level, cand):
+        """Visit cand at the level: count it against the budget, assign
+        its words' images; True when they pass the level's other
+        relations and keep the images independent."""
         nonlocal visited
+        visited += 1
+        if visited > budget:
+            raise BudgetExceeded(f"search budget {budget} exhausted")
+        assign(wb.new_words[level], cand)
+        if any(any(residual(*rel)) for rel in wb.relations[level]):
+            return False
+        avail = [images[t] for t in range(n) if wb.word_level[t] <= level]
+        return eliminate(avail, p)[1] == len(avail)
+
+    def extend(level):
         if level == g:
             # phi sends each word's vector to its image: the image matrix
             # times the inverse word matrix.  Every word-basis product
@@ -435,21 +474,45 @@ def _search(A: Algebra, B: Algebra, budget, height):
                 yield phi
             return
         for cand in candidates(level):
-            visited += 1
-            if visited > budget:
-                raise BudgetExceeded(f"search budget {budget} exhausted")
-            assign(wb.new_words[level], cand)
-            if any(any(residual(*rel)) for rel in wb.relations[level]):
-                continue
-            avail = [images[t] for t in range(n) if wb.word_level[t] <= level]
-            if eliminate(avail, p)[1] < len(avail):
-                continue
-            yield from extend(level + 1)
+            if step(level, cand):
+                yield from extend(level + 1)
+
+    def stabilizer(level):
+        """G_level, the automorphisms fixing generators 0..level-1, as
+        raw rows.  With the earlier images at A's own words, the level's
+        candidates are visited as `extend` visits them.  Its own
+        generator x leads to G_(level+1); for any other candidate y the
+        first witness t_y of `extend` is kept, and none proves that no
+        element of G_level takes x to y (the search is exhaustive).
+        G_level is the union of the cosets t_y G_(level+1)."""
+        if level == g:
+            return [tuple(units)]
+        own = wb.vectors[level]
+        reps = []
+        for cand in candidates(level):
+            if step(level, cand):
+                if cand == own:
+                    sub = stabilizer(level + 1)
+                else:
+                    t = next(extend(level + 1), None)
+                    if t is not None:
+                        reps.append(t._rows)
+        return sub + [matmul(t, h, p) for t in reps for h in sub]
 
     try:
-        yield from extend(0)
+        if group:
+            # an automorphism is fixed by its generator images, its
+            # columns at the generators (unit vectors), and `extend`
+            # meets them in lexicographic order
+            cols = [x.index(one) for x in wb.vectors[:g]]
+            yield from (Matrix.from_raw(f, m) for m in sorted(
+                stabilizer(0),
+                key=lambda m: [m[r][k] for k in cols for r in range(n)]))
+        else:
+            yield from extend(0)
     finally:
-        extend = None  # the closure refers to itself: break the cycle
+        # the closures refer to themselves: break the cycles
+        extend = stabilizer = None
 
 
 def iso_search(A: Algebra, B: Algebra, budget: int = DEFAULT_BUDGET,
@@ -477,12 +540,16 @@ def iso_search(A: Algebra, B: Algebra, budget: int = DEFAULT_BUDGET,
 
 
 def enumerate_aut_fp(A: Algebra, budget: int = DEFAULT_BUDGET):
-    """The full automorphism group of A over F_p, by exhaustive
-    generator-image backtracking, in the search's visiting order.  As in
-    `iso_search`, each generator's images are the solutions of the
-    relations linear in it that are independent of the earlier images
-    modulo A^2 and have the generator's local type, and the budget
-    counts these tries."""
+    """The full automorphism group of A over F_p, lexicographic in the
+    images of the `WordBasis` generators: the list of the exhaustive
+    search over every leaf, element for element, built from coset
+    transversals (`_search` with `group`).  Level by level, with the
+    earlier generators fixed, the search finds one automorphism per
+    reachable image of the next generator, and the group is the
+    products of these.  As in `iso_search`, each generator's images are
+    the solutions of the relations linear in it that are independent of
+    the earlier images modulo A^2 and have the generator's local type,
+    and the budget counts these tries."""
     if A.field.modulus is None:
         raise ValueError("exhaustive enumeration needs a prime field")
-    return list(_search(A, A, budget, 0))
+    return list(_search(A, A, budget, 0, group=True))

@@ -348,8 +348,9 @@ def _one_line_error(capsys, *words):
 
 
 @pytest.mark.parametrize("argv, words", [
-    (["--field", "fp:2", "--budget", "100", "orbits-fp", "--base", "M4_01"],
-     "budget 100"),
+    # the enumeration of Aut(M4_01) over F_2 visits 37 candidates
+    (["--field", "fp:2", "--budget", "36", "orbits-fp", "--base", "M4_01"],
+     "budget 36"),
     (["--field", "fp:3", "--budget", "0", "orbits-fp", "--base", "N3s_01"],
      "budget 0"),
 ])
@@ -581,6 +582,39 @@ def test_extend_rejects_malformed_cocycle(tmp_path, capsys, base, entries,
     assert main(["extend", "--algebra", str(alg), "--cocycle",
                  str(coc)]) == 2
     _one_line_error(capsys, "coc.json", words)
+
+
+def _without(doc, key):
+    """doc with `key` removed, at the top or (given as "table.c" or
+    "entries.c") from its first entry."""
+    doc = json.loads(json.dumps(doc))
+    name, _, inner = key.partition(".")
+    del (doc[name][0] if inner else doc)[inner or name]
+    return doc
+
+
+@pytest.mark.parametrize("key", ["dim", "field", "table", "table.c"])
+def test_algebra_document_without_a_key_says_which(tmp_path, capsys, key):
+    # these used to say only "bad algebra document ('table')"
+    p = tmp_path / "alg.json"
+    p.write_text(json.dumps(_without(A.to_json(), key)))
+    assert main(["check", str(p)]) == 2
+    _one_line_error(capsys, "alg.json", "bad algebra document",
+                    f"missing key {key.rpartition('.')[2]!r}")
+
+
+@pytest.mark.parametrize("key", ["s", "entries", "entries.c"])
+def test_cocycle_document_without_a_key_says_which(tmp_path, capsys, key):
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps(A.to_json()))
+    coc = tmp_path / "coc.json"
+    coc.write_text(json.dumps(_without(
+        {"base": A.to_json(), "s": 1,
+         "entries": [{"t": 1, "i": 1, "j": 1, "c": "1"}]}, key)))
+    assert main(["extend", "--algebra", str(alg), "--cocycle",
+                 str(coc)]) == 2
+    _one_line_error(capsys, "coc.json", "bad cocycle document",
+                    f"missing key {key.rpartition('.')[2]!r}")
 
 
 # ----------------------------------------------------------------------

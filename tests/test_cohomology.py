@@ -296,6 +296,14 @@ def test_cocycle_json_rejects_malformed(entries, s, words):
         Cocycle.from_json(doc)
 
 
+@pytest.mark.parametrize("key", ["base", "s", "entries"])
+def test_cocycle_json_names_a_missing_key(key):
+    doc = {"base": A.to_json(), "s": 1, "entries": []}
+    del doc[key]
+    with pytest.raises(ValueError, match=f"missing key '{key}'"):
+        Cocycle.from_json(doc)
+
+
 def _reference_h2_coordinates(A, classes, targets):
     """Per target, its coordinates on the classes by `Matrix.solve` in
     the basis (classes, then B^2), or None when it lies outside their

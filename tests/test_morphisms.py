@@ -390,6 +390,81 @@ def test_enumerate_aut_fp_matches_reference(cat, key, p, order):
     assert len(auts) == order
 
 
+def _monomial(rng, n, p):
+    """A random permutation of the basis, each vector scaled by a random
+    nonzero residue (the basis changes of the fp-procedure benchmark
+    workload)."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[rng.randrange(1, p) if perm[i] == j else 0 for j in range(n)]
+            for i in range(n)]
+
+
+def _transversal_sizes(A, auts):
+    """Per generator i of `WordBasis`, the number of images of x_i under
+    G_i, the automorphisms that fix x_0..x_(i-1) (the generators are unit
+    vectors, so an image is a column)."""
+    wb = WordBasis(A)
+    cols = [x.index(1) for x in wb.vectors[:wb.n_generators]]
+    group, sizes = [phi.entries for phi in auts], []
+    for k, x in zip(cols, wb.vectors):
+        images = [tuple(A.field.raw(row[k]) for row in m) for m in group]
+        sizes.append(len(set(images)))
+        group = [m for m, y in zip(group, images) if y == x]
+    return sizes
+
+
+# the criterion-9 bases and M4_01 over F_2, each also under two seeded
+# monomial changes of basis, the kind the fp-procedure benchmark draws;
+# on M4_06 over F_2 and N4_13 over F_3 some image of a
+# generator passes every filter of its level but extends to no
+# automorphism
+@pytest.mark.parametrize("key, p, params, sizes", [
+    ("N3s_01", 3, {}, [18, 6]), ("N3s_02", 3, {}, None),
+    ("N3s_03", 3, {}, None), ("N3s_04l", 3, {"lambda": 1}, None),
+    ("N3s_04l", 3, {"lambda": 2}, None), ("N3s_04z", 3, {}, None),
+    ("M4_01", 2, {}, [8, 6, 4]), ("M4_06", 2, {}, None),
+    ("N4_13", 3, {}, None)])
+def test_enumerate_aut_fp_equals_the_walk_over_every_leaf(
+        cat, key, p, params, sizes):
+    F = PrimeField(p)
+    base = cat.bases[key].algebra(F, {k: F(v) for k, v in params.items()})
+    rng = random.Random(f"cosets:{key}:{params}")
+    for t in range(3):
+        A = base if t == 0 else base.change_basis(
+            Matrix(F, _monomial(rng, base.dim, p)))
+        auts = enumerate_aut_fp(A)
+        assert [phi.entries for phi in auts] == \
+            [phi.entries for phi in _search(A, A, DEFAULT_BUDGET, 0)]
+        assert all(is_isomorphism(A, A, phi) for phi in auts)
+        if t == 0 and sizes is not None:
+            assert _transversal_sizes(A, auts) == sizes
+
+
+def test_enumerate_aut_fp_budget_counts_the_coset_walk(cat):
+    # the walk over every leaf visits 248 candidates here, the coset
+    # walk 37
+    A = cat.bases["M4_01"].algebra(F2, {})
+    with pytest.raises(BudgetExceeded):
+        list(_search(A, A, 247, 0))
+    assert len(list(_search(A, A, 248, 0))) == 192
+    with pytest.raises(BudgetExceeded):
+        enumerate_aut_fp(A, budget=36)
+    assert len(enumerate_aut_fp(A, budget=37)) == 192
+
+
+@pytest.mark.parametrize("k, budget", [(0, 0), (1, 2), (2, 31502), (3, 2),
+                                       (4, 2)])
+def test_iso_search_minimal_budget_over_f5(cat, k, budget):
+    # the criterion-8 pairs; the first has equal tables and needs none
+    L, R = _noted_pair(cat, k, F5)
+    if budget:
+        with pytest.raises(BudgetExceeded):
+            iso_search(L, R, budget=budget - 1)
+    w = iso_search(L, R, budget=budget)
+    assert w is not None and is_isomorphism(L, R, w)
+
+
 def test_recorded_automorphism_shapes(cat):
     """Every stored parameterized automorphism shape really is an
     automorphism wherever its determinant is nonzero."""
